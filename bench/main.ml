@@ -491,26 +491,25 @@ let eigtime () =
     ~wall_s:(dt_assemble +. !paper_solution_time)
 
 (* ---------------------------------------------------------------- *)
-(* scale: sweep the mesh size across all three apply strategies.  Uses a
+(* scale: sweep the mesh size across the two eigensolve regimes.  Uses a
    Matern kernel with non-half-integer smoothness, whose exact evaluation
-   goes through Bessel-K quadrature — the expensive-kernel regime the
-   radial profile table targets.  The assembled path pays ~n^2/2 exact
-   evaluations; the table (matrix-free) path pays a fixed table build plus
-   O(n^2) cheap lookups per matvec; the hierarchical path pays an
-   O(n log n) ACA build once and O(n log n) per matvec after, so it is the
-   only strategy that survives past n ~ 10^4.  Expensive references are
-   dropped as n grows (assembled above [asm_cap], table above [table_cap]);
-   accuracy is checked against the best reference still standing. *)
+   goes through Bessel-K quadrature — the expensive-kernel regime.  The
+   assembled path pays ~n^2/2 exact evaluations and O(n^2) memory; the
+   hierarchical path pays an O(n log n) ACA build (entries through the
+   radial profile table) once and O(n log n) per matvec after, so it is
+   the only strategy that survives past n ~ 10^4.  The assembled reference
+   is dropped above [asm_cap]; below it, the hierarchical eigenvalues are
+   gated against it. *)
 
 let scale () =
-  header "Scale: assembled vs table vs hierarchical eigensolve";
+  header "Scale: assembled vs hierarchical eigensolve";
   let kernel = K.Matern { b = 2.0; s = 2.3 } in
   let count_cap = 25 in
   (* ACA block tolerance 1e-8; the eigenvalue gate is 1e-6 — two orders of
      margin absorb the Frobenius-to-spectral slack of the block bound *)
   let hier = { Kle.Hmatrix.default_params with Kle.Hmatrix.tol = 1e-8 } in
   let gate = 1e-6 in
-  let asm_cap = 3500 and table_cap = 7000 in
+  let asm_cap = 7000 in
   pf "kernel: %s (exact evaluation via Bessel-K quadrature)\n" (K.name kernel);
   pf "ACA tol %.0e, eta %g, leaf %d; gate %.0e on the leading k-2 eigenvalues\n"
     hier.Kle.Hmatrix.tol hier.Kle.Hmatrix.eta hier.Kle.Hmatrix.leaf_size gate;
@@ -518,7 +517,7 @@ let scale () =
     Util.Table.create
       ~columns:
         [ ("n (triangles)", Util.Table.Right); ("k", Util.Table.Right);
-          ("assembled (s)", Util.Table.Right); ("table (s)", Util.Table.Right);
+          ("assembled (s)", Util.Table.Right);
           ("hier build (s)", Util.Table.Right); ("hier solve (s)", Util.Table.Right);
           ("entry evals", Util.Table.Right); ("mem vs dense", Util.Table.Right);
           ("max rel dlambda", Util.Table.Right) ]
@@ -545,27 +544,12 @@ let scale () =
                  Kle.Galerkin.solve ~mode:Kle.Galerkin.Assembled ~solver
                    ?jobs:opts.jobs mesh kernel))
       in
-      let tab =
-        if n > table_cap then None
-        else
-          Some
-            (Util.Timer.time (fun () ->
-                 Kle.Galerkin.solve ~mode:Kle.Galerkin.Matrix_free ~solver
-                   ?jobs:opts.jobs mesh kernel))
-      in
       (* hierarchical: build and solve timed apart, so the one-off
          compression cost is visible next to the per-solve payoff *)
       let c0 = Util.Trace.counters () in
       let hm, t_build =
         Util.Timer.time (fun () ->
             Kle.Operator.hmatrix_galerkin ~hier ?jobs:opts.jobs mesh kernel)
-      in
-      let hm =
-        match hm with
-        | Ok h -> h
-        | Error msg ->
-            pf "FAIL: hierarchical build stalled at n=%d: %s\n" n msg;
-            exit 1
       in
       let hsol, t_hsolve =
         Util.Timer.time (fun () ->
@@ -576,14 +560,13 @@ let scale () =
       let words = Kle.Hmatrix.words hm in
       let dense_words = n * n in
       hpoints := (n, stats.Kle.Hmatrix.entry_evals, words) :: !hpoints;
-      (* accuracy vs the best exact-apply reference still standing; the
-         leading k-2 values only — at the Krylov-budget edge the last pair
-         is loose_ok territory, where near-degenerate tail eigenvalues may
-         index-shift between operators differing by the ACA tolerance *)
-      let reference = match asm with Some (s, _) -> Some s | None -> Option.map fst tab in
+      (* accuracy vs the assembled reference; the leading k-2 values only
+         — at the Krylov-budget edge the last pair is loose_ok territory,
+         where near-degenerate tail eigenvalues may index-shift between
+         operators differing by the ACA tolerance *)
       let rel =
         Option.map
-          (fun (rsol : Kle.Galerkin.solution) ->
+          (fun ((rsol : Kle.Galerkin.solution), _) ->
             let acc = ref 0.0 in
             for j = 0 to count - 3 do
               let a = rsol.Kle.Galerkin.eigenvalues.(j)
@@ -593,7 +576,7 @@ let scale () =
                   (Float.abs (a -. h) /. Float.max (Float.abs a) 1e-300)
             done;
             !acc)
-          reference
+          asm
       in
       (match rel with
       | Some r when r > gate ->
@@ -601,13 +584,13 @@ let scale () =
           exit 1
       | _ -> ());
       let t_hier = t_build +. t_hsolve in
-      (match tab with
-      | Some (_, t_tab) when t_hier < t_tab && Option.is_none !crossover ->
+      (match asm with
+      | Some (_, t_asm) when t_hier < t_asm && Option.is_none !crossover ->
           crossover := Some n
       | _ -> ());
       let opt_time = function Some (_, dt) -> fmt_f ~digits:3 dt | None -> "—" in
       Util.Table.add_row t
-        [ string_of_int n; string_of_int count; opt_time asm; opt_time tab;
+        [ string_of_int n; string_of_int count; opt_time asm;
           fmt_f ~digits:3 t_build; fmt_f ~digits:3 t_hsolve;
           string_of_int stats.Kle.Hmatrix.entry_evals;
           Printf.sprintf "%.1f%%" (100.0 *. float_of_int words /. float_of_int dense_words);
@@ -615,7 +598,6 @@ let scale () =
       let stages =
         List.concat
           [ (match asm with Some (_, dt) -> [ ("assembled", dt) ] | None -> []);
-            (match tab with Some (_, dt) -> [ ("table", dt) ] | None -> []);
             [ ("hier_build", t_build); ("hier_solve", t_hsolve) ] ]
       in
       emit "scale"
@@ -643,10 +625,10 @@ let scale () =
   Util.Table.print t;
   (match !crossover with
   | Some n ->
-      pf "crossover: hierarchical (build + solve) beats the table apply from n = %d onwards\n" n;
+      pf "crossover: hierarchical (build + solve) beats the assembled solve from n = %d onwards\n" n;
       emit_meta "scale-crossover" ~params:[ ("crossover_n", Bench_json.Int n) ]
   | None ->
-      pf "no crossover in this sweep: the table apply won at every measured n\n";
+      pf "no crossover in this sweep: the assembled solve won at every measured n\n";
       emit_meta "scale-crossover" ~params:[ ("crossover_n", Bench_json.Null) ]);
   (* growth exponents from the last two hierarchical points, and the n = 10^5
      extrapolation the quadratic strategies cannot reach. Work and memory are
@@ -1919,6 +1901,7 @@ let () =
                 ("mesh_frac", Bench_json.Float opts.mesh_frac);
                 ("seed", Bench_json.Int opts.seed);
                 ("jobs", Bench_json.Int (effective_jobs ()));
+                ("nproc", Bench_json.Int (Domain.recommended_domain_count ()));
                 ( "argv",
                   Bench_json.String
                     (String.concat " " (List.tl (Array.to_list Sys.argv))) );

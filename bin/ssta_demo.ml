@@ -11,7 +11,7 @@
 
 open Cmdliner
 
-let run circuit_name bench_file samples sampler_kind grid r kle_mode seed jobs
+let run circuit_name bench_file samples sampler_kind grid r seed jobs
     strict fault policy do_compare trace_file metrics verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -121,11 +121,7 @@ let run circuit_name bench_file samples sampler_kind grid r kle_mode seed jobs
           None )
     | (`Kle | `Kle_qmc) as kind ->
         let config =
-          {
-            Ssta.Algorithm2.paper_config with
-            r = (if r > 0 then Some r else None);
-            mode = kle_mode;
-          }
+          { Ssta.Algorithm2.paper_config with r = (if r > 0 then Some r else None) }
         in
         let prepared =
           ok (Ssta.Pipeline.prepare pipeline (Ssta.Pipeline.Kle config) process setup)
@@ -300,25 +296,6 @@ let grid_arg =
 let r_arg =
   Arg.(value & opt int 0 & info [ "r" ] ~doc:"Retained components (0 = automatic).")
 
-let kle_mode_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("auto", Kle.Galerkin.Auto);
-             ("assembled", Kle.Galerkin.Assembled);
-             ("matrix-free", Kle.Galerkin.Matrix_free);
-             ("hierarchical", Kle.Galerkin.Hierarchical);
-           ])
-        Kle.Galerkin.Auto
-    & info [ "kle-mode" ]
-        ~doc:
-          "Galerkin eigensolve path for the KLE sampler: auto (matrix-free \
-           above the size threshold), assembled (materialize the n x n \
-           matrix), matrix-free (never materialize it), or hierarchical \
-           (ACA-compressed H-matrix apply, O(n log n) per matvec).")
-
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 
 let jobs_arg =
@@ -394,7 +371,7 @@ let cmd =
     (Cmd.info "ssta_demo" ~doc)
     Term.(
       const run $ circuit_arg $ bench_file_arg $ samples_arg $ sampler_arg $ grid_arg
-      $ r_arg $ kle_mode_arg $ seed_arg $ jobs_arg $ strict_arg $ fault_arg
+      $ r_arg $ seed_arg $ jobs_arg $ strict_arg $ fault_arg
       $ policy_arg $ compare_arg $ trace_arg $ metrics_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

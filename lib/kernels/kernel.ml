@@ -50,6 +50,11 @@ let rec is_isotropic = function
   | Separable_exp_l1 _ | Radial_exponential _ | Anisotropic_gaussian _ -> false
   | Faulty { base; _ } -> is_isotropic base
 
+let smooth_off_diagonal = function
+  | Gaussian _ | Exponential _ | Matern _ | Anisotropic_gaussian _ -> true
+  | Separable_exp_l1 _ | Radial_exponential _ | Linear_cone _ | Spherical _ | Faulty _ ->
+      false
+
 let rec eval t x y =
   match t with
   | Faulty { base; plan } -> Util.Fault.apply plan (eval base x y)

@@ -53,6 +53,17 @@ val eval_distance : t -> float -> float
 
 val is_isotropic : t -> bool
 
+val smooth_off_diagonal : t -> bool
+(** [true] when [K(x, y)] is analytic wherever [x ≠ y] (Gaussian,
+    exponential, Matérn, anisotropic Gaussian): the condition under which
+    well-separated blocks of the Galerkin matrix are numerically low rank
+    and ACA compresses them reliably. [false] for families with a kink
+    away from the diagonal — the L1 norm's axes ([Separable_exp_l1]),
+    [|x| = |y|] ([Radial_exponential]) or the support radius
+    ([Linear_cone], [Spherical]) — on which ACA can stop early with an
+    O(10 %) error — and for [Faulty], whose corrupted values carry no
+    structure at all. *)
+
 val name : t -> string
 (** Short human-readable description for tables and logs. *)
 
@@ -64,8 +75,8 @@ val validate : t -> (unit, string) result
     Isotropy means [K(x, y)] depends only on [v = ‖x - y‖], so an n²-entry
     correlation operator can be driven from a 1-D table of K(v) over
     [[0, vmax]] — each entry becomes one linear interpolation instead of an
-    [exp]/Bessel/[Γ] evaluation. This is what makes the matrix-free Galerkin
-    apply cheap ({!Kle.Operator}). *)
+    [exp]/Bessel/[Γ] evaluation. The H-matrix build of the Galerkin
+    operator evaluates its entries this way ({!Kle.Operator}). *)
 
 type profile_table
 (** A uniformly spaced tabulation of an isotropic kernel's radial profile,

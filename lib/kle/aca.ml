@@ -83,7 +83,7 @@ let approximate ~entry ~m ~n ~tol ~max_rank =
     find 0
   in
   let finish () =
-    Some
+    Ok
       {
         u = Lowrank.of_columns ~rows:m (List.rev !us);
         v = Lowrank.of_columns ~rows:n (List.rev !vs);
@@ -112,7 +112,7 @@ let approximate ~entry ~m ~n ~tol ~max_rank =
           incr rank;
           let term = sqrt (Lowrank.norm2 u *. Lowrank.norm2 v) in
           if term <= tol *. sqrt (Float.max !norm2 0.0) then finish ()
-          else if !rank >= max_rank then None (* stalled: caller falls back *)
+          else if !rank >= max_rank then Error !evals (* stalled *)
           else begin
             (* next pivot row: largest remaining entry of the new column,
                over rows not yet crossed *)
@@ -131,4 +131,4 @@ let approximate ~entry ~m ~n ~tol ~max_rank =
           end
         end
   in
-  if max_rank < 1 then None else step (Some 0) 0
+  if max_rank < 1 then Error 0 else step (Some 0) 0

@@ -22,12 +22,12 @@ val approximate :
   n:int ->
   tol:float ->
   max_rank:int ->
-  result option
+  (result, int) Stdlib.result
 (** [approximate ~entry ~m ~n ~tol ~max_rank] cross-approximates the block
     [entry i j] (local indices, [0 ≤ i < m], [0 ≤ j < n]) to relative
-    tolerance [tol]. Returns [None] when the rank hits [max_rank] without
-    meeting the tolerance — the caller is expected to fall back to a dense
-    evaluation path (see {!Operator.galerkin}). A numerically vanished
-    block (all probed pivots below 1e-150) converges at its current rank,
-    possibly 0. Raises [Invalid_argument] on an empty block or
-    non-positive [tol]. *)
+    tolerance [tol]. Returns [Error evals] (the entry evaluations spent)
+    when the rank hits [max_rank] without meeting the tolerance — the
+    caller evaluates the block densely instead (see {!Hmatrix.build}). A
+    numerically vanished block (all probed pivots below 1e-150) converges
+    at its current rank, possibly 0. Raises [Invalid_argument] on an empty
+    block or non-positive [tol]. *)

@@ -5,7 +5,7 @@ type quadrature = Operator.quadrature = Centroid | Midedge
 
 type solver = Dense | Lanczos of { count : int }
 
-type mode = Auto | Assembled | Matrix_free | Hierarchical
+type mode = Auto | Assembled | Hierarchical
 
 type solution = {
   mesh : Mesh.t;
@@ -60,12 +60,13 @@ let trace mesh kernel =
   done;
   !acc
 
-let default_solver n = if n <= 600 then Dense else Lanczos { count = min n 200 }
+(* the one size rule: up to [dense_max] triangles the default solver is
+   dense QL and Auto assembles the matrix; above it the default solver is
+   Lanczos and Auto applies the H-matrix, so the O(n²) assembly is never
+   paid where it is the avoidable cost *)
+let dense_max = 600
 
-(* Auto switches to matrix-free at the same size at which [default_solver]
-   switches to Lanczos: below it the dense QL solver needs the assembled
-   matrix anyway, above it the O(n²) assembly is the avoidable cost. *)
-let matrix_free_threshold = 600
+let default_solver n = if n <= dense_max then Dense else Lanczos { count = min n 200 }
 
 (* PSD validity check + eigenvector rescale shared by every solve path.
    [raw_vectors_cols j] must return the j-th unit-norm eigenvector of C. *)
@@ -152,9 +153,8 @@ let solve_assembled ~quadrature ~solver ?keep ?lanczos_max_dim ?diag ?jobs mesh
 
 (* Lanczos over an already-built matrix-free operator, with the standard
    No_convergence fallback to assembly + dense QL. Public so callers that
-   build (or load from a {!Persist.Store}) the operator themselves — the
-   analysis server caching hierarchical factors — reuse the exact solve
-   path of {!solve}. *)
+   build the H-matrix themselves (to time or inspect it) reuse the exact
+   solve path of {!solve}. *)
 let solve_with_operator ?(quadrature = Centroid) ~solver ?lanczos_max_dim ?diag
     ?jobs ~op mesh kernel =
   let n = Mesh.size mesh in
@@ -201,31 +201,34 @@ let solve ?(quadrature = Centroid) ?(mode = Auto) ?solver ?hier
   | Lanczos { count } when count <= 0 || count > n ->
       invalid_arg "Galerkin.solve: Lanczos count out of range"
   | _ -> ());
-  let mode =
+  (* kernels with an off-diagonal kink defeat ACA's stopping rule, so Auto
+     keeps assembling them at every size *)
+  let compressible = Kernel.smooth_off_diagonal kernel in
+  let hierarchical =
     match (mode, solver) with
-    | Auto, Lanczos _ when n > matrix_free_threshold -> Matrix_free
-    | Auto, _ -> Assembled
-    | (Matrix_free | Hierarchical), Dense ->
+    | Auto, Lanczos _ -> n > dense_max && compressible
+    | Hierarchical, Dense ->
         invalid_arg
-          "Galerkin.solve: matrix-free modes require the Lanczos solver \
+          "Galerkin.solve: the hierarchical mode requires the Lanczos solver \
            (the dense QL solver factorizes the assembled matrix)"
-    | (Assembled | Matrix_free | Hierarchical), _ -> mode
+    | Hierarchical, Lanczos _ ->
+        if not compressible then
+          invalid_arg
+            (Printf.sprintf
+               "Galerkin.solve: kernel %s is not smooth off the diagonal; the \
+                H-matrix cannot compress it"
+               (Kernel.name kernel));
+        true
+    | (Auto | Assembled), _ -> false
   in
-  match mode with
-  | Auto | Assembled ->
-      solve_assembled ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs mesh
-        kernel
-  | Matrix_free | Hierarchical ->
-      let op_mode =
-        match mode with
-        | Hierarchical -> Operator.Hierarchical
-        | _ -> Operator.Table
-      in
-      let op =
-        Operator.galerkin ~quadrature ~mode:op_mode ?hier ?diag ?jobs mesh
-          kernel
-      in
-      solve_with_operator ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs ~op
-        mesh kernel
+  if hierarchical then
+    let op =
+      Operator.of_hmatrix ?diag
+        (Operator.hmatrix_galerkin ~quadrature ?hier ?diag ?jobs mesh kernel)
+    in
+    solve_with_operator ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs ~op mesh
+      kernel
+  else
+    solve_assembled ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs mesh kernel
 
 let eigenvalue_sum_bound solution = Util.Arrayx.sum solution.eigenvalues

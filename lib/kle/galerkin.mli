@@ -26,18 +26,18 @@ type solver =
 
 type mode =
   | Auto
-      (** matrix-free when the solver is Lanczos and
-          [n > matrix_free_threshold], assembled otherwise *)
-  | Assembled  (** materialize the n×n Galerkin matrix, then eigensolve *)
-  | Matrix_free
-      (** never materialize the matrix: Lanczos over {!Operator.galerkin}
-          (requires a Lanczos solver) *)
+      (** [Hierarchical] when the solver is Lanczos, [n > 600] and the
+          kernel is {!Kernels.Kernel.smooth_off_diagonal}; [Assembled]
+          otherwise — the rule production callers use *)
+  | Assembled
+      (** materialize the n×n Galerkin matrix, then eigensolve — the
+          exact reference of the accuracy tests *)
   | Hierarchical
       (** Lanczos over the O(n log n) H-matrix apply
-          ({!Operator.galerkin} with [mode = Hierarchical]: cluster tree +
-          ACA far field, {!Hmatrix}); requires a Lanczos solver.
-          Eigenvalues carry a controlled relative error of order
-          [hier.tol] *)
+          ({!Operator.hmatrix_galerkin}: cluster tree + ACA far field,
+          {!Hmatrix}); requires a Lanczos solver and a kernel that is
+          {!Kernels.Kernel.smooth_off_diagonal}. Eigenvalues carry a
+          controlled relative error of order [hier.tol] *)
 
 type solution = {
   mesh : Geometry.Mesh.t;
@@ -60,10 +60,6 @@ val assemble :
     ({!Util.Pool.with_jobs} semantics: default = the shared pool, [1] =
     sequential); the result is bit-identical for every [jobs]. *)
 
-val matrix_free_threshold : int
-(** The [Auto] switchover size (600 triangles — the same size at which
-    {!solve}'s default solver switches from dense QL to Lanczos). *)
-
 val solve :
   ?quadrature:quadrature ->
   ?mode:mode ->
@@ -77,28 +73,30 @@ val solve :
   solution
 (** Solve the Galerkin eigenproblem. Default solver is [Dense] below 600
     triangles and [Lanczos {count = min n 200}] above; default [mode] is
-    [Auto]. Eigenvalues are clamped at 0 (tiny negative rounding values
-    only). [Matrix_free] or [Hierarchical] with an explicit [Dense] solver
-    raises [Invalid_argument]. [hier] tunes the [Hierarchical] operator
-    build ({!Hmatrix.default_params} otherwise); a hierarchical build
-    whose ACA stalls degrades to the [Table] flat apply with a
-    [`Degraded_fallback] warning (see {!Operator.galerkin}).
+    [Auto], so a solve assembles the matrix at [n ≤ 600], with a [Dense]
+    solver or for a kernel with an off-diagonal kink, and runs Lanczos
+    over the H-matrix otherwise. Eigenvalues are clamped at 0 (tiny
+    negative rounding values only). [Hierarchical] with an explicit
+    [Dense] solver or a kernel that is not
+    {!Kernels.Kernel.smooth_off_diagonal} raises [Invalid_argument]. [hier]
+    tunes the H-matrix build ({!Hmatrix.default_params} otherwise); a far
+    block whose ACA stalls is stored exactly, so the build never fails.
 
     Robustness behaviour (all events recorded into [diag] when given):
     - on the assembled path the matrix is scanned for NaN/inf before the
       eigensolve; a non-finite entry raises [Util.Diag.Failure] with
-      [`Non_finite] naming the kernel and element pair — on the matrix-free
+      [`Non_finite] naming the kernel and element pair — on the H-matrix
       path each apply result is scanned instead ([`Non_finite], stage
       ["kle.operator.apply"]);
     - an assembled Lanczos run that fails to converge ([lanczos_max_dim]
       caps its Krylov dimension, mainly for tests) falls back to the dense
       QL solver for the same leading [count] pairs, recording
-      [`No_convergence] and [`Degraded_fallback] warnings; a matrix-free
+      [`No_convergence] and [`Degraded_fallback] warnings; an H-matrix
       run that fails to converge falls back to assembly + dense QL, same
       two warnings, preserving the audit trail;
     - a radial profile table that fails its accuracy guard falls back to
-      exact evaluation inside the operator ([`Degraded_fallback] recorded
-      by {!Kernels.Kernel.radial_profile});
+      exact evaluation of the H-matrix entries ([`Degraded_fallback]
+      recorded by {!Kernels.Kernel.radial_profile});
     - a genuinely indefinite kernel raises [Util.Diag.Failure] with
       [`Not_psd]. *)
 
@@ -114,9 +112,8 @@ val solve_with_operator :
   solution
 (** Lanczos over a caller-supplied operator, with {!solve}'s
     No_convergence fallback (assembly + dense QL) and finalization. For
-    callers that build — or load from a {!Persist.Store} — the operator
-    themselves, e.g. the analysis server reusing cached hierarchical
-    factors. Requires a [Lanczos] solver ([Invalid_argument] otherwise);
+    callers that build the H-matrix themselves, e.g. to time the build
+    apart from the solve ([bench scale]). Requires a [Lanczos] solver ([Invalid_argument] otherwise);
     [op] must be the Galerkin operator of [mesh]/[kernel]/[quadrature]
     or the returned solution is meaningless. *)
 

@@ -5,7 +5,7 @@ module Lowrank = Linalg.Lowrank
    operator: a cluster tree over triangle centroids partitions the index
    square into admissible far-field blocks — compressed to low rank by
    ACA — and small dense near-field blocks. Storage and matvec cost are
-   O(n log n) instead of the O(n²) of the flat pair sweep.
+   O(n log n) instead of the O(n²) of the dense matrix.
 
    Determinism: the partition order is a fixed depth-first traversal,
    blocks are factorized into per-block slots (so the build parallelizes
@@ -31,6 +31,7 @@ type stats = {
   tree_depth : int;
   near_blocks : int;
   far_blocks : int;
+  stalled_blocks : int;
   near_entries : int;
   rank_sum : int;
   entry_evals : int;
@@ -43,15 +44,22 @@ type t = {
   stats : stats;
 }
 
-(* depth-first admissible partition of the index square: (a, b) pairs of
-   tree nodes, split until admissible or both leaves. The non-leaf node
-   (or both) is split, so near blocks are leaf×leaf — at most
-   leaf_size² dense entries each. *)
+(* depth-first admissible partition of the upper triangle of the index
+   square: (a, b) pairs of tree nodes, split until admissible or both
+   leaves. The non-leaf node (or both) is split, so near blocks are
+   leaf×leaf — at most leaf_size² dense entries each. A diagonal pair
+   (a, a) splits into (l, l), (l, r) and (r, r) only: the operator is
+   symmetric, so (r, l) is the transpose of (l, r) and is never stored. *)
 let partition tree ~eta =
   let pairs = ref [] in
   let rec visit ai bi =
     let a = Cluster.node tree ai and b = Cluster.node tree bi in
-    if Cluster.admissible ~eta a b then pairs := (ai, bi, true) :: !pairs
+    if ai = bi && not (Cluster.is_leaf a) then begin
+      visit a.Cluster.left a.Cluster.left;
+      visit a.Cluster.left a.Cluster.right;
+      visit a.Cluster.right a.Cluster.right
+    end
+    else if Cluster.admissible ~eta a b then pairs := (ai, bi, true) :: !pairs
     else if Cluster.is_leaf a && Cluster.is_leaf b then
       pairs := (ai, bi, false) :: !pairs
     else if Cluster.is_leaf b || ((not (Cluster.is_leaf a)) && Cluster.size a >= Cluster.size b)
@@ -66,8 +74,6 @@ let partition tree ~eta =
   in
   visit (Cluster.root_index tree) (Cluster.root_index tree);
   Array.of_list (List.rev !pairs)
-
-exception Stalled of { rlo : int; clo : int; m : int; n : int }
 
 let build ?(params = default_params) ?jobs ~entry points =
   let { tol; eta; leaf_size; max_rank } = params in
@@ -85,7 +91,8 @@ let build ?(params = default_params) ?jobs ~entry points =
   let pairs = partition tree ~eta in
   let n_pairs = Array.length pairs in
   (* per-pair result slots: the parallel build writes each slot exactly
-     once, so the assembled block list is independent of the pool size *)
+     once, so the assembled block list is independent of the pool size.
+     A slot holds (block, entry evals, ACA rank, stalled far block?). *)
   let slots = Array.make n_pairs None in
   let build_pair p =
     let ai, bi, far = pairs.(p) in
@@ -94,75 +101,65 @@ let build ?(params = default_params) ?jobs ~entry points =
     let clo = b.Cluster.lo and chi = b.Cluster.hi in
     let m = rhi - rlo and nc = chi - clo in
     let local i j = entry perm.(rlo + i) perm.(clo + j) in
-    if far then
-      match Aca.approximate ~entry:local ~m ~n:nc ~tol ~max_rank with
-      | Some r ->
-          slots.(p) <- Some (Far { rlo; rhi; clo; chi; u = r.u; v = r.v }, r.evals, r.rank, 0)
-      | None -> raise (Stalled { rlo; clo; m; n = nc })
-    else begin
-      let data = Mat.init m nc local in
-      slots.(p) <- Some (Near { rlo; rhi; clo; chi; data }, m * nc, 0, m * nc)
-    end
+    let near ~spent ~stalled =
+      Some (Near { rlo; rhi; clo; chi; data = Mat.init m nc local }, spent + (m * nc), 0, stalled)
+    in
+    slots.(p) <-
+      (if not far then near ~spent:0 ~stalled:false
+       else
+         match Aca.approximate ~entry:local ~m ~n:nc ~tol ~max_rank with
+         | Ok r -> Some (Far { rlo; rhi; clo; chi; u = r.u; v = r.v }, r.evals, r.rank, false)
+         (* ACA stalled at max_rank: store the block exactly instead *)
+         | Error spent -> near ~spent ~stalled:true)
   in
-  match
-    Util.Pool.with_jobs ?jobs (fun pool ->
-        Util.Pool.parallel_for pool ~chunk:1 ~n:n_pairs (fun lo hi ->
-            for p = lo to hi - 1 do
-              build_pair p
-            done))
-  with
-  | exception Stalled { rlo; clo; m; n = nc } ->
-      Error
-        (Printf.sprintf
-           "ACA stalled at rank %d on the %dx%d far-field block at (%d, %d) \
-            (tol %g)"
-           max_rank m nc rlo clo tol)
-  | () ->
-      let blocks = Array.map (fun s -> match s with Some (b, _, _, _) -> b | None -> assert false) slots in
-      let evals = ref 0 and rank_sum = ref 0 and near_entries = ref 0 in
-      let near_blocks = ref 0 and far_blocks = ref 0 in
-      Array.iter
-        (fun s ->
-          match s with
-          | Some (Near _, e, r, ne) ->
-              incr near_blocks;
-              evals := !evals + e;
-              rank_sum := !rank_sum + r;
-              near_entries := !near_entries + ne
-          | Some (Far _, e, r, ne) ->
-              incr far_blocks;
-              evals := !evals + e;
-              rank_sum := !rank_sum + r;
-              near_entries := !near_entries + ne
-          | None -> assert false)
-        slots;
-      let stats =
-        {
-          tree_nodes = Cluster.n_nodes tree;
-          tree_depth = Cluster.depth tree;
-          near_blocks = !near_blocks;
-          far_blocks = !far_blocks;
-          near_entries = !near_entries;
-          rank_sum = !rank_sum;
-          entry_evals = !evals;
-        }
-      in
-      (* bulk counter updates, totals independent of the pool size *)
-      Util.Trace.add Util.Trace.kernel_evals stats.entry_evals;
-      Util.Trace.add Util.Trace.nearfield_evals stats.near_entries;
-      Util.Trace.add Util.Trace.aca_rank_sum stats.rank_sum;
-      Util.Trace.add Util.Trace.htree_nodes stats.tree_nodes;
-      Util.Trace.add Util.Trace.hmatrix_near_blocks stats.near_blocks;
-      Util.Trace.add Util.Trace.hmatrix_far_blocks stats.far_blocks;
-      Ok { n = Array.length points; perm; blocks; stats }
+  Util.Pool.with_jobs ?jobs (fun pool ->
+      Util.Pool.parallel_for pool ~chunk:1 ~n:n_pairs (fun lo hi ->
+          for p = lo to hi - 1 do
+            build_pair p
+          done));
+  let slots = Array.map Option.get slots in
+  let blocks = Array.map (fun (b, _, _, _) -> b) slots in
+  let stats =
+    Array.fold_left
+      (fun st (b, e, r, stalled) ->
+        let st = { st with entry_evals = st.entry_evals + e; rank_sum = st.rank_sum + r } in
+        match b with
+        | Far _ -> { st with far_blocks = st.far_blocks + 1 }
+        | Near { data; _ } ->
+            {
+              st with
+              near_blocks = st.near_blocks + 1;
+              near_entries = st.near_entries + (Mat.rows data * Mat.cols data);
+              stalled_blocks = (st.stalled_blocks + if stalled then 1 else 0);
+            })
+      {
+        tree_nodes = Cluster.n_nodes tree;
+        tree_depth = Cluster.depth tree;
+        near_blocks = 0;
+        far_blocks = 0;
+        stalled_blocks = 0;
+        near_entries = 0;
+        rank_sum = 0;
+        entry_evals = 0;
+      }
+      slots
+  in
+  (* bulk counter updates, totals independent of the pool size *)
+  Util.Trace.add Util.Trace.kernel_evals stats.entry_evals;
+  Util.Trace.add Util.Trace.nearfield_evals stats.near_entries;
+  Util.Trace.add Util.Trace.aca_rank_sum stats.rank_sum;
+  Util.Trace.add Util.Trace.htree_nodes stats.tree_nodes;
+  Util.Trace.add Util.Trace.hmatrix_near_blocks stats.near_blocks;
+  Util.Trace.add Util.Trace.hmatrix_far_blocks stats.far_blocks;
+  { n = Array.length points; perm; blocks; stats }
 
 let dim t = t.n
 let stats t = t.stats
 
-(* Structural integrity check for decoded values (Persist.Entity holds a
-   decoded H-matrix to the same standard as a built one). Coverage is
-   checked by area: ranges in bounds, factor shapes consistent, and block
-   areas summing to n² — together with the permutation check this rules
+(* Structural integrity check. Coverage is checked by area: ranges in
+   bounds, each block on the diagonal or strictly above it, factor shapes
+   consistent, and block areas (off-diagonal ones twice, for the mirrored
+   half) summing to n² — together with the permutation check this rules
    out every plausible corruption short of a contrived re-tiling. *)
 let validate t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -204,9 +201,10 @@ let validate t =
             Option.is_none !bad
             && not
                  (0 <= rlo && rlo < rhi && rhi <= n && 0 <= clo && clo < chi
-                && chi <= n && rows_ok && cols_ok)
+                && chi <= n && rows_ok && cols_ok
+                && ((rlo = clo && rhi = chi) || rhi <= clo))
           then bad := Some (rlo, clo);
-          area := !area + ((rhi - rlo) * (chi - clo)))
+          area := !area + ((if rlo = clo then 1 else 2) * (rhi - rlo) * (chi - clo)))
         t.blocks;
       match !bad with
       | Some (rlo, clo) -> err "malformed block at (%d, %d)" rlo clo
@@ -228,7 +226,10 @@ let words t =
 (* Sequential over blocks in partition order — the matvec is O(n log n),
    so there is nothing worth parallelizing at the sizes where the
    hierarchical mode is selected, and a fixed order keeps the result
-   bit-identical to any future parallel variant's combine step. *)
+   bit-identical to any future parallel variant's combine step. A block
+   off the diagonal also applies its transpose, for the mirrored half.
+   re-entrancy: the permuted work vectors [xp]/[yp] are allocated per
+   call, so concurrent applies of one [t] share only read-only state. *)
 let apply t x =
   if Array.length x <> t.n then
     invalid_arg "Kle.Hmatrix.apply: vector length mismatch";
@@ -242,15 +243,21 @@ let apply t x =
       match b with
       | Near { rlo; rhi = _; clo; chi; data } ->
           let m = Mat.rows data and nc = chi - clo in
+          let mirrored = rlo <> clo in
           for i = 0 to m - 1 do
             let acc = ref 0.0 in
+            let xi = Array.unsafe_get xp (rlo + i) in
             for j = 0 to nc - 1 do
-              acc := !acc +. (Mat.unsafe_get data i j *. Array.unsafe_get xp (clo + j))
+              let a = Mat.unsafe_get data i j in
+              acc := !acc +. (a *. Array.unsafe_get xp (clo + j));
+              if mirrored then
+                Array.unsafe_set yp (clo + j) (Array.unsafe_get yp (clo + j) +. (a *. xi))
             done;
             Array.unsafe_set yp (rlo + i) (Array.unsafe_get yp (rlo + i) +. !acc)
           done
       | Far { rlo; rhi = _; clo; chi = _; u; v } ->
-          Lowrank.apply_into ~u ~v ~x:xp ~xoff:clo ~y:yp ~yoff:rlo)
+          Lowrank.apply_into ~u ~v ~x:xp ~xoff:clo ~y:yp ~yoff:rlo;
+          Lowrank.apply_into ~u:v ~v:u ~x:xp ~xoff:rlo ~y:yp ~yoff:clo)
     t.blocks;
   let y = Array.make t.n 0.0 in
   for p = 0 to t.n - 1 do

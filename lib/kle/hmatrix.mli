@@ -1,11 +1,15 @@
 (** Hierarchical (H-matrix) form of the symmetric Galerkin operator:
-    O(n log n) storage and matvec instead of the flat pair sweep's O(n²).
+    O(n log n) storage and matvec instead of the dense matrix's O(n²).
 
-    A {!Cluster} tree over the triangle centroids partitions the index
-    square into {e admissible} far-field blocks — compressed to low rank
-    by {!Aca} with relative tolerance [tol] — and leaf×leaf dense
-    near-field blocks evaluated exactly. The eigenvalue perturbation of
-    the compressed operator is bounded by its 2-norm error, which the
+    A {!Cluster} tree over the triangle centroids partitions the upper
+    triangle of the index square into {e admissible} far-field blocks —
+    compressed to low rank by {!Aca} with relative tolerance [tol] — and
+    leaf×leaf dense near-field blocks evaluated exactly. A far block whose
+    ACA stalls at [max_rank] is evaluated exactly as a dense near block
+    too, so the build always succeeds. Blocks below the diagonal are the
+    transposes of stored ones and are applied, not stored, so the
+    compressed operator is exactly symmetric. The eigenvalue perturbation
+    of the compressed operator is bounded by its 2-norm error, which the
     per-block ACA stopping rule keeps near [tol·‖C‖_F].
 
     Deterministic end to end: the partition is a fixed depth-first
@@ -17,7 +21,8 @@ type params = {
   tol : float;  (** relative ACA tolerance per far-field block *)
   eta : float;  (** admissibility: [min(diam) ≤ eta·dist] *)
   leaf_size : int;  (** cluster-tree leaf size (near-block edge bound) *)
-  max_rank : int;  (** ACA rank cap — exceeding it fails the build *)
+  max_rank : int;
+      (** ACA rank cap — a far block that needs more is stored dense *)
 }
 
 val default_params : params
@@ -41,6 +46,9 @@ type stats = {
   tree_depth : int;
   near_blocks : int;
   far_blocks : int;
+  stalled_blocks : int;
+      (** admissible blocks stored dense because ACA stalled at
+          [max_rank] (counted in [near_blocks] too) *)
   near_entries : int;  (** dense entries stored (= near-field evaluations) *)
   rank_sum : int;  (** Σ ACA ranks over far blocks *)
   entry_evals : int;  (** total entry evaluations spent building *)
@@ -49,24 +57,25 @@ type stats = {
 type t = {
   n : int;
   perm : int array;  (** {!Cluster.perm} of the underlying tree *)
-  blocks : block array;  (** partition of the index square, fixed order *)
+  blocks : block array;
+      (** partition of the upper triangle of the index square, fixed
+          order; a block off the diagonal also stands for its transpose *)
   stats : stats;
 }
-(** Concrete so {!Persist.Entity} can encode cached factors; treat as
-    read-only and use {!validate} after constructing one by hand. *)
+(** Concrete so tests can inspect the partition; treat as read-only and
+    use {!validate} after constructing one by hand. *)
 
 val build :
   ?params:params ->
   ?jobs:int ->
   entry:(int -> int -> float) ->
   Geometry.Point.t array ->
-  (t, string) result
+  t
 (** [build ~entry points] compresses the symmetric operator
     [entry i k] (original, un-permuted indices) using the geometry of
-    [points] (one per index). [Error detail] when ACA stalls at
-    [max_rank] on some far block — callers fall back to a flat apply
-    (see {!Operator.galerkin}) and should record [`Degraded_fallback].
-    Adds bulk totals to the {!Util.Trace} counters [kernel_evals],
+    [points] (one per index). Total: a far block whose ACA stalls at
+    [max_rank] is stored as an exact dense block and counted in
+    [stats.stalled_blocks]. Adds bulk totals to the {!Util.Trace} counters [kernel_evals],
     [nearfield_evals], [aca_rank_sum], [htree_nodes] and
     [hmatrix_near_blocks]/[hmatrix_far_blocks]; all totals and the
     result are independent of [jobs] ({!Util.Pool.with_jobs} semantics). *)
@@ -85,5 +94,6 @@ val words : t -> int
 
 val validate : t -> (unit, string) result
 (** Structural integrity: [perm] is a permutation, every block's ranges
-    and factor shapes are consistent, block areas tile the full index
-    square. Used by the persistence codec on decode. *)
+    and factor shapes are consistent, every block lies on or above the
+    diagonal, and the blocks with their mirrored halves tile the full
+    index square. *)

@@ -7,8 +7,6 @@ type t = Linalg.Operator.t =
 
 type quadrature = Centroid | Midedge
 
-type mode = Exact | Table | Hierarchical
-
 let dim = Linalg.Operator.dim
 let apply = Linalg.Operator.apply
 
@@ -50,118 +48,6 @@ let check_finite ?diag ~stage n out =
   in
   check 0
 
-(* The apply is tiled over a FIXED number of row panels — fixed so the work
-   decomposition (and hence the floating-point result) depends only on [n],
-   never on how many domains serve the panels. Each panel owns the pairs
-   (i, k >= i) for its rows and accumulates both sides of the symmetric
-   contribution into a private length-n vector; the panel vectors are then
-   combined in panel order. *)
-let panel_target = 128
-
-(* column-block width of the pair loops: keeps the active slices of x, y and
-   the coordinate arrays L1-resident while a row panel streams over k *)
-let col_block = 256
-
-let make_apply ~n ?jobs ?diag ?(evals_per_apply = 0) ~process_row () =
-  let panels = max 1 (min panel_target n) in
-  let psize = (n + panels - 1) / panels in
-  (* re-entrancy: scratch panel sets are pooled and checked out per call,
-     never shared between in-flight matvecs — concurrent applies of one
-     operator (ssta_serve worker domains hitting a cached model) each get
-     private panels and produce the same bits as sequential applies. The
-     free list caps steady-state allocation at one O(panels·n) set per
-     concurrently running matvec instead of one per matvec (Lanczos calls
-     apply hundreds of times). *)
-  let free : float array array list ref = ref [] in
-  let free_lock = Mutex.create () in
-  let acquire () =
-    let pooled =
-      Mutex.protect free_lock (fun () ->
-          match !free with
-          | s :: tl ->
-              free := tl;
-              Some s
-          | [] -> None)
-    in
-    match pooled with
-    | Some s -> s
-    | None -> Array.init panels (fun _ -> Array.make n 0.0)
-  in
-  let release s = Mutex.protect free_lock (fun () -> free := s :: !free) in
-  fun x ->
-    if Array.length x <> n then
-      invalid_arg "Kle.Operator.apply: vector length mismatch";
-    (* exact-evaluation applies do the full pair sweep every matvec; table
-       applies only interpolate (0) — bulk add keeps totals jobs-independent *)
-    Util.Trace.add Util.Trace.kernel_evals evals_per_apply;
-    let scratch = acquire () in
-    Fun.protect ~finally:(fun () -> release scratch) @@ fun () ->
-    Util.Pool.with_jobs ?jobs (fun pool ->
-        Util.Pool.parallel_for pool ~chunk:1 ~n:panels (fun plo phi ->
-            for p = plo to phi - 1 do
-              let y = scratch.(p) in
-              Array.fill y 0 n 0.0;
-              let ihi = min n ((p + 1) * psize) in
-              for i = p * psize to ihi - 1 do
-                process_row y x i
-              done
-            done));
-    let out = Array.make n 0.0 in
-    for p = 0 to panels - 1 do
-      let yp = scratch.(p) in
-      for i = 0 to n - 1 do
-        Array.unsafe_set out i (Array.unsafe_get out i +. Array.unsafe_get yp i)
-      done
-    done;
-    check_finite ?diag ~stage:"kle.operator.apply" n out;
-    out
-
-(* row processor over an arbitrary pair-value closure (exact evaluation,
-   mid-edge rules, non-isotropic kernels) *)
-let generic_row ~n ~s ~pair y x i =
-  let si = Array.unsafe_get s i in
-  let vii = pair i i *. si *. si in
-  Array.unsafe_set y i (Array.unsafe_get y i +. (vii *. Array.unsafe_get x i));
-  let xi = Array.unsafe_get x i in
-  let k0 = ref (i + 1) in
-  while !k0 < n do
-    let k1 = min n (!k0 + col_block) in
-    let acc = ref 0.0 in
-    for k = !k0 to k1 - 1 do
-      let v = pair i k *. si *. Array.unsafe_get s k in
-      acc := !acc +. (v *. Array.unsafe_get x k);
-      Array.unsafe_set y k (Array.unsafe_get y k +. (v *. xi))
-    done;
-    Array.unsafe_set y i (Array.unsafe_get y i +. !acc);
-    k0 := k1
-  done
-
-(* the hot path: centroid rule on a tabulated radial profile — one distance,
-   one table interpolation and a handful of flops per unordered pair *)
-let table_row ~n ~s ~cx ~cy ~tbl y x i =
-  let si = Array.unsafe_get s i in
-  let xi_c = Array.unsafe_get cx i and yi_c = Array.unsafe_get cy i in
-  let vii = Kernel.profile_eval tbl 0.0 *. si *. si in
-  Array.unsafe_set y i (Array.unsafe_get y i +. (vii *. Array.unsafe_get x i));
-  let xi = Array.unsafe_get x i in
-  let k0 = ref (i + 1) in
-  while !k0 < n do
-    let k1 = min n (!k0 + col_block) in
-    let acc = ref 0.0 in
-    for k = !k0 to k1 - 1 do
-      let dx = xi_c -. Array.unsafe_get cx k in
-      let dy = yi_c -. Array.unsafe_get cy k in
-      let v =
-        Kernel.profile_eval tbl (sqrt ((dx *. dx) +. (dy *. dy)))
-        *. si *. Array.unsafe_get s k
-      in
-      acc := !acc +. (v *. Array.unsafe_get x k);
-      Array.unsafe_set y k (Array.unsafe_get y k +. (v *. xi))
-    done;
-    Array.unsafe_set y i (Array.unsafe_get y i +. !acc);
-    k0 := k1
-  done
-
 (* the mid-edge K̃_ik through a radial table: 9 midpoint distances per pair *)
 let midedge_table_pair ~n mesh tbl =
   let midpoints =
@@ -187,47 +73,10 @@ let midedge_table_pair ~n mesh tbl =
     done;
     !acc /. 9.0
 
-(* flat O(n²)-per-matvec apply: the Table path when a radial table
-   qualifies, exact evaluation otherwise — also the fallback when a
-   hierarchical build fails *)
-let flat_galerkin ~quadrature ~exact ?table_points ?table_tol ?diag ?jobs mesh
-    kernel =
+let hmatrix_galerkin ?(quadrature = Centroid) ?hier ?diag ?jobs mesh kernel =
   let n = Mesh.size mesh in
   let s = Array.map sqrt mesh.Mesh.areas in
-  let table =
-    if exact then None
-    else
-      Kernel.radial_profile ?points:table_points ?tol:table_tol ?diag kernel
-        ~vmax:(domain_diameter mesh)
-  in
-  let process_row =
-    match (quadrature, table) with
-    | Centroid, Some tbl ->
-        let centroids = mesh.Mesh.centroids in
-        let cx = Array.map (fun p -> p.Geometry.Point.x) centroids in
-        let cy = Array.map (fun p -> p.Geometry.Point.y) centroids in
-        table_row ~n ~s ~cx ~cy ~tbl
-    | Midedge, Some tbl -> generic_row ~n ~s ~pair:(midedge_table_pair ~n mesh tbl)
-    | (Centroid | Midedge), None ->
-        generic_row ~n ~s ~pair:(mean_kernel_value quadrature mesh kernel)
-  in
-  let evals_per_apply =
-    match table with
-    | Some _ -> 0
-    | None ->
-        n * (n + 1) / 2 * (match quadrature with Centroid -> 1 | Midedge -> 9)
-  in
-  Matrix_free
-    { apply = make_apply ~n ?jobs ?diag ~evals_per_apply ~process_row (); dim = n }
-
-let hmatrix_galerkin ?(quadrature = Centroid) ?hier ?table_points ?table_tol
-    ?diag ?jobs mesh kernel =
-  let n = Mesh.size mesh in
-  let s = Array.map sqrt mesh.Mesh.areas in
-  let table =
-    Kernel.radial_profile ?points:table_points ?tol:table_tol ?diag kernel
-      ~vmax:(domain_diameter mesh)
-  in
+  let table = Kernel.radial_profile ?diag kernel ~vmax:(domain_diameter mesh) in
   let pair =
     match (quadrature, table) with
     | Centroid, Some tbl ->
@@ -255,26 +104,3 @@ let of_hmatrix ?diag h =
           y);
       dim = n;
     }
-
-let galerkin ?(quadrature = Centroid) ?(mode = Table) ?hier ?table_points
-    ?table_tol ?diag ?jobs mesh kernel =
-  match mode with
-  | Exact | Table ->
-      flat_galerkin ~quadrature
-        ~exact:(match mode with Exact -> true | _ -> false)
-        ?table_points ?table_tol ?diag ?jobs mesh kernel
-  | Hierarchical -> (
-      match
-        hmatrix_galerkin ~quadrature ?hier ?table_points ?table_tol ?diag ?jobs
-          mesh kernel
-      with
-      | Ok h -> of_hmatrix ?diag h
-      | Error detail ->
-          Util.Diag.record ?sink:diag Warning `Degraded_fallback
-            ~stage:"kle.operator.galerkin"
-            (Printf.sprintf
-               "hierarchical build failed for kernel %s (n = %d): %s — falling \
-                back to the flat apply"
-               (Kernel.name kernel) (Mesh.size mesh) detail);
-          flat_galerkin ~quadrature ~exact:false ?table_points ?table_tol ?diag
-            ?jobs mesh kernel)

@@ -1,31 +1,13 @@
 (** The Galerkin correlation operator [C = Φ^{1/2} K̃ Φ^{1/2}] as a
-    {!Linalg.Operator.t} — in particular {e matrix-free}: the Krylov
-    eigensolver only needs [C·x], and every entry
-    [C_ik = K̃(c_i, c_k) √(a_i a_k)] is recomputable on the fly, so the
-    O(n²) assembly (memory {e and} kernel evaluations) can be skipped
-    entirely.
+    matrix-free {!Linalg.Operator.t}: the Krylov eigensolver only needs
+    [C·x], so above the dense regime the operator is compressed once into
+    an H-matrix ({!Hmatrix}: cluster tree + ACA low-rank far field + dense
+    near field) and applied in O(n log n), at the price of a controlled
+    relative error [hier.tol].
 
-    Three apply strategies ({!mode}):
-    - [Table] (default): each matvec sweeps all n²/2 pairs, but evaluates
-      the isotropic kernel through a precomputed radial profile table
-      ({!Kernels.Kernel.radial_profile}) — one distance and one linear
-      interpolation per unordered pair instead of [exp]/Bessel/[Γ] calls.
-      Falls back to exact evaluation when the kernel is anisotropic,
-      wraps a fault plan, or fails the table's measured-error guard.
-    - [Exact]: the same sweep with exact kernel evaluations.
-    - [Hierarchical]: compress the operator once into an H-matrix
-      ({!Hmatrix}: cluster tree + ACA low-rank far field + dense near
-      field) and apply it in O(n log n) — sub-quadratic matvecs at the
-      price of a controlled relative error [hier.tol].
-
-    The flat applies are parallelized over {!Util.Pool} with a
-    pool-size-independent panel decomposition, and the hierarchical build
-    writes per-block slots: results are bit-identical for every [jobs],
-    matching the repo-wide determinism contract.
-
-    All returned closures are safe to call concurrently from several
-    domains: the flat applies check scratch panels out of a pool per
-    call, and the hierarchical apply holds no mutable state. *)
+    The build writes per-block slots, so the operator is bit-identical for
+    every [jobs]; the apply holds no mutable state, so it is safe to call
+    concurrently from several domains. *)
 
 type t = Linalg.Operator.t =
   | Dense of Linalg.Mat.t
@@ -35,67 +17,31 @@ type quadrature =
   | Centroid  (** paper eq. (21): one-point rule, degree-1 exact *)
   | Midedge  (** three mid-edge points per triangle, degree-2 exact *)
 
-type mode =
-  | Exact  (** full pair sweep, exact kernel evaluations every matvec *)
-  | Table  (** full pair sweep through the radial profile table *)
-  | Hierarchical
-      (** O(n log n) H-matrix apply ({!Hmatrix}); falls back to [Table]
-          with a [`Degraded_fallback] diagnostic when ACA stalls *)
-
 val mean_kernel_value :
   quadrature -> Geometry.Mesh.t -> Kernels.Kernel.t -> int -> int -> float
 (** [mean_kernel_value q mesh kernel i k] is K̃_ik, the quadrature
     approximation of the mean of [K] over element pair [(i, k)] — the shared
-    entry rule behind both {!Galerkin.assemble} and the matrix-free apply. *)
+    entry rule behind {!Galerkin.assemble} and the H-matrix entries. *)
 
 val dim : t -> int
 val apply : t -> float array -> float array
 
-val galerkin :
-  ?quadrature:quadrature ->
-  ?mode:mode ->
-  ?hier:Hmatrix.params ->
-  ?table_points:int ->
-  ?table_tol:float ->
-  ?diag:Util.Diag.sink ->
-  ?jobs:int ->
-  Geometry.Mesh.t ->
-  Kernels.Kernel.t ->
-  t
-(** [galerkin mesh kernel] is the matrix-free Galerkin operator; [mode]
-    (default [Table]) selects the apply strategy above.
-
-    [hier] tunes the [Hierarchical] build ({!Hmatrix.default_params}
-    otherwise); when the build fails (ACA stalls at [hier.max_rank]) a
-    [`Degraded_fallback] warning is recorded on [diag] and the operator
-    degrades to the [Table] configuration. [table_points]/[table_tol] are
-    forwarded to {!Kernels.Kernel.radial_profile}, which records
-    [`Degraded_fallback] / [`Non_finite] warnings on [diag] when the
-    table is rejected; the table also backs the hierarchical build's
-    entry function when it qualifies.
-
-    [jobs] has {!Util.Pool.with_jobs} semantics, resolved per matvec
-    (flat modes) or once at build time ([Hierarchical]). A non-finite
-    entry in an apply result raises [Util.Diag.Failure] with
-    [`Non_finite] (recorded on [diag]). *)
-
 val hmatrix_galerkin :
   ?quadrature:quadrature ->
   ?hier:Hmatrix.params ->
-  ?table_points:int ->
-  ?table_tol:float ->
   ?diag:Util.Diag.sink ->
   ?jobs:int ->
   Geometry.Mesh.t ->
   Kernels.Kernel.t ->
-  (Hmatrix.t, string) result
-(** The [Hierarchical] build step alone: compress the Galerkin operator's
-    entry function into an {!Hmatrix.t} without wrapping it in an apply.
-    Exposed so callers can persist the factors ({!Persist}-layer entity)
-    and rebuild the operator later with {!of_hmatrix}. [Error detail]
-    when ACA stalls; no diagnostic is recorded here — callers choose the
-    fallback and its reporting. *)
+  Hmatrix.t
+(** Compress the Galerkin operator's entries into an {!Hmatrix.t}
+    ([hier] defaults to {!Hmatrix.default_params}). Isotropic kernels are
+    evaluated through a radial profile table
+    ({!Kernels.Kernel.radial_profile}) when it passes its accuracy guard,
+    exactly otherwise; a rejected table is recorded on [diag]. [jobs] has
+    {!Util.Pool.with_jobs} semantics; the result does not depend on it. *)
 
 val of_hmatrix : ?diag:Util.Diag.sink -> Hmatrix.t -> t
-(** Wrap prebuilt (or store-loaded) hierarchical factors as an operator;
-    the apply checks outputs for finiteness like every other mode. *)
+(** Wrap hierarchical factors as an operator. A non-finite entry in an
+    apply result raises [Util.Diag.Failure] with [`Non_finite] (recorded
+    on [diag]). *)

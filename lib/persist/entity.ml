@@ -229,89 +229,6 @@ let sampler =
   { kind = "kle-sampler"; version = 1; encode = write_sampler; decode = read_sampler }
 
 (* ---------------------------------------------------------------- *)
-(* hierarchical operator factors (cluster-tree partition + ACA blocks) *)
-
-let write_hblock b (blk : Kle.Hmatrix.block) =
-  match blk with
-  | Kle.Hmatrix.Near { rlo; rhi; clo; chi; data } ->
-      Codec.write_u8 b 0;
-      Codec.write_uint b rlo;
-      Codec.write_uint b rhi;
-      Codec.write_uint b clo;
-      Codec.write_uint b chi;
-      write_mat b data
-  | Kle.Hmatrix.Far { rlo; rhi; clo; chi; u; v } ->
-      Codec.write_u8 b 1;
-      Codec.write_uint b rlo;
-      Codec.write_uint b rhi;
-      Codec.write_uint b clo;
-      Codec.write_uint b chi;
-      write_mat b u;
-      write_mat b v
-
-let read_hblock r =
-  let tag = Codec.read_u8 r in
-  let rlo = Codec.read_uint r in
-  let rhi = Codec.read_uint r in
-  let clo = Codec.read_uint r in
-  let chi = Codec.read_uint r in
-  match tag with
-  | 0 -> Kle.Hmatrix.Near { rlo; rhi; clo; chi; data = read_mat r }
-  | 1 ->
-      let u = read_mat r in
-      let v = read_mat r in
-      Kle.Hmatrix.Far { rlo; rhi; clo; chi; u; v }
-  | tag -> corrupt "unknown H-matrix block tag %d" tag
-
-let write_hstats b (s : Kle.Hmatrix.stats) =
-  Codec.write_uint b s.Kle.Hmatrix.tree_nodes;
-  Codec.write_uint b s.Kle.Hmatrix.tree_depth;
-  Codec.write_uint b s.Kle.Hmatrix.near_blocks;
-  Codec.write_uint b s.Kle.Hmatrix.far_blocks;
-  Codec.write_uint b s.Kle.Hmatrix.near_entries;
-  Codec.write_uint b s.Kle.Hmatrix.rank_sum;
-  Codec.write_uint b s.Kle.Hmatrix.entry_evals
-
-let read_hstats r =
-  let tree_nodes = Codec.read_uint r in
-  let tree_depth = Codec.read_uint r in
-  let near_blocks = Codec.read_uint r in
-  let far_blocks = Codec.read_uint r in
-  let near_entries = Codec.read_uint r in
-  let rank_sum = Codec.read_uint r in
-  let entry_evals = Codec.read_uint r in
-  {
-    Kle.Hmatrix.tree_nodes;
-    tree_depth;
-    near_blocks;
-    far_blocks;
-    near_entries;
-    rank_sum;
-    entry_evals;
-  }
-
-let write_hmatrix b (h : Kle.Hmatrix.t) =
-  Codec.write_uint b h.Kle.Hmatrix.n;
-  Codec.write_int_array b h.Kle.Hmatrix.perm;
-  write_hstats b h.Kle.Hmatrix.stats;
-  Codec.write_array b write_hblock h.Kle.Hmatrix.blocks
-
-let read_hmatrix r =
-  let n = Codec.read_uint r in
-  let perm = Codec.read_int_array r in
-  let stats = read_hstats r in
-  let blocks = Codec.read_array r read_hblock in
-  let h = { Kle.Hmatrix.n; perm; blocks; stats } in
-  (* a decoded H-matrix is held to the same structural standard as a
-     built one: permutation, block ranges, factor shapes, full tiling *)
-  match Kle.Hmatrix.validate h with
-  | Ok () -> h
-  | Error msg -> corrupt "invalid H-matrix: %s" msg
-
-let hmatrix =
-  { kind = "kle-hmatrix"; version = 1; encode = write_hmatrix; decode = read_hmatrix }
-
-(* ---------------------------------------------------------------- *)
 (* netlists and circuit setups *)
 
 let kind_tag = function

@@ -48,13 +48,6 @@ val sampler : Kle.Sampler.t t
     expansion matrix are rebuilt by [Kle.Sampler.create], which is a
     deterministic function of the two. *)
 
-val hmatrix : Kle.Hmatrix.t t
-(** Hierarchical-operator factors: cluster permutation + the block
-    partition (dense near-field matrices and ACA [u·vᵀ] far-field
-    factors) + build stats. Amortizes the O(n log n) entry evaluations of
-    a hierarchical build across server runs; the decoder re-checks
-    structural integrity through {!Kle.Hmatrix.validate}. *)
-
 val netlist : Circuit.Netlist.t t
 (** Gate array + outputs, re-validated by [Circuit.Netlist.make]. *)
 

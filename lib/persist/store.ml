@@ -288,7 +288,6 @@ let current_versions =
     (Entity.solution.Entity.kind, Entity.solution.Entity.version);
     (Entity.model.Entity.kind, Entity.model.Entity.version);
     (Entity.sampler.Entity.kind, Entity.sampler.Entity.version);
-    (Entity.hmatrix.Entity.kind, Entity.hmatrix.Entity.version);
     (Entity.netlist.Entity.kind, Entity.netlist.Entity.version);
     (Entity.circuit_setup.Entity.kind, Entity.circuit_setup.Entity.version);
     (Entity.dep_edges.Entity.kind, Entity.dep_edges.Entity.version);

@@ -51,7 +51,6 @@ let c_worker_restarts = Util.Trace.counter "serve_worker_restarts"
 type artifact =
   | A_setup of Ssta.Experiment.circuit_setup
   | A_model of Kle.Model.t
-  | A_hmatrix of Kle.Hmatrix.t
 
 (* per-connection response codec: a job answers on the wire it arrived on.
    [req_id] is the echoed correlation ID — [None] when the request carried
@@ -182,14 +181,14 @@ let count_tier t tier =
 
 (* Per-domain cache-stage clock: [cached] accumulates its wall time here so
    the worker can split a request's execution into cache_lookup vs compute.
-   Only the outermost [cached] frame adds to [frame_ns] (a model compute
-   that resolves a nested hmatrix artifact is not double-counted), and
-   every leader's [compute] body adds to [exclude_ns]; the worker reads
+   Each [cached] frame adds to [frame_ns] (no artifact's compute resolves
+   another artifact, so frames never nest), and every leader's [compute]
+   body adds to [exclude_ns]; the worker reads
    cache_lookup = frame_ns - exclude_ns, so an eigensolve behind a cache
    miss counts as compute, not as cache time. *)
-type cache_clock = { mutable depth : int; mutable frame_ns : int; mutable exclude_ns : int }
+type cache_clock = { mutable frame_ns : int; mutable exclude_ns : int }
 
-let cache_clock_key = Domain.DLS.new_key (fun () -> { depth = 0; frame_ns = 0; exclude_ns = 0 })
+let cache_clock_key = Domain.DLS.new_key (fun () -> { frame_ns = 0; exclude_ns = 0 })
 
 let cache_clock_reset clk =
   clk.frame_ns <- 0;
@@ -211,11 +210,7 @@ let cached t (entity : 'a Persist.Entity.t) ~spec ~(inject : 'a -> artifact)
       compute
   in
   let t0 = Util.Trace.now_ns () in
-  clk.depth <- clk.depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      clk.depth <- clk.depth - 1;
-      if clk.depth = 0 then clk.frame_ns <- clk.frame_ns + (Util.Trace.now_ns () - t0))
+  Fun.protect ~finally:(fun () -> clk.frame_ns <- clk.frame_ns + (Util.Trace.now_ns () - t0))
   @@ fun () ->
   let key = entity.Persist.Entity.kind ^ ":" ^ spec in
   let from_mem () = Option.bind (Lru.find t.cache key) project in
@@ -315,61 +310,13 @@ let get_setup_edited t circuit edit =
 
 let get_setup t circuit = get_setup_edited t circuit None
 
-let mode_name = function
-  | Kle.Galerkin.Auto -> "auto"
-  | Kle.Galerkin.Assembled -> "assembled"
-  | Kle.Galerkin.Matrix_free -> "matrix-free"
-  | Kle.Galerkin.Hierarchical -> "hierarchical"
-
 let model_spec t kernel ~r =
   let cfg = t.config.kle in
-  Printf.sprintf "kle-model(kernel=%s;die=unit;maf=%.17g;angle=%.17g;pairs=%d;mode=%s;r=%s)"
+  Printf.sprintf "kle-model(kernel=%s;die=unit;maf=%.17g;angle=%.17g;pairs=%d;r=%s)"
     (Persist.Entity.kernel_spec kernel)
     cfg.Ssta.Algorithm2.max_area_fraction cfg.Ssta.Algorithm2.min_angle_deg
-    cfg.Ssta.Algorithm2.computed_pairs (mode_name cfg.Ssta.Algorithm2.mode)
+    cfg.Ssta.Algorithm2.computed_pairs
     (match r with None -> "auto" | Some r -> string_of_int r)
-
-let hmatrix_spec t kernel =
-  let cfg = t.config.kle in
-  let p = Kle.Hmatrix.default_params in
-  Printf.sprintf
-    "kle-hmatrix(kernel=%s;die=unit;maf=%.17g;angle=%.17g;tol=%.17g;eta=%.17g;leaf=%d;max_rank=%d)"
-    (Persist.Entity.kernel_spec kernel)
-    cfg.Ssta.Algorithm2.max_area_fraction cfg.Ssta.Algorithm2.min_angle_deg
-    p.Kle.Hmatrix.tol p.Kle.Hmatrix.eta p.Kle.Hmatrix.leaf_size
-    p.Kle.Hmatrix.max_rank
-
-exception Hmatrix_failed of string
-
-(* hierarchical-mode eigensolves reuse the cluster tree + ACA factors
-   through the same cache tiers as every other artifact: a warm store (or
-   memory hit) skips the O(n log n) entry evaluations of the build and goes
-   straight to the Lanczos sweep. An ACA stall escapes as [Hmatrix_failed]
-   and degrades to the flat matrix-free apply with a diagnostic, mirroring
-   [Kle.Operator.galerkin]'s own fallback. *)
-let hierarchical_solution t kernel mesh solver =
-  match
-    cached t Persist.Entity.hmatrix ~spec:(hmatrix_spec t kernel)
-      ~inject:(fun h -> A_hmatrix h)
-      ~project:(function A_hmatrix h -> Some h | _ -> None)
-      (fun () ->
-        match
-          Kle.Operator.hmatrix_galerkin ~diag:t.diag ?jobs:t.config.jobs mesh
-            kernel
-        with
-        | Ok h -> h
-        | Error detail -> raise (Hmatrix_failed detail))
-  with
-  | h, _tier ->
-      Kle.Galerkin.solve_with_operator ~solver ~diag:t.diag ?jobs:t.config.jobs
-        ~op:(Kle.Operator.of_hmatrix ~diag:t.diag h) mesh kernel
-  | exception Hmatrix_failed detail ->
-      Util.Diag.record ~sink:t.diag Util.Diag.Warning `Degraded_fallback
-        ~stage:"serve.model"
-        (Printf.sprintf
-           "hierarchical build failed: %s — solving with the flat apply" detail);
-      Kle.Galerkin.solve ~mode:Kle.Galerkin.Matrix_free ~solver ~diag:t.diag
-        ?jobs:t.config.jobs mesh kernel
 
 (* mirrors Algorithm2.prepare: unit-die mesh, Lanczos unless the mesh is
    small, Model.create truncation — so a cached model is bit-identical to
@@ -386,15 +333,8 @@ let compute_model t kernel ~r () =
     if cfg.Ssta.Algorithm2.computed_pairs >= Geometry.Mesh.size mesh then Kle.Galerkin.Dense
     else Kle.Galerkin.Lanczos { count = cfg.Ssta.Algorithm2.computed_pairs }
   in
-  let solution =
-    match (cfg.Ssta.Algorithm2.mode, solver) with
-    | Kle.Galerkin.Hierarchical, Kle.Galerkin.Lanczos _ ->
-        hierarchical_solution t kernel mesh solver
-    | _ ->
-        Kle.Galerkin.solve ~mode:cfg.Ssta.Algorithm2.mode ~solver ~diag:t.diag
-          ?jobs:t.config.jobs mesh kernel
-  in
-  Kle.Model.create ?r solution
+  Kle.Model.create ?r
+    (Kle.Galerkin.solve ~solver ~diag:t.diag ?jobs:t.config.jobs mesh kernel)
 
 let get_model t kernel ~r =
   let spec = model_spec t kernel ~r in

@@ -3,7 +3,6 @@ type config = {
   min_angle_deg : float;
   computed_pairs : int;
   r : int option;
-  mode : Kle.Galerkin.mode;
 }
 
 let paper_config =
@@ -12,7 +11,6 @@ let paper_config =
     min_angle_deg = 28.0;
     computed_pairs = 200;
     r = None;
-    mode = Kle.Galerkin.Auto;
   }
 
 type t = {
@@ -54,7 +52,7 @@ let prepare ?(config = paper_config) ?mesh ?diag ?jobs (process : Process.t) loc
     | Some (_, m) -> m
     | None ->
         let solution =
-          Kle.Galerkin.solve ~mode:config.mode ~solver ?diag ?jobs mesh kernel
+          Kle.Galerkin.solve ~solver ?diag ?jobs mesh kernel
         in
         let m = Kle.Model.create ?r:config.r solution in
         cache := (kernel, m) :: !cache;

@@ -12,12 +12,11 @@ type config = {
   min_angle_deg : float; (* mesh quality; paper: 28 *)
   computed_pairs : int; (* eigenpairs computed by the solver; paper: 200 *)
   r : int option; (* retained pairs; None = paper's automatic rule *)
-  mode : Kle.Galerkin.mode; (* eigensolve path; Auto = size-based switch *)
 }
 
 val paper_config : config
 (** max_area_fraction = 0.001, min_angle_deg = 28, computed_pairs = 200,
-    r = None (automatic rule; picks 25 on the paper kernel), mode = Auto. *)
+    r = None (automatic rule; picks 25 on the paper kernel). *)
 
 type t
 
@@ -32,8 +31,8 @@ val prepare :
 (** [prepare process locations] meshes the die (unless [mesh] is given),
     solves the Galerkin KLE for each distinct kernel, and builds the
     per-location expansion matrices. [jobs] controls the domain fan-out of
-    the O(n²) Galerkin assembly ({!Util.Pool.with_jobs} semantics); results
-    do not depend on it. Solver fallbacks (Lanczos → dense) and boundary
+    the Galerkin assembly or H-matrix build ({!Util.Pool.with_jobs}
+    semantics); results do not depend on it. Solver fallbacks (Lanczos → dense) and boundary
     clamps in the expansion setup are reported into [diag]. *)
 
 val setup_seconds : t -> float

@@ -149,9 +149,9 @@ let shutdown t =
   if not (t == seq || is_default) then force_shutdown t
 
 (* Explicitly-sized pools are cached and reused across calls: spawning
-   domains is ~ms-scale, and callers like the matrix-free operator request
-   the same size once per apply (hundreds of times per eigensolve). One
-   pool per distinct size, joined at exit. *)
+   domains is ~ms-scale, and callers such as the Galerkin assembly, the
+   H-matrix build and the Monte Carlo loops request the same size on every
+   call. One pool per distinct size, joined at exit. *)
 let sized_pools : (int * t) list ref = ref []
 let sized_lock = Mutex.create ()
 

@@ -231,39 +231,6 @@ let test_cholesky_log_det () =
   let l = Linalg.Cholesky.factor_lower a in
   check_close ~tol:1e-10 "log det" (log 36.0) (Linalg.Cholesky.log_det l)
 
-(* ---------- LU ---------- *)
-
-let test_lu_solve () =
-  let a = random_mat 31 20 20 in
-  let a = Mat.add a (Mat.scale 5.0 (Mat.identity 20)) in
-  let x0 = Array.init 20 (fun i -> cos (float_of_int i)) in
-  let b = Mat.mul_vec a x0 in
-  let x = Linalg.Lu.solve_dense a b in
-  Alcotest.(check bool) "solve" true (Vec.dist_inf x x0 < 1e-8)
-
-let test_lu_det_known () =
-  let a = Mat.of_arrays [| [| 2.0; 0.0 |]; [| 1.0; 3.0 |] |] in
-  check_close ~tol:1e-12 "det" 6.0 (Linalg.Lu.det (Linalg.Lu.factor a))
-
-let test_lu_det_permutation_sign () =
-  (* swapped identity has det -1 *)
-  let a = Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  check_close ~tol:1e-12 "det sign" (-1.0) (Linalg.Lu.det (Linalg.Lu.factor a))
-
-let test_lu_singular () =
-  let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  Alcotest.(check bool) "singular raises" true
-    (match Linalg.Lu.factor a with
-    | _ -> false
-    | exception Linalg.Lu.Singular _ -> true)
-
-let test_lu_inverse () =
-  let a = random_mat 37 6 6 in
-  let a = Mat.add a (Mat.scale 4.0 (Mat.identity 6)) in
-  let inv = Linalg.Lu.inverse (Linalg.Lu.factor a) in
-  Alcotest.(check bool) "A * A^-1 = I" true
-    (Mat.max_abs_diff (Mat.mul a inv) (Mat.identity 6) < 1e-9)
-
 (* ---------- Sym_eig ---------- *)
 
 let test_eig_diagonal () =
@@ -524,14 +491,6 @@ let prop_cholesky_roundtrip =
       let l = Linalg.Cholesky.factor_lower a in
       Mat.max_abs_diff a (Mat.mul l (Mat.transpose l)) < 1e-8)
 
-let prop_lu_solve =
-  QCheck.Test.make ~name:"lu solves diagonally dominant systems" ~count:50 arb_small_sym
-    (fun (n, seed) ->
-      let a = Mat.add (random_mat seed n n) (Mat.scale (float_of_int n) (Mat.identity n)) in
-      let x0 = Array.init n (fun i -> float_of_int (i - 1)) in
-      let b = Mat.mul_vec a x0 in
-      Vec.dist_inf (Linalg.Lu.solve_dense a b) x0 < 1e-8)
-
 let prop_eig_psd_nonnegative =
   QCheck.Test.make ~name:"SPD matrices have positive eigenvalues" ~count:50 arb_small_sym
     (fun (n, seed) ->
@@ -585,14 +544,6 @@ let () =
           Alcotest.test_case "solve" `Quick test_cholesky_solve;
           Alcotest.test_case "log_det" `Quick test_cholesky_log_det;
         ] );
-      ( "lu",
-        [
-          Alcotest.test_case "solve" `Quick test_lu_solve;
-          Alcotest.test_case "det known" `Quick test_lu_det_known;
-          Alcotest.test_case "det permutation sign" `Quick test_lu_det_permutation_sign;
-          Alcotest.test_case "singular raises" `Quick test_lu_singular;
-          Alcotest.test_case "inverse" `Quick test_lu_inverse;
-        ] );
       ( "sym_eig",
         [
           Alcotest.test_case "diagonal matrix" `Quick test_eig_diagonal;
@@ -629,6 +580,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_eig_trace; prop_cholesky_roundtrip; prop_lu_solve; prop_eig_psd_nonnegative ]
+          [ prop_eig_trace; prop_cholesky_roundtrip; prop_eig_psd_nonnegative ]
       );
     ]

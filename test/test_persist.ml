@@ -205,48 +205,6 @@ let test_entity_sampler () =
   let sampler' = roundtrip Entity.sampler sampler in
   check_mat "expansion" (Kle.Sampler.expansion sampler) (Kle.Sampler.expansion sampler')
 
-let small_hmatrix () =
-  let mesh = small_mesh () in
-  let hier =
-    { Kle.Hmatrix.default_params with Kle.Hmatrix.leaf_size = 8; tol = 1e-8 }
-  in
-  match Kle.Operator.hmatrix_galerkin ~hier mesh (paper_kernel ()) with
-  | Ok h -> h
-  | Error msg -> Alcotest.fail ("hierarchical build stalled: " ^ msg)
-
-let test_entity_hmatrix () =
-  let h = small_hmatrix () in
-  let h' = roundtrip Entity.hmatrix h in
-  Alcotest.(check int) "n" h.Kle.Hmatrix.n h'.Kle.Hmatrix.n;
-  Alcotest.(check (array int)) "perm" h.Kle.Hmatrix.perm h'.Kle.Hmatrix.perm;
-  Alcotest.(check int) "blocks" (Array.length h.Kle.Hmatrix.blocks)
-    (Array.length h'.Kle.Hmatrix.blocks);
-  Alcotest.(check int) "rank sum" h.Kle.Hmatrix.stats.Kle.Hmatrix.rank_sum
-    h'.Kle.Hmatrix.stats.Kle.Hmatrix.rank_sum;
-  (* the loaded operator is the same linear map, bit for bit *)
-  let x = Array.init h.Kle.Hmatrix.n (fun i -> sin (float_of_int i)) in
-  Alcotest.(check (array (float 0.0)))
-    "apply bit-identical" (Kle.Hmatrix.apply h x) (Kle.Hmatrix.apply h' x)
-
-let test_entity_hmatrix_corrupt_rejected () =
-  let h = small_hmatrix () in
-  let full = Entity.to_string Entity.hmatrix h in
-  (* truncation must raise, not misread *)
-  expect_codec_error (fun () ->
-      ignore (Entity.of_string Entity.hmatrix (String.sub full 0 (String.length full / 2))));
-  (* a structurally broken permutation must be caught by validate: entry 0
-     of the perm is a varint in [0, n); force a duplicate by swapping in
-     the second entry's byte (n < 128 here, so one byte per index) *)
-  let b = Bytes.of_string full in
-  let perm_off =
-    (* skip the leading uint n (single byte for this mesh size) *)
-    1 + 1
-    (* ... and the perm length varint *)
-  in
-  Bytes.set b perm_off (Bytes.get b (perm_off + 1));
-  expect_codec_error (fun () ->
-      ignore (Entity.of_string Entity.hmatrix (Bytes.to_string b)))
-
 (* ---------- store ---------- *)
 
 let test_store_roundtrip_and_outcomes () =
@@ -708,9 +666,6 @@ let () =
           Alcotest.test_case "netlist" `Quick test_entity_netlist;
           Alcotest.test_case "circuit setup" `Quick test_entity_circuit_setup;
           Alcotest.test_case "sampler" `Quick test_entity_sampler;
-          Alcotest.test_case "hmatrix" `Quick test_entity_hmatrix;
-          Alcotest.test_case "hmatrix corrupt rejected" `Quick
-            test_entity_hmatrix_corrupt_rejected;
         ] );
       ( "store",
         [

@@ -165,7 +165,7 @@ let test_analysis_algorithms_agree () =
     Ssta.Algorithm2.prepare
       ~config:
         { Ssta.Algorithm2.max_area_fraction = 0.004; min_angle_deg = 28.0;
-          computed_pairs = 80; r = Some 25; mode = Kle.Galerkin.Auto }
+          computed_pairs = 80; r = Some 25 }
       proc setup.Ssta.Experiment.locations
   in
   let run sampler seed =

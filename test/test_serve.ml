@@ -605,40 +605,48 @@ let test_server_single_flight () =
   Alcotest.(check (option int)) "one compute per key" (Some 2)
     (Option.bind (Jsonx.member "cache_misses" stats) Jsonx.as_int)
 
-(* hierarchical mode: the cluster-tree + ACA factors are a cached artifact
-   of their own, keyed by kernel + mesh + build params but NOT by the model
-   truncation r — so re-preparing with a different r re-runs only the
-   eigensolve, never the compression.  Miss arithmetic: the first prepare
-   pays setup + model + factors (3), the second only a model (4 total). *)
-let test_server_hierarchical_factor_reuse () =
-  let config =
+(* above 600 triangles the served model comes from the H-matrix eigensolve:
+   it must be bit-identical to the uncached Algorithm2.prepare model, so a
+   served run_mc equals the direct one *)
+let test_server_model_matches_prepare () =
+  let kle =
     {
-      test_config with
-      Server.kle =
-        {
-          test_config.Server.kle with
-          Ssta.Algorithm2.mode = Kle.Galerkin.Hierarchical;
-          Ssta.Algorithm2.computed_pairs = 12;
-        };
+      Ssta.Algorithm2.paper_config with
+      Ssta.Algorithm2.max_area_fraction = 0.0015;
+      computed_pairs = 12;
     }
   in
-  with_server ~config @@ fun server ->
-  let prep id r =
-    Printf.sprintf
-      {|{"id":%d,"method":"prepare","params":{"circuit":{"bench":"%s"},"r":%d}}|}
-      id (escape_bench tiny_bench) r
+  let config = { test_config with Server.kle } in
+  let served =
+    with_server ~config @@ fun server ->
+    expect_ok (sync_call server (run_mc_line ~sampler:"kle" ()))
   in
-  ignore (expect_ok (sync_call server (prep 1 4)));
-  let misses () =
-    Option.bind
-      (Jsonx.member "cache_misses" (expect_ok (sync_call server {|{"id":9,"method":"stats"}|})))
-      Jsonx.as_int
+  let netlist =
+    match Circuit.Bench_format.parse ~name:"inline" tiny_bench with
+    | Ok nl -> nl
+    | Error msg -> Alcotest.fail msg
   in
-  Alcotest.(check (option int)) "cold prepare: setup + model + factors" (Some 3)
-    (misses ());
-  ignore (expect_ok (sync_call server (prep 2 5)));
-  Alcotest.(check (option int)) "new truncation recomputes only the model" (Some 4)
-    (misses ())
+  let setup =
+    Ssta.Experiment.setup_circuit ~placement_seed:config.Server.placement_seed netlist
+  in
+  let a2 =
+    Ssta.Algorithm2.prepare ~config:kle ?jobs:config.Server.jobs
+      (Ssta.Process.paper_default ()) setup.Ssta.Experiment.locations
+  in
+  Alcotest.(check bool) "H-matrix regime" true (Ssta.Algorithm2.mesh_size a2 > 600);
+  let mc =
+    Ssta.Experiment.run_mc ?jobs:config.Server.jobs setup
+      ~sampler:(fun rng ~n -> Ssta.Algorithm2.sample_block a2 rng ~n)
+      ~seed:3 ~n:32
+  in
+  List.iter
+    (fun (field, direct) ->
+      Alcotest.(check (option float_exact)) field (Some direct)
+        (Option.bind (Jsonx.member field served) Jsonx.as_num))
+    [
+      ("worst_mean", mc.Ssta.Experiment.worst_mean);
+      ("worst_sigma", mc.Ssta.Experiment.worst_sigma);
+    ]
 
 (* a reply that raises (client disconnected mid-write) must not take down
    the worker domain: with a single worker, the next request only gets an
@@ -1931,8 +1939,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
           Alcotest.test_case "stats payload" `Quick test_server_stats_payload;
           Alcotest.test_case "single-flight dedup" `Quick test_server_single_flight;
-          Alcotest.test_case "hierarchical factor reuse" `Quick
-            test_server_hierarchical_factor_reuse;
+          Alcotest.test_case "model matches Algorithm2.prepare" `Quick
+            test_server_model_matches_prepare;
           Alcotest.test_case "reply failure survives" `Quick
             test_server_reply_failure_survives;
         ] );

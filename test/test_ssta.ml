@@ -21,7 +21,6 @@ let fast_config =
     min_angle_deg = 28.0;
     computed_pairs = 80;
     r = Some 25;
-    mode = Kle.Galerkin.Auto;
   }
 
 (* ---------- Process ---------- *)

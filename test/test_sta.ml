@@ -4,38 +4,6 @@ module N = Circuit.Netlist
 let check_close ?(tol = 1e-10) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
 
-(* ---------- Elmore ---------- *)
-
-let test_elmore_star_known () =
-  (* driver R=2 into total C=10, wire r=1 c=4, sink cap 3:
-     2*10 + 1*(2 + 3) = 25 *)
-  check_close "star" 25.0
-    (Sta.Elmore.star_delay ~r_drive:2.0 ~r_wire:1.0 ~c_wire:4.0 ~c_sink:3.0 ~c_total:10.0)
-
-let test_elmore_star_negative_raises () =
-  Alcotest.check_raises "negative" (Invalid_argument "Elmore.star_delay: negative RC element")
-    (fun () ->
-      ignore
-        (Sta.Elmore.star_delay ~r_drive:(-1.0) ~r_wire:0.0 ~c_wire:0.0 ~c_sink:0.0
-           ~c_total:0.0))
-
-let test_elmore_ladder_hand_computed () =
-  (* 2-stage ladder: r = [1; 2], c = [3; 4]
-     node0: 1*(3+4) = 7;  node1: 7 + 2*4 = 15 *)
-  let d = Sta.Elmore.rc_ladder_delays ~r:[| 1.0; 2.0 |] ~c:[| 3.0; 4.0 |] in
-  check_close "node0" 7.0 d.(0);
-  check_close "node1" 15.0 d.(1)
-
-let test_elmore_ladder_monotone () =
-  let d = Sta.Elmore.rc_ladder_delays ~r:[| 1.0; 1.0; 1.0; 1.0 |] ~c:[| 1.0; 1.0; 1.0; 1.0 |] in
-  for i = 1 to 3 do
-    Alcotest.(check bool) "monotone" true (d.(i) > d.(i - 1))
-  done
-
-let test_elmore_ladder_mismatch () =
-  Alcotest.check_raises "mismatch" (Invalid_argument "Elmore.rc_ladder_delays: length mismatch")
-    (fun () -> ignore (Sta.Elmore.rc_ladder_delays ~r:[| 1.0 |] ~c:[| 1.0; 2.0 |]))
-
 (* ---------- Slew ---------- *)
 
 let test_bakoglu () =
@@ -223,28 +191,6 @@ let test_critical_path_structure () =
 
 (* ---------- qcheck ---------- *)
 
-let prop_elmore_ladder_additive =
-  (* appending a stage only increases upstream-node delays by 0 and adds a
-     later node *)
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 1 8 in
-      let* seed = int_range 0 1000 in
-      return (n, seed))
-  in
-  let arb = QCheck.make gen ~print:(fun (n, s) -> Printf.sprintf "(n=%d, seed=%d)" n s) in
-  QCheck.Test.make ~name:"elmore ladder delays are increasing" ~count:100 arb
-    (fun (n, seed) ->
-      let rng = Prng.Rng.create ~seed in
-      let r = Array.init n (fun _ -> 0.1 +. Prng.Rng.uniform rng) in
-      let c = Array.init n (fun _ -> 0.1 +. Prng.Rng.uniform rng) in
-      let d = Sta.Elmore.rc_ladder_delays ~r ~c in
-      let ok = ref (d.(0) > 0.0) in
-      for i = 1 to n - 1 do
-        if d.(i) <= d.(i - 1) then ok := false
-      done;
-      !ok)
-
 let prop_peri_dominates_inputs =
   QCheck.Test.make ~name:"peri output >= both inputs" ~count:100
     (QCheck.pair (QCheck.float_range 0.0 100.0) (QCheck.float_range 0.0 100.0))
@@ -255,14 +201,6 @@ let prop_peri_dominates_inputs =
 let () =
   Alcotest.run "sta"
     [
-      ( "elmore",
-        [
-          Alcotest.test_case "star formula" `Quick test_elmore_star_known;
-          Alcotest.test_case "negative raises" `Quick test_elmore_star_negative_raises;
-          Alcotest.test_case "ladder hand-computed" `Quick test_elmore_ladder_hand_computed;
-          Alcotest.test_case "ladder monotone" `Quick test_elmore_ladder_monotone;
-          Alcotest.test_case "ladder length mismatch" `Quick test_elmore_ladder_mismatch;
-        ] );
       ( "slew",
         [
           Alcotest.test_case "bakoglu ln9" `Quick test_bakoglu;
@@ -284,6 +222,5 @@ let () =
           Alcotest.test_case "critical path structure" `Quick test_critical_path_structure;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_elmore_ladder_additive; prop_peri_dominates_inputs ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_peri_dominates_inputs ] );
     ]

@@ -25,8 +25,8 @@
 #      (mutable state captured by a returned closure) must carry a
 #      `re-entrancy:` comment explaining why concurrent calls are safe.
 #      A shared scratch silently corrupts results when two domains call the
-#      same closure — exactly the bug class the pooled-scratch apply fixed —
-#      so the safety argument has to live next to the allocation.
+#      same closure, so the safety argument has to live next to the
+#      allocation.
 #   7. No bare `Domain.spawn` in lib/serve/ outside supervisor.ml — worker
 #      domains must be started through `Serve.Supervisor.spawn` so every
 #      crash hits the restart/backoff/quarantine policy. A domain spawned
@@ -110,7 +110,7 @@ if files=$(grep -rlE --include='*.ml' \
     fi
   done
   if [ -n "$offenders" ]; then
-    fail "scratch buffer without a re-entrancy comment — document why concurrent calls of the enclosing closure are safe (see lib/kle/operator.ml)" "$offenders"
+    fail "scratch buffer without a re-entrancy comment — document why concurrent calls of the enclosing closure are safe (see lib/kle/hmatrix.ml)" "$offenders"
   fi
 fi
 
