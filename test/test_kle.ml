@@ -469,6 +469,67 @@ let check_apply_close ~tol label c op x =
   let err = apply_rel_error c op x in
   Alcotest.(check bool) (Printf.sprintf "%s rel err %.2e <= %.0e" label err tol) true (err <= tol)
 
+let test_operator_exact_apply_matches_assembled () =
+  (* property: built from the exact shared entry rule with no admissible
+     block, the H-matrix stores every entry dense, and its half-storage
+     symmetric apply is the same linear map as the assembled matrix for
+     every shipped kernel, kinked ones included, to 1e-12 (the paths sum
+     the same products in different orders) *)
+  let mesh = Lazy.force mesh_fine in
+  let n = Geometry.Mesh.size mesh in
+  let s = Array.map sqrt mesh.Geometry.Mesh.areas in
+  List.iter
+    (fun kernel ->
+      let c = Kle.Galerkin.assemble mesh kernel in
+      let mean = Kle.Operator.mean_kernel_value Kle.Operator.Centroid mesh kernel in
+      let hm =
+        Kle.Hmatrix.build ~params:{ hier_params with Kle.Hmatrix.eta = 0.0 }
+          ~entry:(fun i k -> mean i k *. s.(i) *. s.(k))
+          mesh.Geometry.Mesh.centroids
+      in
+      let stats = hm.Kle.Hmatrix.stats in
+      Alcotest.(check int) "no far-field block" 0 stats.Kle.Hmatrix.far_blocks;
+      Alcotest.(check bool) "off-diagonal near blocks" true (stats.Kle.Hmatrix.near_blocks > 1);
+      let op = Kle.Operator.of_hmatrix hm in
+      Alcotest.(check int) "dim" n (Kle.Operator.dim op);
+      for trial = 0 to 2 do
+        let x = random_vec ((31 * trial) + 7) n in
+        let y_dense = Linalg.Mat.mul_vec c x in
+        let y = Kle.Operator.apply op x in
+        Array.iteri
+          (fun i v ->
+            check_close ~tol:1e-12
+              (Printf.sprintf "%s row %d trial %d" (K.name kernel) i trial)
+              y_dense.(i) v)
+          y
+      done)
+    (operator_kernels @ kinked_kernels)
+
+let test_operator_table_apply_close_to_assembled () =
+  (* with the radial profile table on (the default for isotropic kernels),
+     the compressed Galerkin operator stays within the table's error
+     budget of the assembled map *)
+  let mesh = Lazy.force mesh_fine in
+  let n = Geometry.Mesh.size mesh in
+  let d = mesh.Geometry.Mesh.domain in
+  let vmax = Float.hypot (Geometry.Rect.width d) (Geometry.Rect.height d) in
+  List.iter
+    (fun kernel ->
+      Alcotest.(check bool) (K.name kernel ^ " table accepted") true
+        (Option.is_some (K.radial_profile kernel ~vmax));
+      let c = Kle.Galerkin.assemble mesh kernel in
+      let op = galerkin_op mesh kernel in
+      let x = random_vec 11 n in
+      let y_dense = Linalg.Mat.mul_vec c x in
+      let y = Kle.Operator.apply op x in
+      Array.iteri
+        (fun i v ->
+          check_close ~tol:1e-7
+            (Printf.sprintf "%s row %d" (K.name kernel) i)
+            y_dense.(i) v)
+        y)
+    [ gaussian; K.Exponential { c = 1.5 }; K.Matern { b = 2.0; s = 2.5 } ]
+
 let test_operator_apply_jobs_independent () =
   (* repo invariant: results do not depend on worker count *)
   let mesh = Lazy.force mesh_fine in
@@ -950,6 +1011,10 @@ let () =
         ] );
       ( "operator",
         [
+          Alcotest.test_case "exact apply matches assembled (all kernels)" `Quick
+            test_operator_exact_apply_matches_assembled;
+          Alcotest.test_case "table apply within error budget" `Quick
+            test_operator_table_apply_close_to_assembled;
           Alcotest.test_case "apply independent of jobs" `Quick
             test_operator_apply_jobs_independent;
           Alcotest.test_case "mid-edge quadrature" `Quick test_operator_midedge_quadrature;
