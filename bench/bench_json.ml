@@ -1,71 +1,15 @@
-(* Dependency-free JSON reporter for the benchmark harness: collects one
-   record per measured run and writes them as a JSON array, so BENCH_*.json
-   files accumulate a machine-readable perf trajectory next to the
-   human-readable tables. *)
+(* JSON reporter for the benchmark harness: collects one record per
+   measured run and writes them, rendered by [Util.Jsonx], as a JSON array,
+   so BENCH_*.json files accumulate a machine-readable perf trajectory next
+   to the human-readable tables. *)
 
-type value =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of value list
-  | Assoc of (string * value) list
+module J = Util.Jsonx
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let rec add b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f ->
-      (* JSON has no nan/inf literals *)
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-      else Buffer.add_string b "null"
-  | String s ->
-      Buffer.add_char b '"';
-      add_escaped b s;
-      Buffer.add_char b '"'
-  | List vs ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string b ", ";
-          add b v)
-        vs;
-      Buffer.add_char b ']'
-  | Assoc kvs ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_char b '"';
-          add_escaped b k;
-          Buffer.add_string b "\": ";
-          add b v)
-        kvs;
-      Buffer.add_char b '}'
-
-let to_string v =
-  let b = Buffer.create 256 in
-  add b v;
-  Buffer.contents b
+let int i = J.Num (float_of_int i)
 
 type record = {
   name : string;  (** subcommand / measurement id, e.g. ["scale"] *)
-  params : (string * value) list;  (** free-form inputs (kernel, mesh_frac…) *)
+  params : (string * J.t) list;  (** free-form inputs (kernel, mesh_frac…) *)
   wall_s : float;  (** total wall time of the measured work *)
   per_stage_s : (string * float) list;  (** stage name -> seconds *)
   counters : (string * int) list;
@@ -83,30 +27,28 @@ type record = {
    (wall_s = 0, null measurement fields). *)
 type entry =
   | Row of record
-  | Meta of { name : string; params : (string * value) list }
+  | Meta of { name : string; params : (string * J.t) list }
 
 let record_value r =
-  let opt f = function Some v -> f v | None -> Null in
-  Assoc
+  let opt = function Some i -> int i | None -> J.Null in
+  J.Obj
     [
-      ("kind", String "row");
-      ("name", String r.name);
-      ("params", Assoc r.params);
-      ("wall_s", Float r.wall_s);
-      ( "per_stage_s",
-        Assoc (List.map (fun (k, v) -> (k, Float v)) r.per_stage_s) );
-      ("counters", Assoc (List.map (fun (k, v) -> (k, Int v)) r.counters));
-      ("mesh_n", opt (fun i -> Int i) r.mesh_n);
-      ("r", opt (fun i -> Int i) r.r);
-      ("jobs", opt (fun i -> Int i) r.jobs);
-      ("samples", opt (fun i -> Int i) r.samples);
+      ("kind", J.Str "row");
+      ("name", J.Str r.name);
+      ("params", J.Obj r.params);
+      ("wall_s", J.Num r.wall_s);
+      ("per_stage_s", J.Obj (List.map (fun (k, v) -> (k, J.Num v)) r.per_stage_s));
+      ("counters", J.Obj (List.map (fun (k, v) -> (k, int v)) r.counters));
+      ("mesh_n", opt r.mesh_n);
+      ("r", opt r.r);
+      ("jobs", opt r.jobs);
+      ("samples", opt r.samples);
     ]
 
 let entry_value = function
   | Row r -> record_value r
   | Meta { name; params } ->
-      Assoc
-        [ ("kind", String "meta"); ("name", String name); ("params", Assoc params) ]
+      J.Obj [ ("kind", J.Str "meta"); ("name", J.Str name); ("params", J.Obj params) ]
 
 (* one entry per line, so diffs between BENCH files stay line-oriented; the
    write is atomic (tmp+rename) so an interrupted run can never leave a
@@ -118,7 +60,7 @@ let write_file path entries =
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n  ";
-      add b (entry_value r))
+      Buffer.add_string b (J.to_string (entry_value r)))
     entries;
   Buffer.add_string b "\n]\n";
   Util.Fileio.write_atomic path (Buffer.contents b)

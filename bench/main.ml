@@ -22,6 +22,7 @@
 
 module P = Geometry.Point
 module K = Kernels.Kernel
+module J = Util.Jsonx
 
 type options = {
   mutable samples : int;
@@ -483,7 +484,7 @@ let eigtime () =
   pf "matrix assembly (n = %d): %.2fs\n" (Geometry.Mesh.size mesh) dt_assemble;
   pf "Lanczos top-200 eigensolution: %.2fs (see [lab] line above)\n" !paper_solution_time;
   emit "eigtime"
-    ~params:[ ("mesh_frac", Bench_json.Float opts.mesh_frac) ]
+    ~params:[ ("mesh_frac", J.Num opts.mesh_frac) ]
     ~stages:[ ("assemble", dt_assemble); ("lanczos", !paper_solution_time) ]
     ~counters:(counters_since c0)
     ~mesh_n:(Geometry.Mesh.size mesh)
@@ -602,16 +603,16 @@ let scale () =
       in
       emit "scale"
         ~params:
-          [ ("kernel", Bench_json.String (K.name kernel));
-            ("mesh_frac", Bench_json.Float frac);
-            ("aca_tol", Bench_json.Float hier.Kle.Hmatrix.tol);
+          [ ("kernel", J.Str (K.name kernel));
+            ("mesh_frac", J.Num frac);
+            ("aca_tol", J.Num hier.Kle.Hmatrix.tol);
             ( "max_rel_dlambda",
-              match rel with Some r -> Bench_json.Float r | None -> Bench_json.Null );
-            ("hier_words", Bench_json.Int words);
-            ("dense_words", Bench_json.Int dense_words);
-            ("near_blocks", Bench_json.Int stats.Kle.Hmatrix.near_blocks);
-            ("far_blocks", Bench_json.Int stats.Kle.Hmatrix.far_blocks);
-            ("aca_rank_sum", Bench_json.Int stats.Kle.Hmatrix.rank_sum) ]
+              match rel with Some r -> J.Num r | None -> J.Null );
+            ("hier_words", Bench_json.int words);
+            ("dense_words", Bench_json.int dense_words);
+            ("near_blocks", Bench_json.int stats.Kle.Hmatrix.near_blocks);
+            ("far_blocks", Bench_json.int stats.Kle.Hmatrix.far_blocks);
+            ("aca_rank_sum", Bench_json.int stats.Kle.Hmatrix.rank_sum) ]
         ~stages
         ~counters:(counters_since c0)
         ~mesh_n:n ~r:count
@@ -626,10 +627,10 @@ let scale () =
   (match !crossover with
   | Some n ->
       pf "crossover: hierarchical (build + solve) beats the assembled solve from n = %d onwards\n" n;
-      emit_meta "scale-crossover" ~params:[ ("crossover_n", Bench_json.Int n) ]
+      emit_meta "scale-crossover" ~params:[ ("crossover_n", Bench_json.int n) ]
   | None ->
       pf "no crossover in this sweep: the assembled solve won at every measured n\n";
-      emit_meta "scale-crossover" ~params:[ ("crossover_n", Bench_json.Null) ]);
+      emit_meta "scale-crossover" ~params:[ ("crossover_n", J.Null) ]);
   (* growth exponents from the last two hierarchical points, and the n = 10^5
      extrapolation the quadratic strategies cannot reach. Work and memory are
      fitted separately: entry evaluations and stored words grow at different
@@ -658,11 +659,11 @@ let scale () =
         (float_of_int nx *. float_of_int nx);
       emit_meta "scale-extrapolation"
         ~params:
-          [ ("exponent", Bench_json.Float work_exponent);
-            ("mem_exponent", Bench_json.Float mem_exponent);
-            ("n", Bench_json.Int nx);
-            ("entry_evals", Bench_json.Float (scale_to work_exponent e2));
-            ("words", Bench_json.Float (scale_to mem_exponent w2)) ]
+          [ ("exponent", J.Num work_exponent);
+            ("mem_exponent", J.Num mem_exponent);
+            ("n", Bench_json.int nx);
+            ("entry_evals", J.Num (scale_to work_exponent e2));
+            ("words", J.Num (scale_to mem_exponent w2)) ]
   | _ -> ());
   pf "eigenvalue agreement <= %.0e checked wherever an exact reference ran\n" gate
 
@@ -1218,7 +1219,6 @@ let smoke () =
    Serve.Router — the same engines bin/ssta_serve.exe exposes. *)
 let serve_bench () =
   header "Serving: persistent KLE model store + concurrent analysis server";
-  let module J = Serve.Jsonx in
   let c0 = Util.Trace.counters () in
   let store_dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1266,7 +1266,7 @@ let serve_bench () =
     (cold_s /. warm_s);
   Serve.Server.drain server;
   emit "serve"
-    ~params:[ ("circuit", Bench_json.String "c880") ]
+    ~params:[ ("circuit", J.Str "c880") ]
     ~stages:[ ("prepare_cold", cold_s); ("prepare_warm", warm_s) ]
     ~counters:(counters_since c0)
     ~wall_s:(cold_s +. warm_s);
@@ -1320,16 +1320,13 @@ let serve_bench () =
     }
   in
   (* the sweep's serving config: a coarse mesh (the serving layers under
-     test are wire, batching and routing — not the eigensolver), a short
-     coalescing window, shared store *)
+     test are wire and routing — not the eigensolver), shared store *)
   let sweep_config =
     {
       config with
       Serve.Server.kle =
         { Ssta.Algorithm2.paper_config with Ssta.Algorithm2.max_area_fraction = 0.05 };
       workers = 2;
-      batch_window_s = 0.001;
-      batch_max = 8;
     }
   in
   let payload_bits payload =
@@ -1507,14 +1504,12 @@ let serve_bench () =
             (pct 50. -. srv_p50);
           emit "serve-load"
             ~params:
-              [ ("wire", Bench_json.String wire_name);
-                ("shards", Bench_json.Int shards);
-                ("concurrency", Bench_json.Int concurrency);
-                ("requests", Bench_json.Int n_requests);
-                ("endpoints", Bench_json.Int 96);
-                ("key_variants", Bench_json.Int key_variants);
-                ( "batch_window_ms",
-                  Bench_json.Float (sweep_config.Serve.Server.batch_window_s *. 1e3) ) ]
+              [ ("wire", J.Str wire_name);
+                ("shards", Bench_json.int shards);
+                ("concurrency", Bench_json.int concurrency);
+                ("requests", Bench_json.int n_requests);
+                ("endpoints", Bench_json.int 96);
+                ("key_variants", Bench_json.int key_variants) ]
             ~stages:
               [ ("latency_p50", pct 50.); ("latency_p90", pct 90.);
                 ("latency_p99", pct 99.); ("latency_p999", pct 99.9);
@@ -1532,9 +1527,9 @@ let serve_bench () =
       pf "saturation: %s wire, %d shard(s): %.1f req/s\n" wire_name shards rps;
       emit_meta "serve-saturation"
         ~params:
-          [ ("wire", Bench_json.String wire_name);
-            ("shards", Bench_json.Int shards);
-            ("throughput_rps", Bench_json.Float rps) ])
+          [ ("wire", J.Str wire_name);
+            ("shards", Bench_json.int shards);
+            ("throughput_rps", J.Num rps) ])
     (List.rev !saturation);
   (* telemetry overhead: the same steady-state load with recording on vs.
      off (histograms, ring admission and counters all gated by one flag);
@@ -1597,9 +1592,9 @@ let serve_bench () =
     rps_on rps_off overhead_pct;
   emit_meta "serve-telemetry-overhead"
     ~params:
-      [ ("rps_on", Bench_json.Float rps_on);
-        ("rps_off", Bench_json.Float rps_off);
-        ("overhead_pct", Bench_json.Float overhead_pct) ];
+      [ ("rps_on", J.Num rps_on);
+        ("rps_off", J.Num rps_off);
+        ("overhead_pct", J.Num overhead_pct) ];
   pf "bit-identity: responses identical across both wires and shard counts\n";
   (* leave no bench droppings in TMPDIR *)
   (try
@@ -1702,10 +1697,10 @@ let retime_bench ~quick () =
     (cold_s /. warm_s) e_mu e_sigma;
   emit "retime"
     ~params:
-      [ ("n_gates", Bench_json.Int n_gates);
-        ("quick", Bench_json.Bool quick);
-        ("cold_over_edit", Bench_json.Float (cold_s /. edit_s));
-        ("cold_over_warm", Bench_json.Float (cold_s /. warm_s)) ]
+      [ ("n_gates", Bench_json.int n_gates);
+        ("quick", J.Bool quick);
+        ("cold_over_edit", J.Num (cold_s /. edit_s));
+        ("cold_over_warm", J.Num (cold_s /. warm_s)) ]
     ~stages:
       [ ("prepare_models", prep_s); ("retime_cold", cold_s);
         ("retime_warm", warm_s); ("retime_edit", edit_s) ]
@@ -1747,9 +1742,9 @@ let chaos_bench () =
     emit
       (if cfg.Serve.Chaos.router_shards > 0 then "chaos-router" else "chaos")
       ~params:
-        [ ("requests", Bench_json.Int report.Serve.Chaos.requests);
-          ("workers", Bench_json.Int cfg.Serve.Chaos.workers);
-          ("router_shards", Bench_json.Int cfg.Serve.Chaos.router_shards) ]
+        [ ("requests", Bench_json.int report.Serve.Chaos.requests);
+          ("workers", Bench_json.int cfg.Serve.Chaos.workers);
+          ("router_shards", Bench_json.int cfg.Serve.Chaos.router_shards) ]
       ~counters:
         (counters_since c0
         @ List.map
@@ -1896,14 +1891,14 @@ let () =
             name = "config";
             params =
               [
-                ("samples", Bench_json.Int opts.samples);
-                ("table_samples", Bench_json.Int opts.table_samples);
-                ("mesh_frac", Bench_json.Float opts.mesh_frac);
-                ("seed", Bench_json.Int opts.seed);
-                ("jobs", Bench_json.Int (effective_jobs ()));
-                ("nproc", Bench_json.Int (Domain.recommended_domain_count ()));
+                ("samples", Bench_json.int opts.samples);
+                ("table_samples", Bench_json.int opts.table_samples);
+                ("mesh_frac", J.Num opts.mesh_frac);
+                ("seed", Bench_json.int opts.seed);
+                ("jobs", Bench_json.int (effective_jobs ()));
+                ("nproc", Bench_json.int (Domain.recommended_domain_count ()));
                 ( "argv",
-                  Bench_json.String
+                  J.Str
                     (String.concat " " (List.tl (Array.to_list Sys.argv))) );
               ];
           }

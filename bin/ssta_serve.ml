@@ -591,7 +591,7 @@ let json_log_sink () =
 
 let run store_dir socket client fsck repair gc_max_bytes timeout_s binary
     cache_entries queue_capacity workers jobs seed max_area_fraction drain_timeout
-    trace_file stats_file router_shards batch_window_ms batch_max slow_ms log_json =
+    trace_file stats_file router_shards slow_ms log_json =
   (* a client that disconnects mid-reply must surface as a write error on
      that connection, not kill the process with SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -619,10 +619,6 @@ let run store_dir socket client fsck repair gc_max_bytes timeout_s binary
                   string_of_int seed;
                   "--max-area-fraction";
                   string_of_float max_area_fraction;
-                  "--batch-window-ms";
-                  string_of_float batch_window_ms;
-                  "--batch-max";
-                  string_of_int batch_max;
                   "--slow-ms";
                   string_of_float slow_ms;
                 ]
@@ -648,8 +644,6 @@ let run store_dir socket client fsck repair gc_max_bytes timeout_s binary
           kle =
             { Ssta.Algorithm2.paper_config with Ssta.Algorithm2.max_area_fraction };
           drain_timeout_s = drain_timeout;
-          batch_window_s = batch_window_ms /. 1000.0;
-          batch_max;
           slow_ms;
           request_log = (if log_json then Some (json_log_sink ()) else None);
         }
@@ -788,18 +782,6 @@ let router_arg =
   in
   Arg.(value & opt int 0 & info [ "router" ] ~docv:"SHARDS" ~doc)
 
-let batch_window_arg =
-  let doc =
-    "Coalesce compatible run_mc requests (same circuit, sampler and truncation, different \
-     seeds/sample counts) that arrive within $(docv) milliseconds into one pipeline invocation \
-     sharing circuit setup and sampler construction. 0 disables coalescing."
-  in
-  Arg.(value & opt float 0.0 & info [ "batch-window-ms" ] ~docv:"MS" ~doc)
-
-let batch_max_arg =
-  let doc = "Maximum requests coalesced into one batch (with --batch-window-ms)." in
-  Arg.(value & opt int 8 & info [ "batch-max" ] ~docv:"N" ~doc)
-
 let slow_ms_arg =
   let doc =
     "Slow-request threshold in milliseconds for the $(b,debug) ring buffer; 0 admits every \
@@ -819,6 +801,6 @@ let cmd =
       const run $ store_arg $ socket_arg $ client_arg $ fsck_arg $ repair_arg $ gc_arg
       $ timeout_arg $ binary_arg $ cache_arg $ queue_arg $ workers_arg $ jobs_arg
       $ seed_arg $ mesh_area_arg $ drain_timeout_arg $ trace_arg $ stats_arg
-      $ router_arg $ batch_window_arg $ batch_max_arg $ slow_ms_arg $ log_json_arg)
+      $ router_arg $ slow_ms_arg $ log_json_arg)
 
 let () = exit (Cmd.eval cmd)

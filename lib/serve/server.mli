@@ -15,12 +15,6 @@
       served from an in-memory {!Lru} over the optional on-disk
       {!Persist.Store}; responses report which tier answered
       ([hit-mem] / [hit-disk] / [miss] / [recovered]).
-    - {b Coalescing}: with [batch_window_s > 0], compatible [run_mc]
-      requests (same model-spec key, different seeds/sample counts)
-      accumulate in a {!Batch} window and execute as one group with shared
-      circuit-setup + sampler-resource resolution — amortizing cache
-      lookups and pool dispatch — while seeds bind per member, so every
-      response is bit-identical to its unbatched run.
     - {b Draining}: {!begin_drain} stops intake (new submissions are
       answered [shutting_down]) while queued requests still complete;
       {!drain} additionally joins the workers. A [shutdown] request
@@ -28,21 +22,19 @@
     - {b Supervision}: every worker domain runs under {!Supervisor.spawn}.
       An exception that escapes the per-request barrier (a genuine bug, or
       an injected [chaos_crash]) restarts the worker with capped
-      exponential backoff, bumps the [serve_worker_restarts] trace counter
-      and a [Warning] [serve.worker] diagnostic, and re-queues the
+      exponential backoff, bumps the [worker_restarts] counter and records
+      a [Warning] [serve.worker] diagnostic, and re-queues the
       in-flight request for one retry; a request that kills a worker
       {e twice} is quarantined — answered with a typed [internal_error]
       instead of being retried forever.
 
     Each executed request runs inside a [serve.request] {!Util.Trace} span
-    (attributes: method, [req_id], cache tier) and bumps the [serve_*]
-    counters, so a traced serving run attributes time and cache behaviour
-    per request; a coalesced group's [serve.batch] span records every
-    member's correlation ID.
+    (attributes: method, [req_id]), so a traced serving run attributes
+    time per request.
 
     {b Telemetry}: every executed request is recorded into a per-server
-    {!Telemetry} registry — per-stage latency histograms (queue wait,
-    batch wait, cache lookup, compute, reply write), a slow-request ring,
+    {!Telemetry} registry — per-stage latency histograms (batch wait,
+    queue wait, cache lookup, compute, reply write), a slow-request ring,
     and an optional structured request log. The [metrics] protocol method
     returns the full registry (counters + quantiles + mergeable histogram
     snapshots + Prometheus text); [debug] returns the slow-request ring.
@@ -69,16 +61,6 @@ type config = {
       (** chaos testing: the worker dies {e after} replying but before
           releasing the request — the re-run exercises the exactly-once
           reply guard *)
-  batch_window_s : float;
-      (** accumulation window for coalescing compatible [run_mc] requests
-          (same circuit/sampler/truncation, any seed/n) into one group that
-          shares circuit-setup and sampler-resource resolution; [<= 0.]
-          disables coalescing. Results are bit-identical to unbatched
-          execution — seeds bind per member. *)
-  batch_max : int;
-      (** flush a group early when it reaches this size (on the submitting
-          thread — no added latency at saturation); [<= 1] disables
-          coalescing *)
   slow_ms : float;
       (** slow-request threshold for the {!Telemetry} ring ([debug]
           method); [0.] admits every request, so the ring holds the most
@@ -94,8 +76,10 @@ val default_config : config
 (** No disk store, 32 cache entries, queue of 64, 2 workers, sequential
     compute ([jobs = Some 1]), placement seed 1,
     {!Ssta.Algorithm2.paper_config}, 30 s drain timeout, no fault
-    injection, coalescing off ([batch_window_s = 0.], [batch_max = 8]),
-    [slow_ms = 0.], [slow_ring = 64], no request log. *)
+    injection, [slow_ms = 0.], [slow_ring = 64], no request log. Every
+    request runs on its own: same-key [run_mc] requests are not coalesced,
+    because on KLE traffic the eigensolve they could share is already
+    cached as the served model. *)
 
 type t
 
@@ -149,7 +133,7 @@ val stats_payload : t -> Jsonx.t
 (** The same JSON object a [stats] request returns: request/reject/deadline
     counters, [replies_dropped] (replies that raised mid-write — a dead
     client), [requeued] and [singleflight_dedup], queue occupancy, worker
-    restart/quarantine counts, LRU, batch and store statistics. *)
+    restart/quarantine counts, LRU and store statistics. *)
 
 val health_payload : t -> Jsonx.t
 (** The same JSON object a [health] request returns: [healthy] (accepting

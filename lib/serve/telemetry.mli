@@ -5,8 +5,9 @@
     per-stage breakdown — where it waited and where it worked:
 
     - [queue_wait]: from entering the worker queue to being dequeued;
-    - [batch_wait]: from submission to entering the queue (the coalescing
-      window; ~0 for requests that bypass the batcher);
+    - [batch_wait]: from submission (decoded at ingress) to admission to
+      the worker queue — the admission lock and bookkeeping, microseconds;
+      the name is kept so existing dashboards and benches still read it;
     - [cache_lookup]: time inside the cache tiers (memory LRU, disk store,
       single-flight waits) during execution;
     - [compute]: execution time net of cache lookups;

@@ -50,27 +50,15 @@ let to_string e =
 
 let pp_event fmt e = Format.pp_print_string fmt (to_string e)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json e =
-  Printf.sprintf
-    {|{"severity": "%s", "code": "%s", "stage": "%s", "detail": "%s"}|}
-    (severity_name e.severity) (code_name e.code) (json_escape e.stage)
-    (json_escape e.detail)
+  Jsonx.to_string
+    (Jsonx.Obj
+       [
+         ("severity", Jsonx.Str (severity_name e.severity));
+         ("code", Jsonx.Str (code_name e.code));
+         ("stage", Jsonx.Str e.stage);
+         ("detail", Jsonx.Str e.detail);
+       ])
 
 (* Put the event on the trace timeline as an instant under the active
    span, so degraded fallbacks are visible in chrome://tracing. *)

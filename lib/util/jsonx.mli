@@ -21,6 +21,11 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Compact one-line rendering (no newlines, suitable for JSON-lines). *)
 
+val escape_into : Buffer.t -> string -> unit
+(** [escape_into b s] appends [s] to [b] as a quoted JSON string literal:
+    quotes, backslashes and control characters escaped, every other byte
+    copied verbatim. *)
+
 (** {1 Accessors} — shallow, [option]-typed *)
 
 val member : string -> t -> t option

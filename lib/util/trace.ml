@@ -382,22 +382,6 @@ let summary () =
 (* JSON                                                              *)
 (* ---------------------------------------------------------------- *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let summary_json () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"spans\": [";
@@ -405,7 +389,7 @@ let summary_json () =
   let rec pr n =
     if !first then first := false else Buffer.add_string b ", ";
     Buffer.add_string b "{\"path\": ";
-    add_json_string b n.path;
+    Jsonx.escape_into b n.path;
     Buffer.add_string b
       (Printf.sprintf ", \"count\": %d, \"total_s\": %.9f, \"self_s\": %.9f}"
          n.count (s_of_ns n.total_ns) (s_of_ns n.self_ns));
@@ -416,14 +400,14 @@ let summary_json () =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      add_json_string b k;
+      Jsonx.escape_into b k;
       Buffer.add_string b (Printf.sprintf ": %d" v))
     (counters ());
   Buffer.add_string b "}, \"gc\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      add_json_string b k;
+      Jsonx.escape_into b k;
       Buffer.add_string b (Printf.sprintf ": %.0f" v))
     (gc_deltas ());
   Buffer.add_string b "}}";
@@ -438,9 +422,9 @@ let add_args b args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      add_json_string b k;
+      Jsonx.escape_into b k;
       Buffer.add_string b ": ";
-      add_json_string b v)
+      Jsonx.escape_into b v)
     args;
   Buffer.add_char b '}'
 
@@ -491,7 +475,7 @@ let write_chrome_trace path =
       match e with
       | Span s ->
           Buffer.add_string b "{\"name\": ";
-          add_json_string b s.name;
+          Jsonx.escape_into b s.name;
           Buffer.add_string b
             (Printf.sprintf
                ", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": \
@@ -504,7 +488,7 @@ let write_chrome_trace path =
           Buffer.add_char b '}'
       | Instant i ->
           Buffer.add_string b "{\"name\": ";
-          add_json_string b i.name;
+          Jsonx.escape_into b i.name;
           Buffer.add_string b
             (Printf.sprintf
                ", \"cat\": \"instant\", \"ph\": \"i\", \"s\": \"t\", \"ts\": \

@@ -815,7 +815,6 @@ let test_jsonx_control_and_bytes () =
 module Wire = Serve.Wire
 module Codec = Persist.Codec
 module Router = Serve.Router
-module Batch = Serve.Batch
 
 let test_wire_frame_roundtrip () =
   List.iter
@@ -1185,64 +1184,10 @@ let test_wire_cross_identity () =
       Alcotest.(check bool) "names the circuit" true (contains ~sub:"no-such-circuit" msg)
   | _ -> Alcotest.fail "expected netlist_error over the binary wire"
 
-(* ---------- batching ---------- *)
-
-let test_batch_collector () =
-  let lock = Mutex.create () in
-  let flushed = ref [] in
-  let record key items = Mutex.protect lock (fun () -> flushed := (key, items) :: !flushed) in
-  let snapshot () = Mutex.protect lock (fun () -> List.rev !flushed) in
-  let groups = Alcotest.(list (pair string (list int))) in
-  let b = Batch.create ~window_s:0.2 ~max_batch:3 ~flush:record in
-  Batch.add b ~key:"a" 1;
-  Batch.add b ~key:"a" 2;
-  Alcotest.(check groups) "window still open" [] (snapshot ());
-  Batch.add b ~key:"a" 3;
-  (* a full group flushes synchronously on the adding thread *)
-  Alcotest.(check groups) "full group flushed" [ ("a", [ 1; 2; 3 ]) ] (snapshot ());
-  Batch.add b ~key:"a" 4;
-  Batch.add b ~key:"b" 5;
-  (* window expiry flushes on the timer thread, oldest group first *)
-  let rec wait n =
-    if List.length (snapshot ()) >= 3 then ()
-    else if n = 0 then Alcotest.fail "window never flushed"
-    else begin
-      Thread.delay 0.01;
-      wait (n - 1)
-    end
-  in
-  wait 600;
-  Alcotest.(check groups) "expired groups in arrival order"
-    [ ("a", [ 1; 2; 3 ]); ("a", [ 4 ]); ("b", [ 5 ]) ]
-    (snapshot ());
-  Batch.add b ~key:"c" 6;
-  Batch.flush_all b;
-  Alcotest.(check groups) "flush_all drains open groups"
-    [ ("a", [ 1; 2; 3 ]); ("a", [ 4 ]); ("b", [ 5 ]); ("c", [ 6 ]) ]
-    (snapshot ());
-  Batch.shutdown b;
-  Batch.shutdown b;
-  (* after shutdown an add degrades to an immediate singleton flush *)
-  Batch.add b ~key:"d" 7;
-  Alcotest.(check groups) "post-shutdown singleton"
-    [ ("a", [ 1; 2; 3 ]); ("a", [ 4 ]); ("b", [ 5 ]); ("c", [ 6 ]); ("d", [ 7 ]) ]
-    (snapshot ());
-  let s = Batch.stats b in
-  Alcotest.(check int) "appended" 7 s.Batch.appended;
-  Alcotest.(check int) "flushed groups" 5 s.Batch.flushed_groups;
-  Alcotest.(check int) "max group" 3 s.Batch.max_group;
-  (* window_s = 0 disables coalescing: every add is an immediate singleton *)
-  let direct = ref [] in
-  let b0 =
-    Batch.create ~window_s:0.0 ~max_batch:8 ~flush:(fun k items ->
-        direct := (k, items) :: !direct)
-  in
-  Batch.add b0 ~key:"x" 1;
-  Batch.add b0 ~key:"x" 2;
-  Alcotest.(check groups) "disabled window" [ ("x", [ 2 ]); ("x", [ 1 ]) ] !direct;
-  Batch.shutdown b0
-
-let test_server_batching_bit_identity () =
+(* concurrent same-key run_mc on a cold default server: both workers race
+   on one model key (single-flight), yet every reply must carry exactly the
+   bits of its sequential run *)
+let test_server_concurrent_same_key_identity () =
   let seeds = [ 11; 12; 13; 14 ] in
   let request seed = mc_request ~id:(float_of_int seed) ~seed ~full:true () in
   let reference =
@@ -1252,15 +1197,12 @@ let test_server_batching_bit_identity () =
         mc_stat_bits (expect_ok (sync_call plain (Protocol.encode_request (request s)))))
       seeds
   in
-  let config =
-    { test_config with Server.batch_window_s = 0.05; Server.batch_max = List.length seeds }
-  in
-  with_server ~config @@ fun batched ->
+  with_server @@ fun server ->
   let m = Mutex.create () and c = Condition.create () in
   let replies = Hashtbl.create 8 in
   List.iter
     (fun seed ->
-      Server.submit batched (Protocol.encode_request (request seed)) ~reply:(fun line ->
+      Server.submit server (Protocol.encode_request (request seed)) ~reply:(fun line ->
           Mutex.protect m (fun () ->
               Hashtbl.replace replies seed line;
               Condition.signal c)))
@@ -1270,15 +1212,8 @@ let test_server_batching_bit_identity () =
         Condition.wait c m
       done);
   let got = List.map (fun s -> mc_stat_bits (expect_ok (Hashtbl.find replies s))) seeds in
-  Alcotest.(check bool) "batched results bit-identical to unbatched" true (got = reference);
-  (* the collector actually grouped: four same-key submits with batch_max = 4
-     flush as one group of four (on the fourth submit's thread) *)
-  let stats = expect_ok (sync_call batched {|{"id":0,"method":"stats"}|}) in
-  match Option.bind (Jsonx.member "batch" stats) (Jsonx.member "max_group") with
-  | Some (Jsonx.Num g) when g >= 2.0 -> ()
-  | v ->
-      Alcotest.failf "expected grouped batch stats, got %s"
-        (match v with Some j -> Jsonx.to_string j | None -> "absent")
+  Alcotest.(check bool) "concurrent results bit-identical to sequential" true
+    (got = reference)
 
 (* ---------- router ---------- *)
 
@@ -1793,10 +1728,7 @@ let test_server_json_request_log () =
             !logs))
 
 let test_server_batch_wait_recorded () =
-  let config =
-    { test_config with Server.batch_window_s = 0.05; Server.batch_max = 4; Server.workers = 2 }
-  in
-  with_server ~config @@ fun server ->
+  with_server @@ fun server ->
   let m = Mutex.create () and c = Condition.create () in
   let got = ref 0 in
   let request seed = mc_request ~id:(float_of_int seed) ~seed () in
@@ -1813,9 +1745,8 @@ let test_server_batch_wait_recorded () =
         Condition.wait c m
       done);
   let h = Serve.Telemetry.stage_histogram (Server.telemetry server) Serve.Telemetry.Batch_wait in
-  await "batch_wait recorded for every member" (fun () -> Util.Histogram.count h >= 4);
-  (* members coalesced behind the window actually waited *)
-  Alcotest.(check bool) "some member waited" true (Util.Histogram.max_value h > 0)
+  await "batch_wait recorded for every request" (fun () -> Util.Histogram.count h >= 4);
+  Alcotest.(check int) "recorded once per executed request" 4 (Util.Histogram.count h)
 
 let test_router_merged_metrics () =
   with_server @@ fun s1 ->
@@ -1903,12 +1834,6 @@ let () =
           Alcotest.test_case "cross-wire bit identity" `Quick test_wire_cross_identity;
           Alcotest.test_case "client binary wire" `Quick test_client_binary_wire;
         ] );
-      ( "batch",
-        [
-          Alcotest.test_case "collector semantics" `Quick test_batch_collector;
-          Alcotest.test_case "batched bit identity" `Quick
-            test_server_batching_bit_identity;
-        ] );
       ( "router",
         [
           Alcotest.test_case "routing key" `Quick test_router_routing_key;
@@ -1939,6 +1864,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
           Alcotest.test_case "stats payload" `Quick test_server_stats_payload;
           Alcotest.test_case "single-flight dedup" `Quick test_server_single_flight;
+          Alcotest.test_case "concurrent same-key identity" `Quick
+            test_server_concurrent_same_key_identity;
           Alcotest.test_case "model matches Algorithm2.prepare" `Quick
             test_server_model_matches_prepare;
           Alcotest.test_case "reply failure survives" `Quick
