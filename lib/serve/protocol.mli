@@ -71,8 +71,8 @@ type request = {
           Optional for compatibility: when absent the server generates one
           at ingress for telemetry/logs but does {e not} echo it, so replies
           to old clients are byte-identical to before. When present it is
-          echoed top-level in the response and threaded through router,
-          batch groups and trace spans. *)
+          echoed top-level in the response and threaded through router
+          and trace spans. *)
   deadline_ms : float option;
   call : call;
 }

@@ -76,10 +76,7 @@ val default_config : config
 (** No disk store, 32 cache entries, queue of 64, 2 workers, sequential
     compute ([jobs = Some 1]), placement seed 1,
     {!Ssta.Algorithm2.paper_config}, 30 s drain timeout, no fault
-    injection, [slow_ms = 0.], [slow_ring = 64], no request log. Every
-    request runs on its own: same-key [run_mc] requests are not coalesced,
-    because on KLE traffic the eigensolve they could share is already
-    cached as the served model. *)
+    injection, [slow_ms = 0.], [slow_ring = 64], no request log. *)
 
 type t
 
