@@ -39,26 +39,17 @@ open Cmdliner
    to a disconnected client raises (Sys_error on EPIPE/EBADF, with SIGPIPE
    ignored at startup) — the lock must be released on that path or every
    other worker replying on the connection deadlocks. *)
-let line_writer oc =
+let message_writer wire oc =
+  (* a JSON message ends at its newline; a binary frame carries its length *)
+  let terminator = match wire with `Json -> "\n" | `Binary -> "" in
   let lock = Mutex.create () in
-  fun line ->
+  fun message ->
     Mutex.lock lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock lock)
       (fun () ->
-        output_string oc line;
-        output_char oc '\n';
-        flush oc)
-
-(* binary replies are whole frames: no delimiter, just bytes *)
-let frame_writer oc =
-  let lock = Mutex.create () in
-  fun frame ->
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        output_string oc frame;
+        output_string oc message;
+        output_string oc terminator;
         flush oc)
 
 (* what a connection handler needs from the thing it fronts — a single
@@ -75,7 +66,7 @@ let serve_stream fe ic oc =
   match input_char ic with
   | exception (End_of_file | Sys_error _) -> ()
   | first when first = Serve.Wire.magic0 ->
-      let reply = frame_writer oc in
+      let reply = message_writer `Binary oc in
       let magic_consumed = ref true in
       (try
          while not (fe.fstop ()) do
@@ -85,8 +76,9 @@ let serve_stream fe ic oc =
                (* framing is lost and cannot be resynchronised: answer once,
                   then drop the connection *)
                reply
-                 (Serve.Wire.error_response ~id:Serve.Jsonx.Null
-                    Serve.Protocol.Parse_error msg);
+                 (Serve.Wire.encode `Binary
+                    (Serve.Protocol.error_response ~id:Serve.Jsonx.Null
+                       Serve.Protocol.Parse_error msg));
                raise End_of_file
            | Ok payload ->
                magic_consumed := false;
@@ -94,7 +86,7 @@ let serve_stream fe ic oc =
          done
        with End_of_file | Sys_error _ -> ())
   | first ->
-      let reply = line_writer oc in
+      let reply = message_writer `Json oc in
       let pending_first = ref (Some first) in
       let next_line () =
         match !pending_first with
@@ -234,8 +226,9 @@ let shard_send shard request ~reply =
             id)
       in
       let frame =
-        Serve.Wire.encode_request
-          { request with Serve.Protocol.id = Serve.Jsonx.Num (float_of_int id) }
+        Serve.Wire.encode `Binary
+          (Serve.Protocol.encode_request
+             { request with Serve.Protocol.id = Serve.Jsonx.Num (float_of_int id) })
       in
       try
         Mutex.protect link.wlock (fun () ->
@@ -253,7 +246,9 @@ let shard_reader shard link () =
        match Serve.Wire.read_frame ic with
        | Error (`Eof | `Corrupt _) -> stop := true
        | Ok payload -> (
-           match Serve.Wire.decode_response payload with
+           match
+             Result.bind (Serve.Wire.decode `Binary payload) Serve.Protocol.decode_response
+           with
            | Error _ -> ()  (* one bad payload; framing is still intact *)
            | Ok (id_json, _req_id, result) -> (
                let cb =
@@ -424,9 +419,12 @@ let run_router ~path ~n_shards ~shard_argv =
 (* client mode: connect to a serving socket, forward stdin lines through
    the retrying Serve.Client (per-request timeout, bounded retries with
    backoff, circuit breaker), print one JSON response line per request in
-   request order. --binary ships the requests over the binary wire (the
-   stdin/stdout side stays JSON either way). *)
+   request order. Each line travels as its JSON tree, over the binary wire
+   with --binary (the stdin/stdout side stays JSON either way), and only
+   the server validates it; a line that is not JSON at all is answered
+   here with the parse_error the server would send. *)
 let run_client path timeout_s binary =
+  let wire = if binary then `Binary else `Json in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect sock (Unix.ADDR_UNIX path)
    with Unix.Unix_error (e, _, _) ->
@@ -450,76 +448,58 @@ let run_client path timeout_s binary =
             Some cb
         | None -> None)
   in
-  let key_of_request line =
-    match Serve.Jsonx.parse line with
-    | Ok json ->
-        Serve.Jsonx.to_string
-          (Option.value (Serve.Jsonx.member "id" json) ~default:Serve.Jsonx.Null)
-    | Error _ -> "null" (* the server echoes id null for unparseable lines *)
-  in
+  let id_of json = Option.value (Serve.Jsonx.member "id" json) ~default:Serve.Jsonx.Null in
   let reader =
     Thread.create
       (fun () ->
         try
-          if binary then begin
-            let stop = ref false in
-            while not !stop do
-              match Serve.Wire.read_frame ic with
-              | Error (`Eof | `Corrupt _) -> stop := true
-              | Ok payload -> (
-                  match Serve.Wire.decode_response payload with
-                  | Error _ -> ()
-                  | Ok (id, _req_id, _result) -> (
-                      match take (Serve.Jsonx.to_string id) with
-                      | Some cb -> cb (Serve.Wire.frame payload)
-                      | None -> ()))
-            done
-          end
-          else
-            while true do
-              let line = input_line ic in
-              let key =
-                match Serve.Protocol.response_id line with
-                | Some id -> Serve.Jsonx.to_string id
-                | None -> "null"
-              in
-              match take key with Some cb -> cb line | None -> ()
-            done
+          while true do
+            (* the body to decode, and the whole message the client expects *)
+            let body, message =
+              match wire with
+              | `Json ->
+                  let line = input_line ic in
+                  (line, line)
+              | `Binary -> (
+                  match Serve.Wire.read_frame ic with
+                  | Ok payload -> (payload, Serve.Wire.frame payload)
+                  | Error (`Eof | `Corrupt _) -> raise End_of_file)
+            in
+            let key =
+              match Serve.Wire.decode wire body with
+              | Ok json -> Serve.Jsonx.to_string (id_of json)
+              | Error _ -> "null"
+            in
+            match take key with Some cb -> cb message | None -> ()
+          done
         with End_of_file | Sys_error _ -> ())
       ()
   in
-  let write = if binary then frame_writer oc else line_writer oc in
+  let write = message_writer wire oc in
+  (* stdin lines are sent one at a time (each call returns before the next
+     line is read), so every attempt belongs to the current line's id *)
+  let current_key = ref "null" in
   let transport message ~reply =
-    let key =
-      if binary then
-        match Serve.Wire.unframe message with
-        | Ok payload -> (
-            match Serve.Wire.decode_request payload with
-            | Ok r -> Serve.Jsonx.to_string r.Serve.Protocol.id
-            | Error rej -> Serve.Jsonx.to_string rej.Serve.Protocol.reject_id)
-        | Error _ -> "null"
-      else key_of_request message
-    in
-    register key reply;
+    register !current_key reply;
     write message
   in
   let client =
     Serve.Client.create
       ~policy:{ Serve.Client.default_policy with Serve.Client.timeout_s = Some timeout_s }
-      ~wire:(if binary then `Binary else `Json)
-      transport
+      ~wire transport
   in
   let failures = ref 0 in
+  let print json =
+    print_endline (Serve.Jsonx.to_string json);
+    flush stdout
+  in
   (* re-encoding for stdout must not strip the correlation ID the server
      echoed: a caller that tagged its request with req_id grep's for it in
      our output *)
   let print_result id ?req_id = function
-    | Ok payload ->
-        print_endline (Serve.Protocol.ok_response ~id ?req_id payload);
-        flush stdout
+    | Ok payload -> print (Serve.Protocol.ok_response ~id ?req_id payload)
     | Error (Serve.Client.Protocol_error (code, msg)) ->
-        print_endline (Serve.Protocol.error_response ~id ?req_id code msg);
-        flush stdout
+        print (Serve.Protocol.error_response ~id ?req_id code msg)
     | Error f ->
         incr failures;
         Printf.eprintf "ssta_serve --client: request id=%s failed: %s\n%!"
@@ -530,32 +510,17 @@ let run_client path timeout_s binary =
      while true do
        let line = input_line stdin in
        if String.trim line <> "" then
-         if binary then
-           match Serve.Protocol.decode line with
-           | Error rej ->
-               (* malformed request: answer locally, like the server would *)
-               print_endline
-                 (Serve.Protocol.error_response ~id:rej.Serve.Protocol.reject_id
-                    ?req_id:rej.Serve.Protocol.reject_req_id
-                    ?field:rej.Serve.Protocol.field rej.Serve.Protocol.code
-                    rej.Serve.Protocol.message);
-               flush stdout
-           | Ok request ->
-               print_result request.Serve.Protocol.id
-                 ?req_id:request.Serve.Protocol.req_id
-                 (Serve.Client.call_request client request)
-         else begin
-           let id, req_id =
-             match Serve.Jsonx.parse line with
-             | Ok json ->
-                 ( Option.value (Serve.Jsonx.member "id" json)
-                     ~default:Serve.Jsonx.Null,
-                   Option.bind (Serve.Jsonx.member "req_id" json)
-                     Serve.Jsonx.as_str )
-             | Error _ -> (Serve.Jsonx.Null, None)
-           in
-           print_result id ?req_id (Serve.Client.call client line)
-         end
+         match Serve.Jsonx.parse line with
+         | Error msg ->
+             print
+               (Serve.Protocol.error_response ~id:Serve.Jsonx.Null Serve.Protocol.Parse_error
+                  msg)
+         | Ok json ->
+             let id = id_of json in
+             current_key := Serve.Jsonx.to_string id;
+             print_result id
+               ?req_id:(Option.bind (Serve.Jsonx.member "req_id" json) Serve.Jsonx.as_str)
+               (Serve.Client.call client (Serve.Wire.encode wire json))
      done
    with End_of_file -> ());
   (try Unix.shutdown sock Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());

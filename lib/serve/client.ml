@@ -115,54 +115,25 @@ let retryable = function
   | Protocol_error _ | Circuit_open -> false
 
 (* classification also surfaces the reply's echoed correlation ID so
-   [call] can pin each reply to the attempt that asked for it *)
-let classify_reply line =
-  match Jsonx.parse line with
+   [call] can pin each reply to the attempt that asked for it. A binary
+   reply arrives as a whole frame, header included. *)
+let classify t reply =
+  let body =
+    match t.wire with
+    | `Json -> Ok reply
+    | `Binary -> (
+        match Wire.unframe reply with
+        | Ok body -> Ok body
+        | Error `Eof -> Error "empty reply frame"
+        | Error (`Corrupt msg) -> Error ("corrupt reply frame: " ^ msg))
+  in
+  match Result.bind body (Wire.decode t.wire) with
   | Error msg -> (None, Error (Transport_failed ("unparseable reply: " ^ msg)))
   | Ok json -> (
-      let req_id = Option.bind (Jsonx.member "req_id" json) Jsonx.as_str in
-      ( req_id,
-        match Jsonx.member "ok" json with
-        | Some payload -> Ok payload
-        | None -> (
-          match Jsonx.member "error" json with
-          | Some err ->
-              let msg =
-                match Option.bind (Jsonx.member "message" err) Jsonx.as_str with
-                | Some m -> m
-                | None -> line
-              in
-              let code_name =
-                Option.bind (Jsonx.member "code" err) Jsonx.as_str
-              in
-              let code =
-                match code_name with
-                | Some "parse_error" -> Protocol.Parse_error
-                | Some "invalid_request" -> Protocol.Invalid_request
-                | Some "unknown_method" -> Protocol.Unknown_method
-                | Some "bad_params" -> Protocol.Bad_params
-                | Some "netlist_error" -> Protocol.Netlist_error
-                | Some "overloaded" -> Protocol.Overloaded
-                | Some "deadline_exceeded" -> Protocol.Deadline_exceeded
-                | Some "shutting_down" -> Protocol.Shutting_down
-                | Some "internal_error" | Some _ | None -> Protocol.Internal_error
-              in
-              Error (Protocol_error (code, msg))
-          | None -> Error (Transport_failed ("reply has neither ok nor error: " ^ line)))))
-
-(* binary replies arrive as whole frames (header included) *)
-let classify_frame frame =
-  match Wire.unframe frame with
-  | Error `Eof -> (None, Error (Transport_failed "empty reply frame"))
-  | Error (`Corrupt msg) -> (None, Error (Transport_failed ("corrupt reply frame: " ^ msg)))
-  | Ok payload -> (
-      match Wire.decode_response payload with
-      | Error msg -> (None, Error (Transport_failed ("unparseable reply: " ^ msg)))
+      match Protocol.decode_response json with
+      | Error msg -> (None, Error (Transport_failed msg))
       | Ok (_id, req_id, Ok payload) -> (req_id, Ok payload)
       | Ok (_id, req_id, Error (code, msg)) -> (req_id, Error (Protocol_error (code, msg))))
-
-let classify t reply =
-  match t.wire with `Json -> classify_reply reply | `Binary -> classify_frame reply
 
 (* An echoed correlation ID that contradicts the one we sent means the
    transport delivered someone else's reply (crossed wires, a buggy
@@ -293,9 +264,4 @@ let call_request t request =
         in
         ({ request with Protocol.req_id = Some r }, r)
   in
-  let message =
-    match t.wire with
-    | `Json -> Protocol.encode_request request
-    | `Binary -> Wire.encode_request request
-  in
-  call ~expect t message
+  call ~expect t (Wire.encode t.wire (Protocol.encode_request request))

@@ -87,9 +87,10 @@ val call : ?expect:string -> t -> string -> (Jsonx.t, failure) result
     accepted). *)
 
 val call_request : t -> Protocol.request -> (Jsonx.t, failure) result
-(** Build the message for this client's wire ({!Protocol.encode_request} or
-    {!Wire.encode_request}) and {!call} it — the wire-agnostic entry point;
-    the payload for a given request is bit-identical on both wires. When
+(** Encode the request tree ({!Protocol.encode_request}) on this client's
+    wire ({!Wire.encode}) and {!call} it — the wire-agnostic entry point;
+    the payload for a given request is bit-identical on both wires. Raises
+    [Invalid_argument] for a request {!Protocol.encode_request} refuses. When
     the request carries no [req_id], one is generated ([cli-<seed>-<n>])
     and its echo verified, so every call is traceable end-to-end. *)
 

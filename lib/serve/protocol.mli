@@ -1,18 +1,26 @@
-(** The [ssta_serve] JSON-lines protocol: request decoding, response
-    encoding, typed error codes.
+(** The [ssta_serve] message schema: requests, responses and typed error
+    codes, as {!Jsonx.t} trees.
 
-    One request per line:
+    This module is the only place that knows what a message says; {!Wire}
+    only carries trees, as a JSON line or a binary frame. A request:
     {v
-    {"id": <any>, "method": "<name>", "deadline_ms": <num>?, "params": {...}?}
+    {"id": <any>, "req_id": "<str>"?, "deadline_ms": <num>?,
+     "method": "<name>", "params": {...}?}
     v}
-    and one response per line, echoing [id]:
+    and a response, echoing [id] (and [req_id] when the request had one):
     {v
-    {"id": <any>, "ok": {...}}
-    {"id": <any>, "error": {"code": "<code>", "message": "..."}}
+    {"id": <any>, "req_id": "<str>"?, "ok": {...}}
+    {"id": <any>, "req_id": "<str>"?,
+     "error": {"code": "<code>", "message": "...", "field": "<key>"?}}
     v}
 
     Responses may arrive out of request order (requests run concurrently on
-    the server's worker pool); clients correlate by [id]. *)
+    the server's worker pool); clients correlate by [id].
+
+    Integers travel as JSON numbers, i.e. IEEE doubles, so every integer
+    field is limited to |v| <= 2{^53}: {!encode_request} raises beyond it,
+    and {!decode_request} rejects a larger seed with [Bad_params] and
+    [field = "seed"]. *)
 
 type circuit =
   | Named of string  (** a Table 1 circuit generated by {!Circuit.Generator} *)
@@ -91,41 +99,38 @@ type error_code =
 val error_code_name : error_code -> string
 (** Stable wire name, e.g. ["overloaded"]. *)
 
-type reject = {
-  reject_id : Jsonx.t;
-      (** best-effort request [id] ([Null] when the line was not parseable
-          JSON) so the error response can still be correlated *)
-  reject_req_id : string option;
-      (** the request's [req_id] when it could be recovered — parsed before
-          any other validation, so even a bad-params reject echoes it *)
-  code : error_code;
-  message : string;
-  field : string option;
-      (** the offending params key, when the reject is attributable to one
-          (e.g. a semantically unknown key); surfaces as ["field"] in the
-          JSON error object *)
-}
+val error_code_of_name : string -> error_code option
+(** Inverse of {!error_code_name}. *)
 
-val decode : string -> (request, reject) result
-(** Decode one request line. Unknown [params] keys (per-method whitelist,
-    including the [circuit] and [edit] sub-objects) are rejected with
-    [Bad_params] and the offending key in [field]. *)
+val decode_request : Jsonx.t -> (request, Jsonx.t) result
+(** Validate one request tree: the request, or the error response to send
+    back. The reject echoes the request's [id] when the tree has one, and
+    its [req_id] whenever that is valid (it is checked before anything
+    else can fail). Unknown [params] keys (per-method whitelist, including
+    the [circuit] and [edit] sub-objects) are rejected with [Bad_params]
+    and the offending key in the error's [field]. *)
 
-val encode_request : request -> string
-(** Encode a structured request as one JSON line; [decode (encode_request r)]
-    returns [Ok r]. Lets clients build requests once and pick the wire
-    ({!Wire} reuses the same [request] type for binary framing). *)
+val encode_request : request -> Jsonx.t
+(** [decode_request (encode_request r)] returns [Ok r]. Raises
+    [Invalid_argument] when an integer field lies outside |v| <= 2{^53},
+    rather than emit a request the peer would read differently. *)
 
-val ok_response : id:Jsonx.t -> ?req_id:string -> Jsonx.t -> string
+val ok_response : id:Jsonx.t -> ?req_id:string -> Jsonx.t -> Jsonx.t
 (** [?req_id] echoes the request's correlation ID top-level; omitted for
     requests that did not carry one (wire compatibility). *)
 
-val error_response : id:Jsonx.t -> ?req_id:string -> ?field:string -> error_code -> string -> string
-(** [?field] names the offending params key inside the error object (set
-    from {!reject.field} for decode rejects). *)
+val error_response :
+  id:Jsonx.t -> ?req_id:string -> ?field:string -> error_code -> string -> Jsonx.t
+(** [?field] names the offending params key inside the error object. *)
 
-val response_id : string -> Jsonx.t option
-(** Parse a response line's [id] (client-side correlation helper). *)
+val request_of_message : (Jsonx.t, string) result -> (request, Jsonx.t) result
+(** Validate what [Wire.decode] read: the request, or the error response
+    to send back — [parse_error] with id [null] when the message was not a
+    tree, else {!decode_request}'s reject. *)
 
-val response_req_id : string -> string option
-(** Parse a response line's echoed [req_id], if any. *)
+val decode_response :
+  Jsonx.t ->
+  (Jsonx.t * string option * (Jsonx.t, error_code * string) result, string) result
+(** [(id, echoed req_id, Ok payload | Error (code, message))]; an unknown
+    code name reads as [Internal_error]. [Error] when the tree has neither
+    an [ok] nor an [error] member. *)

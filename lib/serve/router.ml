@@ -9,20 +9,21 @@ type backend = {
 
 let backend_of_server ?(describe = "in-process") server =
   let send request ~reply =
-    (* round-trip through the binary codec so the in-process router path
+    (* round-trip through the binary wire so the in-process router path
        exercises exactly what a cross-process deployment ships *)
-    match Wire.unframe (Wire.encode_request request) with
+    match Wire.unframe (Wire.encode `Binary (Protocol.encode_request request)) with
     | Error (`Eof | `Corrupt _) ->
         reply (Error (Protocol.Internal_error, "request frame self-decode failed"))
     | Ok payload ->
         Server.submit_wire server ~wire:`Binary payload ~reply:(fun frame ->
-            match Wire.unframe frame with
-            | Error `Eof -> reply (Error (Protocol.Internal_error, "empty shard reply"))
-            | Error (`Corrupt msg) -> reply (Error (Protocol.Internal_error, msg))
-            | Ok resp -> (
-                match Wire.decode_response resp with
-                | Error msg -> reply (Error (Protocol.Internal_error, msg))
-                | Ok (_id, _req_id, result) -> reply result))
+            match
+              match Wire.unframe frame with
+              | Error `Eof -> Error "empty shard reply"
+              | Error (`Corrupt msg) -> Error msg
+              | Ok body -> Result.bind (Wire.decode `Binary body) Protocol.decode_response
+            with
+            | Error msg -> reply (Error (Protocol.Internal_error, msg))
+            | Ok (_id, _req_id, result) -> reply result)
   in
   { send; healthy = (fun () -> not (Server.shutdown_requested server)); describe }
 
@@ -214,29 +215,8 @@ let aggregate t call =
 (* submission *)
 
 let submit t ~wire payload ~reply =
-  let encode_ok, encode_error, encode_reject =
-    match wire with
-    | `Json ->
-        ( Protocol.ok_response,
-          (fun ~id ?req_id code msg -> Protocol.error_response ~id ?req_id code msg),
-          fun (rej : Protocol.reject) ->
-            Protocol.error_response ~id:rej.Protocol.reject_id
-              ?req_id:rej.Protocol.reject_req_id ?field:rej.Protocol.field
-              rej.Protocol.code rej.Protocol.message )
-    | `Binary ->
-        ( Wire.ok_response,
-          Wire.error_response,
-          fun (rej : Protocol.reject) ->
-            Wire.error_response ~id:rej.Protocol.reject_id
-              ?req_id:rej.Protocol.reject_req_id rej.Protocol.code rej.Protocol.message )
-  in
-  let decoded =
-    match wire with
-    | `Json -> Protocol.decode payload
-    | `Binary -> Wire.decode_request payload
-  in
-  match decoded with
-  | Error rej -> reply (encode_reject rej)
+  match Protocol.request_of_message (Wire.decode wire payload) with
+  | Error response -> reply (Wire.encode wire response)
   | Ok request -> (
       let id = request.Protocol.id in
       let req_id = request.Protocol.req_id in
@@ -244,9 +224,10 @@ let submit t ~wire payload ~reply =
       let respond result =
         if not (Atomic.exchange replied true) then
           reply
-            (match result with
-            | Ok payload -> encode_ok ~id ?req_id payload
-            | Error (code, msg) -> encode_error ~id ?req_id code msg)
+            (Wire.encode wire
+               (match result with
+               | Ok payload -> Protocol.ok_response ~id ?req_id payload
+               | Error (code, msg) -> Protocol.error_response ~id ?req_id code msg))
       in
       match routing_key request with
       | None -> (

@@ -37,40 +37,10 @@ type artifact =
   | A_setup of Ssta.Experiment.circuit_setup
   | A_model of Kle.Model.t
 
-(* per-connection response codec: a job answers on the wire it arrived on.
-   [req_id] is the echoed correlation ID — [None] when the request carried
-   none, keeping replies to old clients byte-identical *)
-type rcodec = {
-  rc_ok : id:Jsonx.t -> req_id:string option -> Jsonx.t -> string;
-  rc_error : id:Jsonx.t -> req_id:string option -> Protocol.error_code -> string -> string;
-  rc_reject : Protocol.reject -> string;
-      (* decode rejects carry their own correlation and field attribution *)
-}
-
-let json_codec =
-  {
-    rc_ok = (fun ~id ~req_id payload -> Protocol.ok_response ~id ?req_id payload);
-    rc_error = (fun ~id ~req_id code msg -> Protocol.error_response ~id ?req_id code msg);
-    rc_reject =
-      (fun rej ->
-        Protocol.error_response ~id:rej.Protocol.reject_id ?req_id:rej.Protocol.reject_req_id
-          ?field:rej.Protocol.field rej.Protocol.code rej.Protocol.message);
-  }
-
-let binary_codec =
-  {
-    rc_ok = (fun ~id ~req_id payload -> Wire.ok_response ~id ?req_id payload);
-    rc_error = (fun ~id ~req_id code msg -> Wire.error_response ~id ?req_id code msg);
-    rc_reject =
-      (fun rej ->
-        Wire.error_response ~id:rej.Protocol.reject_id ?req_id:rej.Protocol.reject_req_id
-          rej.Protocol.code rej.Protocol.message);
-  }
-
 type job = {
   request : Protocol.request;
   reply : string -> unit;
-  codec : rcodec;  (* response encoder for the wire the request arrived on *)
+  wire : [ `Json | `Binary ];  (* the job answers on the wire it arrived on *)
   deadline_ns : int option;  (* absolute, on the Util.Trace.now_ns clock *)
   replied : bool Atomic.t;  (* exactly-once reply guard *)
   attempts : int Atomic.t;  (* worker crashes this job has caused *)
@@ -80,7 +50,13 @@ type job = {
   mutable reply_write_ns : int;  (* wall time spent inside [reply] *)
 }
 
-let echo_req_id job = job.request.Protocol.req_id
+let ok_message job payload =
+  let { Protocol.id; req_id; _ } = job.request in
+  Wire.encode job.wire (Protocol.ok_response ~id ?req_id payload)
+
+let error_message job code msg =
+  let { Protocol.id; req_id; _ } = job.request in
+  Wire.encode job.wire (Protocol.error_response ~id ?req_id code msg)
 
 type t = {
   config : config;
@@ -688,8 +664,8 @@ let check_deadline t job =
   if expired then begin
     Atomic.incr t.n_deadline;
     safe_reply t job
-      (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
-         Protocol.Deadline_exceeded "deadline elapsed before the request was executed")
+      (error_message job Protocol.Deadline_exceeded
+         "deadline elapsed before the request was executed")
   end;
   not expired
 
@@ -714,8 +690,6 @@ let record_stages t job ~method_ ~ok ~dequeue_ns ~exec_ns ~cache_ns =
 
 let run_job t job =
   let request = job.request in
-  let id = request.Protocol.id in
-  let req_id = echo_req_id job in
   if check_deadline t job then begin
     let dequeue_ns = Util.Trace.now_ns () in
     Atomic.incr t.n_requests;
@@ -733,19 +707,19 @@ let run_job t job =
         "serve.request"
       @@ fun () ->
       match execute t request with
-      | payload -> job.codec.rc_ok ~id ~req_id payload
+      | payload -> ok_message job payload
       | exception Reject (code, msg) ->
           fail ();
-          job.codec.rc_error ~id ~req_id code msg
+          error_message job code msg
       | exception Util.Diag.Failure event ->
           fail ();
-          job.codec.rc_error ~id ~req_id Protocol.Internal_error (Util.Diag.to_string event)
+          error_message job Protocol.Internal_error (Util.Diag.to_string event)
       | exception Invalid_argument msg ->
           fail ();
-          job.codec.rc_error ~id ~req_id Protocol.Bad_params msg
+          error_message job Protocol.Bad_params msg
       | exception e ->
           fail ();
-          job.codec.rc_error ~id ~req_id Protocol.Internal_error (Printexc.to_string e)
+          error_message job Protocol.Internal_error (Printexc.to_string e)
     in
     let exec_ns = Util.Trace.now_ns () - x0 in
     let cache_ns = cache_clock_read clk in
@@ -832,14 +806,13 @@ let on_worker_crash t (slot : job option ref) e ~restarts =
              (Jsonx.to_string job.request.Protocol.id)
              attempts);
         safe_reply t job
-          (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
-             Protocol.Internal_error
+          (error_message job Protocol.Internal_error
              (Printf.sprintf "request crashed the worker %d times — quarantined" attempts))
       end
       else if Atomic.get t.draining then
         safe_reply t job
-          (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
-             Protocol.Shutting_down "worker crashed while draining; request not retried")
+          (error_message job Protocol.Shutting_down
+             "worker crashed while draining; request not retried")
       else begin
         Atomic.incr t.n_requeued;
         (* the retry re-enters the queue now; resetting the admission stamp
@@ -872,13 +845,11 @@ let enqueue t job =
   | `Draining ->
       Atomic.incr t.n_rejected;
       safe_reply t job
-        (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
-           Protocol.Shutting_down "server is draining")
+        (error_message job Protocol.Shutting_down "server is draining")
   | `Full ->
       Atomic.incr t.n_rejected;
       safe_reply t job
-        (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
-           Protocol.Overloaded
+        (error_message job Protocol.Overloaded
            (Printf.sprintf "queue full (%d pending)" t.config.queue_capacity))
 
 (* ---------------------------------------------------------------- *)
@@ -952,19 +923,12 @@ let create ?diag config =
 let shutdown_requested t = Atomic.get t.shutdown_flag
 
 let submit_wire t ~wire payload ~reply =
-  let codec = match wire with `Json -> json_codec | `Binary -> binary_codec in
-  let decoded =
-    match wire with
-    | `Json -> Protocol.decode payload
-    | `Binary -> Wire.decode_request payload
-  in
-  match decoded with
-  | Error rej ->
+  match Protocol.request_of_message (Wire.decode wire payload) with
+  | Error response ->
+      (* a decode reject carries the best-effort id, the echoed req_id
+         (parsed before any other validation) and the offending field *)
       Atomic.incr t.n_errors;
-      (* the reject record carries the best-effort id, the echoed req_id
-         (JSON wire parses it before any validation can fail) and, for
-         semantically unknown params keys, the offending field *)
-      reply (codec.rc_reject rej)
+      reply (Wire.encode wire response)
   | Ok request ->
       let submitted_ns = Util.Trace.now_ns () in
       let deadline_ns =
@@ -982,7 +946,7 @@ let submit_wire t ~wire payload ~reply =
         {
           request;
           reply;
-          codec;
+          wire;
           deadline_ns;
           replied = Atomic.make false;
           attempts = Atomic.make 0;

@@ -1,21 +1,21 @@
-(** Binary wire framing for the serving protocol.
+(** The two wires of the serving protocol: how a message travels, not what
+    it says.
 
-    Same request/response semantics as the JSON-lines {!Protocol}, but
-    length-prefixed binary frames built on {!Persist.Codec}: float payloads
-    (endpoint statistics, matrices) ship as raw IEEE-754 bytes instead of
-    JSON-escaped text. One frame per message:
+    Every message is a {!Jsonx.t} tree whose schema belongs to {!Protocol}
+    alone. The JSON wire writes the tree as one compact line. The binary
+    wire writes it as a tagged tree ({!encode_jsonx}) in a length-prefixed
+    frame built on {!Persist.Codec}, so the numeric vectors of
+    payload-heavy responses ship as raw IEEE-754 bytes instead of JSON
+    text. One frame per message:
 
     {v
-    magic0 0xB5 | magic1 0x7A | version 0x01 | len : fixed32 LE | payload
+    magic0 0xB5 | magic1 0x7A | version 0x03 | len : fixed32 LE | tagged tree
     v}
 
     [0xB5] is never the first byte of a JSON-lines message, so a server can
-    sniff the first byte of a connection and pick the wire per connection —
-    existing JSON clients keep working unchanged.
-
-    Payloads carry the same structured values as the JSON wire (requests
-    decode to {!Protocol.request}; response payloads are {!Jsonx.t}), so a
-    request answered over either wire yields a bit-identical result. *)
+    sniff the first byte of a connection and pick the wire per connection.
+    Both wires carry the same tree, so a request answered over either wire
+    yields a bit-identical result. *)
 
 val magic0 : char
 (** First frame byte, [0xB5] — the per-connection wire sniff key. *)
@@ -23,14 +23,8 @@ val magic0 : char
 val magic1 : char
 
 val version : int
-(** Base frame version (1). Writers emit it unless the payload carries the
-    trailing request-ID section introduced by version 2. *)
-
-val max_version : int
-(** Highest accepted frame version (2: version 1 plus an optional trailing
-    [req_id] in request and response payloads). Readers accept
-    [version..max_version]; the trailing section is keyed off remaining
-    payload bytes, so version-1 peers interoperate unchanged. *)
+(** The frame version (3), the only one accepted. Frames of the older
+    per-method layouts (versions 1 and 2) read as [`Corrupt]. *)
 
 val max_payload : int
 (** Upper bound on the frame length field (16 MiB). Larger lengths are
@@ -67,31 +61,15 @@ val decode_jsonx : Persist.Codec.reader -> Jsonx.t
     of [Num]). Raises {!Persist.Codec.Error} on malformed input, including a
     nesting-depth cap against stack-smashing payloads. *)
 
-(** {1 Requests} *)
+(** {1 Messages} *)
 
-val encode_request : Protocol.request -> string
-(** One full frame (header + binary payload). *)
+val encode : [ `Json | `Binary ] -> Jsonx.t -> string
+(** One whole message: a JSON line (without its newline) or a whole frame.
+    Raises [Invalid_argument] when a frame payload would exceed
+    {!max_payload}. *)
 
-val decode_request : string -> (Protocol.request, Protocol.reject) result
-(** Decode one binary frame {e payload} (header already stripped by
-    {!read_frame}/{!unframe}). Mirrors {!Protocol.decode}: malformed
-    payloads yield a typed {!Protocol.reject} with the best-effort request
-    id. Binary rejects carry no [reject_req_id] (the correlation ID trails
-    the payload) and no [field] attribution — the message names the
-    offender instead. *)
-
-(** {1 Responses} *)
-
-val ok_response : id:Jsonx.t -> ?req_id:string -> Jsonx.t -> string
-(** One full frame. [?req_id] echoes the request's correlation ID as the
-    version-2 trailing section; omitted → a version-1 frame, so replies to
-    old clients are byte-identical to before. *)
-
-val error_response : id:Jsonx.t -> ?req_id:string -> Protocol.error_code -> string -> string
-
-val decode_response :
-  string ->
-  (Jsonx.t * string option * (Jsonx.t, Protocol.error_code * string) result, string) result
-(** Decode one binary response frame payload into
-    [(id, echoed req_id, Ok payload | Error (code, message))]; [Error msg]
-    when the payload itself is malformed. *)
+val decode : [ `Json | `Binary ] -> string -> (Jsonx.t, string) result
+(** Read one message body: a JSON line, or a frame {e payload} (header
+    already stripped by {!read_frame}/{!unframe}). [Error] carries the
+    reason the body is not a tree; what the tree means is {!Protocol}'s
+    to decide. *)

@@ -5,6 +5,7 @@
 
 module Jsonx = Serve.Jsonx
 module Protocol = Serve.Protocol
+module Wire = Serve.Wire
 module Lru = Serve.Lru
 module Server = Serve.Server
 
@@ -63,17 +64,22 @@ let test_jsonx_member () =
 
 (* ---------- protocol ---------- *)
 
-let decode_err line =
-  match Protocol.decode line with
-  | Ok _ -> Alcotest.failf "decode %S should fail" line
-  | Error rej -> (rej.Protocol.reject_id, rej.Protocol.code, rej.Protocol.message)
+let decode_line line =
+  match Jsonx.parse line with
+  | Ok json -> Protocol.decode_request json
+  | Error msg -> Alcotest.failf "not JSON: %S (%s)" line msg
+
+let two53 = 1 lsl 53
+
+(* a structured request as one JSON-wire line *)
+let json_line request = Wire.encode `Json (Protocol.encode_request request)
 
 let test_protocol_decode_ok () =
-  (match Protocol.decode {|{"id":1,"method":"stats"}|} with
+  (match decode_line {|{"id":1,"method":"stats"}|} with
   | Ok { id = Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats } -> ()
   | _ -> Alcotest.fail "stats decode");
   (match
-     Protocol.decode
+     decode_line
        {|{"id":"x","deadline_ms":250,"method":"run_mc","params":{"circuit":{"name":"c17"},"sampler":"kle-qmc","n":100,"seed":7,"r":12,"batch":64}}|}
    with
   | Ok
@@ -88,45 +94,44 @@ let test_protocol_decode_ok () =
       } -> ()
   | _ -> Alcotest.fail "run_mc decode");
   (match
-     Protocol.decode {|{"id":2,"method":"prepare","params":{"circuit":{"bench":"INPUT(a)\n"}}}|}
+     decode_line {|{"id":2,"method":"prepare","params":{"circuit":{"bench":"INPUT(a)\n"}}}|}
    with
   | Ok { call = Protocol.Prepare { circuit = Protocol.Bench_text _; r = None }; _ } -> ()
   | _ -> Alcotest.fail "prepare bench decode")
 
-let test_protocol_decode_errors () =
-  let check_code line expected =
-    let _, code, _ = decode_err line in
-    Alcotest.(check string) line
-      (Protocol.error_code_name expected)
-      (Protocol.error_code_name code)
-  in
-  check_code "{not json" Protocol.Parse_error;
-  check_code "[1,2]" Protocol.Invalid_request;
-  check_code "\"hi\"" Protocol.Invalid_request;
-  check_code {|{"id":1}|} Protocol.Invalid_request;
-  check_code {|{"id":1,"method":"frobnicate"}|} Protocol.Unknown_method;
-  check_code {|{"id":1,"method":"run_mc"}|} Protocol.Bad_params;
-  check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"}}}|} Protocol.Bad_params;
-  check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"},"n":0}}|}
-    Protocol.Bad_params;
-  check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"},"n":10,"sampler":"bogus"}}|}
-    Protocol.Bad_params;
-  check_code {|{"id":1,"method":"prepare","params":{}}|} Protocol.Bad_params;
-  check_code {|{"id":1,"deadline_ms":-5,"method":"stats"}|} Protocol.Bad_params;
-  (* the id is still recovered for correlation whenever the line parses *)
-  let id, _, _ = decode_err {|{"id":77,"method":"frobnicate"}|} in
-  Alcotest.(check (option int)) "id recovered" (Some 77) (Jsonx.as_int id);
-  let id, _, _ = decode_err "{not json" in
-  Alcotest.(check bool) "unparseable id is null" true (id = Jsonx.Null)
+let all_error_codes =
+  Protocol.
+    [
+      Parse_error; Invalid_request; Unknown_method; Bad_params; Netlist_error; Overloaded;
+      Deadline_exceeded; Shutting_down; Internal_error;
+    ]
 
 let test_protocol_responses () =
   let ok = Protocol.ok_response ~id:(Jsonx.Num 3.0) (Jsonx.Obj [ ("x", Jsonx.Num 1.0) ]) in
-  Alcotest.(check string) "ok" {|{"id":3,"ok":{"x":1}}|} ok;
+  Alcotest.(check string) "ok" {|{"id":3,"ok":{"x":1}}|} (Jsonx.to_string ok);
   let err = Protocol.error_response ~id:(Jsonx.Str "a") Protocol.Overloaded "queue full" in
   Alcotest.(check string) "error"
-    {|{"id":"a","error":{"code":"overloaded","message":"queue full"}}|} err;
-  Alcotest.(check bool) "response_id" true
-    (Protocol.response_id ok = Some (Jsonx.Num 3.0))
+    {|{"id":"a","error":{"code":"overloaded","message":"queue full"}}|}
+    (Jsonx.to_string err);
+  (match Protocol.decode_response err with
+  | Ok (Jsonx.Str "a", None, Error (Protocol.Overloaded, "queue full")) -> ()
+  | _ -> Alcotest.fail "error response decode");
+  (* one name table serves both directions *)
+  List.iter
+    (fun code ->
+      let name = Protocol.error_code_name code in
+      Alcotest.(check bool) ("code name roundtrip: " ^ name) true
+        (Protocol.error_code_of_name name = Some code))
+    all_error_codes;
+  (match
+     Protocol.decode_response
+       (Jsonx.Obj [ ("id", Jsonx.Null); ("error", Jsonx.Obj [ ("code", Jsonx.Str "zap") ]) ])
+   with
+  | Ok (_, _, Error (Protocol.Internal_error, _)) -> ()
+  | _ -> Alcotest.fail "an unknown code name reads as internal_error");
+  match Protocol.decode_response (Jsonx.Obj [ ("id", Jsonx.Null) ]) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a reply with neither ok nor error accepted"
 
 (* ---------- lru ---------- *)
 
@@ -362,56 +367,191 @@ let test_server_bench_errors_are_typed () =
         true (contains ~sub:expected_substr msg))
     cases
 
+(* ---------- both wires ---------- *)
+
+let wires = [ `Json; `Binary ]
+
+let payload_of frame =
+  match Wire.unframe frame with
+  | Ok payload -> payload
+  | Error _ -> Alcotest.fail "self-unframe failed"
+
+(* what [Server.submit_wire] takes on [wire]: a JSON line, or the payload
+   of the tree's binary frame *)
+let body_of wire json =
+  match wire with
+  | `Json -> Wire.encode `Json json
+  | `Binary -> payload_of (Wire.encode `Binary json)
+
+(* a request line carried on [wire]: the line itself, or its tree as a
+   binary payload; a line that is not JSON goes as the same raw bytes,
+   which neither wire reads as a tree *)
+let line_on wire line =
+  match (wire, Jsonx.parse line) with
+  | `Binary, Ok json -> body_of `Binary json
+  | `Json, _ | `Binary, Error _ -> line
+
+let reply_tree wire reply =
+  let body = match wire with `Json -> reply | `Binary -> payload_of reply in
+  match Wire.decode wire body with
+  | Ok json -> json
+  | Error msg -> Alcotest.failf "unreadable reply: %s" msg
+
+let sync_submit server wire body =
+  let m = Mutex.create () and c = Condition.create () in
+  let slot = ref None in
+  Server.submit_wire server ~wire body ~reply:(fun r ->
+      Mutex.protect m (fun () ->
+          slot := Some r;
+          Condition.signal c));
+  reply_tree wire
+    (Mutex.protect m (fun () ->
+         while !slot = None do
+           Condition.wait c m
+         done;
+         Option.get !slot))
+
+(* [line] submitted on both wires must draw the same answer: the same id,
+   echoed req_id, error code and field. Returns the JSON wire's reply. *)
+let same_on_both_wires server line =
+  let project reply =
+    let err = Jsonx.member "error" reply in
+    Jsonx.to_string
+      (Jsonx.List
+         (List.map
+            (Option.value ~default:Jsonx.Null)
+            [
+              Jsonx.member "id" reply;
+              Jsonx.member "req_id" reply;
+              Option.bind err (Jsonx.member "code");
+              Option.bind err (Jsonx.member "field");
+            ]))
+  in
+  match List.map (fun wire -> sync_submit server wire (line_on wire line)) wires with
+  | [ json; binary ] ->
+      Alcotest.(check string) ("same answer on both wires: " ^ line) (project json)
+        (project binary);
+      json
+  | _ -> assert false
+
+let error_member key reply =
+  Option.bind (Option.bind (Jsonx.member "error" reply) (Jsonx.member key)) Jsonx.as_str
+
+let test_protocol_decode_errors () =
+  with_server @@ fun server ->
+  let check_code line expected =
+    Alcotest.(check (option string)) line
+      (Some (Protocol.error_code_name expected))
+      (error_member "code" (same_on_both_wires server line))
+  in
+  check_code "{not json" Protocol.Parse_error;
+  check_code "[1,2]" Protocol.Invalid_request;
+  check_code "\"hi\"" Protocol.Invalid_request;
+  check_code {|{"id":1}|} Protocol.Invalid_request;
+  check_code {|{"id":1,"method":"frobnicate"}|} Protocol.Unknown_method;
+  check_code {|{"id":1,"method":"run_mc"}|} Protocol.Bad_params;
+  check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"}}}|} Protocol.Bad_params;
+  check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"},"n":0}}|}
+    Protocol.Bad_params;
+  check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"},"n":10,"sampler":"bogus"}}|}
+    Protocol.Bad_params;
+  check_code {|{"id":1,"method":"prepare","params":{}}|} Protocol.Bad_params;
+  check_code {|{"id":1,"deadline_ms":-5,"method":"stats"}|} Protocol.Bad_params;
+  check_code {|{"id":1,"req_id":"","method":"stats"}|} Protocol.Bad_params;
+  (* the id is still recovered for correlation whenever the line parses *)
+  let reply = same_on_both_wires server {|{"id":77,"method":"frobnicate"}|} in
+  Alcotest.(check (option int)) "id recovered" (Some 77)
+    (Option.bind (Jsonx.member "id" reply) Jsonx.as_int);
+  let reply = same_on_both_wires server "{not json" in
+  Alcotest.(check bool) "unparseable id is null" true (Jsonx.member "id" reply = Some Jsonx.Null)
+
 (* satellite contract: a semantically unknown params key is a typed
    [bad_params] naming the offending key in the error's [field] member,
-   with the request's [req_id] still echoed *)
+   with the request's [req_id] still echoed — on both wires *)
 let test_protocol_unknown_param_key () =
+  with_server @@ fun server ->
   let check_reject line ~field ~req_id =
-    match Protocol.decode line with
-    | Ok _ -> Alcotest.failf "accepted: %s" line
-    | Error rej ->
-        Alcotest.(check string) "code"
-          (Protocol.error_code_name Protocol.Bad_params)
-          (Protocol.error_code_name rej.Protocol.code);
-        Alcotest.(check (option string)) "field" (Some field) rej.Protocol.field;
-        Alcotest.(check (option string)) "req_id echoed" req_id rej.Protocol.reject_req_id;
-        Alcotest.(check bool)
-          (Printf.sprintf "message %S names %S" rej.Protocol.message field)
-          true (contains ~sub:field rej.Protocol.message);
-        rej
+    let reply = same_on_both_wires server line in
+    Alcotest.(check (option string)) "code"
+      (Some (Protocol.error_code_name Protocol.Bad_params))
+      (error_member "code" reply);
+    Alcotest.(check (option string)) "field" (Some field) (error_member "field" reply);
+    Alcotest.(check (option string)) "req_id echoed" req_id
+      (Option.bind (Jsonx.member "req_id" reply) Jsonx.as_str);
+    let message = Option.value ~default:"" (error_member "message" reply) in
+    Alcotest.(check bool)
+      (Printf.sprintf "message %S names %S" message field)
+      true (contains ~sub:field message)
   in
-  let rej =
-    check_reject
-      {|{"id":1,"req_id":"cli-9","method":"retime","params":{"circuit":{"name":"c17"},"bogus":1}}|}
-      ~field:"bogus" ~req_id:(Some "cli-9")
-  in
-  (* the encoded error object carries the field + echoes req_id *)
-  let encoded =
-    Protocol.error_response ~id:rej.Protocol.reject_id
-      ?req_id:rej.Protocol.reject_req_id ?field:rej.Protocol.field rej.Protocol.code
-      rej.Protocol.message
-  in
-  let v = reply_json encoded in
-  Alcotest.(check (option string)) "encoded field" (Some "bogus")
-    (Option.bind (Option.bind (Jsonx.member "error" v) (Jsonx.member "field")) Jsonx.as_str);
-  Alcotest.(check (option string)) "encoded req_id" (Some "cli-9")
-    (Option.bind (Jsonx.member "req_id" v) Jsonx.as_str);
+  check_reject
+    {|{"id":1,"req_id":"cli-9","method":"retime","params":{"circuit":{"name":"c17"},"bogus":1}}|}
+    ~field:"bogus" ~req_id:(Some "cli-9");
   (* nested objects are validated too: circuit and edit *)
-  ignore
-    (check_reject
-       {|{"id":2,"method":"run_mc","params":{"circuit":{"name":"c17","zap":true},"n":8}}|}
-       ~field:"zap" ~req_id:None);
-  ignore
-    (check_reject
-       {|{"id":3,"method":"retime","params":{"circuit":{"name":"c17"},"edit":{"gate":0,"kind":"inv","why":"x"}}}|}
-       ~field:"why" ~req_id:None);
+  check_reject
+    {|{"id":2,"method":"run_mc","params":{"circuit":{"name":"c17","zap":true},"n":8}}|}
+    ~field:"zap" ~req_id:None;
+  check_reject
+    {|{"id":3,"method":"retime","params":{"circuit":{"name":"c17"},"edit":{"gate":0,"kind":"inv","why":"x"}}}|}
+    ~field:"why" ~req_id:None;
   (* unknown methods still answer unknown_method, not bad_params *)
-  match Protocol.decode {|{"id":4,"method":"warp","params":{"bogus":1}}|} with
-  | Error rej ->
-      Alcotest.(check string) "unknown method wins"
-        (Protocol.error_code_name Protocol.Unknown_method)
-        (Protocol.error_code_name rej.Protocol.code)
-  | Ok _ -> Alcotest.fail "warp accepted"
+  Alcotest.(check (option string)) "unknown method wins"
+    (Some (Protocol.error_code_name Protocol.Unknown_method))
+    (error_member "code"
+       (same_on_both_wires server {|{"id":4,"method":"warp","params":{"bogus":1}}|}))
+
+(* one seed range, |seed| <= 2^53, on both wires: the encoder refuses a
+   seed it cannot carry exactly, and a larger seed on the wire is a
+   [bad_params] naming the field *)
+let test_protocol_seed_range () =
+  let request seed =
+    {
+      Protocol.id = Jsonx.Num 1.0;
+      req_id = Some "seed-edge";
+      deadline_ms = None;
+      call =
+        Protocol.Run_mc
+          { circuit = Protocol.Named "c17"; sampler = Protocol.Kle; r = None; seed; n = 4;
+            batch = None; full = false };
+    }
+  in
+  List.iter
+    (fun seed ->
+      let tree = Protocol.encode_request (request seed) in
+      List.iter
+        (fun wire ->
+          match Wire.decode wire (body_of wire tree) with
+          | Ok back ->
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d roundtrips" seed)
+                true
+                (Protocol.decode_request back = Ok (request seed))
+          | Error msg -> Alcotest.failf "seed %d: %s" seed msg)
+        wires)
+    [ two53; -two53; 0 ];
+  List.iter
+    (fun seed ->
+      match Protocol.encode_request (request seed) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "seed %d encoded though it cannot roundtrip" seed)
+    [ two53 + 1; -two53 - 1; max_int; min_int ];
+  with_server @@ fun server ->
+  List.iter
+    (fun seed_text ->
+      let reply =
+        same_on_both_wires server
+          (Printf.sprintf
+             {|{"id":5,"req_id":"seed-edge","method":"run_mc","params":{"circuit":{"name":"c17"},"n":4,"seed":%s}}|}
+             seed_text)
+      in
+      Alcotest.(check (option string)) ("code for seed " ^ seed_text)
+        (Some (Protocol.error_code_name Protocol.Bad_params))
+        (error_member "code" reply);
+      Alcotest.(check (option string)) "field" (Some "seed") (error_member "field" reply);
+      Alcotest.(check (option string)) "req_id echoed" (Some "seed-edge")
+        (Option.bind (Jsonx.member "req_id" reply) Jsonx.as_str))
+    (* 2^53 + 2 (the first double past the range), its negation, max_int
+       and a fraction *)
+    [ "9007199254740994"; "-9007199254740994"; string_of_int max_int; "1.5" ]
 
 let retime_line ?(id = 1) ?edit () =
   let edit_field =
@@ -531,7 +671,7 @@ let test_server_deadline_exceeded () =
       done);
   let deadline_reply =
     List.find
-      (fun r -> Protocol.response_id r = Some (Jsonx.Num 2.0))
+      (fun r -> Jsonx.member "id" (reply_json r) = Some (Jsonx.Num 2.0))
       !replies
   in
   ignore (expect_error deadline_reply Protocol.Deadline_exceeded)
@@ -812,7 +952,6 @@ let test_jsonx_control_and_bytes () =
 
 (* ---------- binary wire ---------- *)
 
-module Wire = Serve.Wire
 module Codec = Persist.Codec
 module Router = Serve.Router
 
@@ -845,6 +984,13 @@ let test_wire_adversarial_headers () =
   let bad_version = Bytes.of_string good in
   Bytes.set bad_version 2 '\x7f';
   expect_corrupt ~sub:"version" (Bytes.to_string bad_version);
+  (* exactly one version is accepted: frames of the older per-method
+     layouts are corrupt, not misread *)
+  List.iter
+    (fun old ->
+      Bytes.set bad_version 2 (Char.chr old);
+      expect_corrupt ~sub:"version" (Bytes.to_string bad_version))
+    [ 1; 2 ];
   (* declared length disagreeing with the bytes present, either way *)
   expect_corrupt (String.sub good 0 (String.length good - 1));
   expect_corrupt (good ^ "!");
@@ -943,158 +1089,251 @@ let test_wire_jsonx_adversarial () =
   Codec.write_u8 w 42;
   expect_err "unknown tag" (Codec.contents w)
 
-let wire_requests =
-  [
-    { Protocol.id = Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats };
-    { Protocol.id = Jsonx.Num 2.0; req_id = None; deadline_ms = None; call = Protocol.Health };
-    {
-      Protocol.id = Jsonx.Str "s";
-      req_id = Some "cli-2a-7";
-      deadline_ms = None;
-      call = Protocol.Shutdown;
-    };
-    {
-      Protocol.id = Jsonx.Str "x";
-      req_id = Some "chaos-42";
-      deadline_ms = Some 250.0;
-      call =
-        Protocol.Run_mc
-          { circuit = Protocol.Named "c17"; sampler = Protocol.Kle_qmc; r = Some 12;
-            seed = 7; n = 100; batch = Some 64; full = true };
-    };
-    {
-      Protocol.id = Jsonx.Null;
-      req_id = None;
-      deadline_ms = None;
-      call = Protocol.Prepare { circuit = Protocol.Bench_text tiny_bench; r = None };
-    };
-    {
-      Protocol.id = Jsonx.List [ Jsonx.Num 1.0; Jsonx.Str "b" ];
-      req_id = None;
-      deadline_ms = None;
-      call = Protocol.Compare { circuit = Protocol.Named "c432"; r = Some 3; seed = -2; n = 9 };
-    };
-    {
-      Protocol.id = Jsonx.Num 7.0;
-      req_id = Some "edit-1";
-      deadline_ms = None;
-      call =
-        Protocol.Retime
-          { circuit = Protocol.Named "c17"; r = Some 10; n_blocks = Some 3;
-            edit = Some { Protocol.gate = 5; kind = "nor2" } };
-    };
-    {
-      Protocol.id = Jsonx.Num 8.0;
-      req_id = None;
-      deadline_ms = None;
-      call =
-        Protocol.Retime
-          { circuit = Protocol.Bench_text tiny_bench; r = None; n_blocks = None;
-            edit = None };
-    };
-  ]
+(* ---------- message properties ---------- *)
 
-let test_wire_request_roundtrip () =
-  List.iter
-    (fun request ->
-      (match Wire.unframe (Wire.encode_request request) with
-      | Error _ -> Alcotest.fail "self-unframe failed"
-      | Ok payload -> (
-          match Wire.decode_request payload with
-          | Ok back -> Alcotest.(check bool) "binary roundtrip" true (back = request)
-          | Error rej ->
-              Alcotest.failf "binary decode failed: %s %s"
-                (Protocol.error_code_name rej.Protocol.code) rej.Protocol.message));
-      (* and the JSON encoder agrees with the JSON decoder *)
-      match Protocol.decode (Protocol.encode_request request) with
-      | Ok back -> Alcotest.(check bool) "json roundtrip" true (back = request)
-      | Error rej ->
-          Alcotest.failf "json decode failed: %s %s"
-            (Protocol.error_code_name rej.Protocol.code) rej.Protocol.message)
-    wire_requests
+module G = QCheck.Gen
+
+let gen_text = G.string_size (G.int_range 1 24)
+
+(* a small JSON tree without NaN (JSON has none): request ids are echoed
+   verbatim, whatever their shape *)
+let gen_jsonx =
+  G.sized_size (G.int_bound 3)
+  @@ G.fix (fun self depth ->
+         let leaf =
+           G.oneof
+             [
+               G.pure Jsonx.Null;
+               G.map (fun b -> Jsonx.Bool b) G.bool;
+               G.map (fun i -> Jsonx.Num (float_of_int i)) G.small_signed_int;
+               G.map (fun f -> Jsonx.Num f) (G.float_range (-1e6) 1e6);
+               G.map (fun s -> Jsonx.Str s) G.string_small;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           G.frequency
+             [
+               (3, leaf);
+               (1, G.map (fun l -> Jsonx.List l) (G.list_size (G.int_bound 3) (self (depth - 1))));
+               ( 1,
+                 G.map
+                   (fun kv -> Jsonx.Obj kv)
+                   (G.list_size (G.int_bound 3) (G.pair G.string_small (self (depth - 1)))) );
+             ])
+
+(* every method, every optional field present or absent, seeds at the
+   range edges and inline bench text *)
+let gen_request st =
+  let pos = G.int_range 1 100_000 in
+  let circuit st =
+    if G.bool st then Protocol.Named (gen_text st)
+    else
+      Protocol.Bench_text
+        (G.oneof [ G.pure tiny_bench; G.string_size (G.int_range 1 200) ] st)
+  in
+  let seed = G.oneof [ G.int_range (-two53) two53; G.oneofl [ two53; -two53; two53 - 1; 0 ] ] in
+  let call =
+    match G.int_bound 8 st with
+    | 0 -> Protocol.Prepare { circuit = circuit st; r = G.opt pos st }
+    | 1 ->
+        Protocol.Run_mc
+          {
+            circuit = circuit st;
+            sampler = G.oneofl Protocol.[ Cholesky; Kle; Kle_qmc ] st;
+            r = G.opt pos st;
+            seed = seed st;
+            n = pos st;
+            batch = G.opt pos st;
+            full = G.bool st;
+          }
+    | 2 -> Protocol.Compare { circuit = circuit st; r = G.opt pos st; seed = seed st; n = pos st }
+    | 3 ->
+        Protocol.Retime
+          {
+            circuit = circuit st;
+            r = G.opt pos st;
+            n_blocks = G.opt pos st;
+            edit =
+              G.opt
+                (G.map2 (fun gate kind -> { Protocol.gate; kind }) (G.int_bound 100_000) gen_text)
+                st;
+          }
+    | 4 -> Protocol.Stats
+    | 5 -> Protocol.Metrics
+    | 6 -> Protocol.Debug
+    | 7 -> Protocol.Health
+    | _ -> Protocol.Shutdown
+  in
+  {
+    Protocol.id = gen_jsonx st;
+    req_id = G.opt gen_text st;
+    deadline_ms = G.opt (G.float_range 1e-3 1e6) st;
+    call;
+  }
+
+(* the reply to a request: an ok payload with a packed float vector, or
+   any typed error *)
+let gen_result =
+  G.oneof
+    [
+      G.map2
+        (fun v extra ->
+          Ok
+            (Jsonx.Obj
+               [ ("endpoint_mean", Jsonx.List (List.map (fun f -> Jsonx.Num f) v)); ("x", extra) ]))
+        (G.list_size (G.int_range 1 16) (G.float_range (-1e3) 1e3))
+        gen_jsonx;
+      G.map3
+        (fun code message field -> Error (code, message, field))
+        (G.oneofl all_error_codes) G.string_small (G.opt gen_text);
+    ]
+
+(* the same tree comes out of both wires *)
+let carried_on_both_wires tree =
+  List.for_all (fun wire -> Wire.decode wire (body_of wire tree) = Ok tree) wires
+
+let prop_request_roundtrip =
+  QCheck.Test.make ~name:"request roundtrip" ~count:300
+    (QCheck.make
+       ~print:(fun (request, _) -> Jsonx.to_string (Protocol.encode_request request))
+       (G.pair gen_request gen_result))
+    (fun (request, result) ->
+      let { Protocol.id; req_id; _ } = request in
+      let tree = Protocol.encode_request request in
+      let response =
+        match result with
+        | Ok payload -> Protocol.ok_response ~id ?req_id payload
+        | Error (code, message, field) -> Protocol.error_response ~id ?req_id ?field code message
+      in
+      carried_on_both_wires tree
+      && Protocol.decode_request tree = Ok request
+      && carried_on_both_wires response
+      && Protocol.decode_response response
+         = Ok (id, req_id, Result.map_error (fun (code, message, _) -> (code, message)) result))
 
 let test_wire_request_adversarial () =
-  let payload_of request =
-    match Wire.unframe (Wire.encode_request request) with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail "self-frame failed"
-  in
-  let code_of payload =
-    match Wire.decode_request payload with
+  let answer body =
+    match Protocol.request_of_message (Wire.decode `Binary body) with
     | Ok _ -> Alcotest.fail "malformed request accepted"
-    | Error rej -> Protocol.error_code_name rej.Protocol.code
+    | Error reply -> reply
   in
-  let stats_req =
-    { Protocol.id = Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats }
+  let check what expected body =
+    Alcotest.(check (option string)) what
+      (Some (Protocol.error_code_name expected))
+      (error_member "code" (answer body))
   in
-  let stats = payload_of stats_req in
-  (* unknown method tag (the method tag is the last payload byte) *)
-  let b = Bytes.of_string stats in
-  Bytes.set b (Bytes.length b - 1) '\xee';
-  Alcotest.(check string) "unknown method"
-    (Protocol.error_code_name Protocol.Unknown_method)
-    (code_of (Bytes.to_string b));
-  Alcotest.(check string) "truncated body"
-    (Protocol.error_code_name Protocol.Invalid_request)
-    (code_of (String.sub stats 0 (String.length stats - 1)));
-  Alcotest.(check string) "trailing bytes"
-    (Protocol.error_code_name Protocol.Invalid_request)
-    (code_of (stats ^ "zz"));
-  Alcotest.(check string) "undecodable id"
-    (Protocol.error_code_name Protocol.Invalid_request)
-    (code_of "\xee");
+  let request call = { Protocol.id = Jsonx.Num 1.0; req_id = None; deadline_ms = None; call } in
+  let stats = body_of `Binary (Protocol.encode_request (request Protocol.Stats)) in
+  (* a payload that is not exactly one tree is the binary parse error, and
+     no id can be recovered from it *)
+  List.iter
+    (fun (what, body) ->
+      check what Protocol.Parse_error body;
+      Alcotest.(check bool) (what ^ ": id null") true
+        (Jsonx.member "id" (answer body) = Some Jsonx.Null))
+    [
+      ("truncated body", String.sub stats 0 (String.length stats - 1));
+      ("trailing bytes", stats ^ "zz");
+      ("unknown value tag", "\xee");
+      ("empty payload", "");
+    ];
+  check "not a request object" Protocol.Invalid_request
+    (body_of `Binary (Jsonx.List [ Jsonx.Num 1.0 ]));
+  check "unknown method" Protocol.Unknown_method
+    (body_of `Binary (Jsonx.Obj [ ("id", Jsonx.Num 1.0); ("method", Jsonx.Str "warp") ]));
   (* params are validated on the binary wire too *)
-  let run_mc n =
-    {
-      Protocol.id = Jsonx.Num 1.0;
-      req_id = None;
-      deadline_ms = None;
-      call =
-        Protocol.Run_mc
-          { circuit = Protocol.Named "c17"; sampler = Protocol.Kle; r = None; seed = 0;
-            n; batch = None; full = false };
-    }
-  in
-  Alcotest.(check string) "n = 0 rejected"
-    (Protocol.error_code_name Protocol.Bad_params)
-    (code_of (payload_of (run_mc 0)))
+  check "n = 0 rejected" Protocol.Bad_params
+    (body_of `Binary
+       (Protocol.encode_request
+          (request
+             (Protocol.Run_mc
+                { circuit = Protocol.Named "c17"; sampler = Protocol.Kle; r = None; seed = 0;
+                  n = 0; batch = None; full = false }))))
 
-let test_wire_response_roundtrip () =
-  let payload =
-    Jsonx.Obj
-      [
-        ("worst_mean", Jsonx.Num 1.5);
-        ("endpoint_mean", Jsonx.List [ Jsonx.Num 0.25; Jsonx.Num 2.0 ]);
-      ]
+(* requests that fail fast once decoded (no circuit resolves, none shuts
+   the server down), so a mutant that still decodes costs one typed
+   netlist error, not an analysis *)
+let mutation_bases =
+  let request ?req_id ?deadline_ms id call = { Protocol.id; req_id; deadline_ms; call } in
+  List.map Protocol.encode_request
+    [
+      request ~req_id:"adv-1" (Jsonx.Num 1.0) Protocol.Stats;
+      request ~deadline_ms:5000.0 (Jsonx.Str "h") Protocol.Health;
+      request ~req_id:"adv-3" (Jsonx.Num 3.0)
+        (Protocol.Run_mc
+           { circuit = Protocol.Named "no-such-circuit"; sampler = Protocol.Kle; r = Some 4;
+             seed = 7; n = 16; batch = None; full = true });
+      request (Jsonx.Num 4.0)
+        (Protocol.Compare
+           { circuit = Protocol.Named "no-such-circuit"; r = None; seed = -3; n = 8 });
+      request ~req_id:"adv-5" (Jsonx.Num 5.0)
+        (Protocol.Retime
+           { circuit = Protocol.Bench_text "what is this line\n"; r = None; n_blocks = Some 2;
+             edit = Some { Protocol.gate = 1; kind = "inv" } });
+    ]
+
+(* random bytes, or a truncation or single-bit flip of a valid message on
+   the wire at hand *)
+let gen_mutant =
+  let base = G.int_bound (List.length mutation_bases - 1) in
+  G.oneof
+    [
+      G.map (fun s -> `Raw s) (G.string_size (G.int_bound 48));
+      G.map2 (fun b k -> `Truncate (b, k)) base G.nat;
+      G.map3 (fun b pos bit -> `Flip (b, pos, bit)) base G.nat (G.int_bound 7);
+    ]
+
+let mutate wire = function
+  | `Raw s -> s
+  | `Truncate (b, k) ->
+      let s = body_of wire (List.nth mutation_bases b) in
+      String.sub s 0 (k mod String.length s)
+  | `Flip (b, pos, bit) ->
+      let s = Bytes.of_string (body_of wire (List.nth mutation_bases b)) in
+      let i = pos mod Bytes.length s in
+      Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor (1 lsl bit)));
+      Bytes.to_string s
+
+let print_mutant = function
+  | `Raw s -> Printf.sprintf "raw %S" s
+  | `Truncate (b, k) -> Printf.sprintf "truncate base %d at %d" b k
+  | `Flip (b, pos, bit) -> Printf.sprintf "flip base %d byte %d bit %d" b pos bit
+
+(* every submission, on either wire, draws exactly one well-formed reply —
+   a typed error or an ok — and no exception escapes [submit_wire] *)
+let test_wire_adversarial_submissions () =
+  let server = Server.create test_config in
+  let counters = ref [] in
+  let submit wire body =
+    let count = Atomic.make 0 and first = Atomic.make None in
+    counters := count :: !counters;
+    Server.submit_wire server ~wire body ~reply:(fun r ->
+        if Atomic.fetch_and_add count 1 = 0 then Atomic.set first (Some r));
+    let rec wait tries =
+      match Atomic.get first with
+      | Some r -> r
+      | None when tries = 0 -> Alcotest.failf "no reply to %S" body
+      | None ->
+          Thread.delay 0.002;
+          wait (tries - 1)
+    in
+    let reply = reply_tree wire (wait 15_000) in
+    match Protocol.decode_response reply with
+    | Ok (_, _, Ok _) -> true
+    | Ok (_, _, Error _) ->
+        Option.bind (error_member "code" reply) Protocol.error_code_of_name <> None
+    | Error _ -> false
   in
-  (match Wire.unframe (Wire.ok_response ~id:(Jsonx.Num 3.0) payload) with
-  | Ok p -> (
-      match Wire.decode_response p with
-      | Ok (Jsonx.Num 3.0, None, Ok back) ->
-          Alcotest.(check string) "ok payload" (Jsonx.to_string payload)
-            (Jsonx.to_string back)
-      | _ -> Alcotest.fail "ok response decode")
-  | Error _ -> Alcotest.fail "ok response unframe");
-  (match
-     Wire.unframe
-       (Wire.ok_response ~id:(Jsonx.Num 4.0) ~req_id:"cli-1-2" payload)
-   with
-  | Ok p -> (
-      match Wire.decode_response p with
-      | Ok (Jsonx.Num 4.0, Some "cli-1-2", Ok _) -> ()
-      | _ -> Alcotest.fail "ok response with req_id decode")
-  | Error _ -> Alcotest.fail "ok response with req_id unframe");
-  (match
-     Wire.unframe (Wire.error_response ~id:(Jsonx.Str "a") Protocol.Overloaded "queue full")
-   with
-  | Ok p -> (
-      match Wire.decode_response p with
-      | Ok (Jsonx.Str "a", None, Error (Protocol.Overloaded, "queue full")) -> ()
-      | _ -> Alcotest.fail "error response decode")
-  | Error _ -> Alcotest.fail "error response unframe");
-  match Wire.decode_response "\xee" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage response accepted"
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 16 |])
+    (QCheck.Test.make ~name:"adversarial submissions" ~count:250
+       (QCheck.make ~print:print_mutant gen_mutant)
+       (fun mutant -> List.for_all (fun wire -> submit wire (mutate wire mutant)) wires));
+  Server.drain server;
+  Alcotest.(check int) "submissions" 500 (List.length !counters);
+  Alcotest.(check (list int)) "exactly one reply each"
+    (List.map (fun _ -> 1) !counters)
+    (List.map Atomic.get !counters)
 
 (* ---------- cross-wire / cross-shard helpers ---------- *)
 
@@ -1124,36 +1363,18 @@ let mc_stat_bits payload =
   (bits "worst_mean", bits "worst_sigma", vec "endpoint_mean", vec "endpoint_sigma")
 
 let sync_call_binary server request =
-  let payload =
-    match Wire.unframe (Wire.encode_request request) with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail "self-frame failed"
-  in
-  let m = Mutex.create () and c = Condition.create () in
-  let slot = ref None in
-  Server.submit_wire server ~wire:`Binary payload ~reply:(fun r ->
-      Mutex.protect m (fun () ->
-          slot := Some r;
-          Condition.signal c));
-  let frame =
-    Mutex.protect m (fun () ->
-        while !slot = None do
-          Condition.wait c m
-        done;
-        Option.get !slot)
-  in
-  match Wire.unframe frame with
-  | Error _ -> Alcotest.fail "binary reply is not a frame"
-  | Ok p -> (
-      match Wire.decode_response p with
-      | Error msg -> Alcotest.failf "binary reply decode: %s" msg
-      | Ok (id, _req_id, result) -> (id, result))
+  match
+    Protocol.decode_response
+      (sync_submit server `Binary (body_of `Binary (Protocol.encode_request request)))
+  with
+  | Ok reply -> reply
+  | Error msg -> Alcotest.failf "binary reply decode: %s" msg
 
 let test_wire_cross_identity () =
   with_server @@ fun server ->
   let request = mc_request ~full:true () in
-  let json_payload = expect_ok (sync_call server (Protocol.encode_request request)) in
-  let id, result = sync_call_binary server request in
+  let json_payload = expect_ok (sync_call server (json_line request)) in
+  let id, _, result = sync_call_binary server request in
   Alcotest.(check bool) "id echoed" true (id = Jsonx.Num 1.0);
   let binary_payload =
     match result with
@@ -1167,7 +1388,7 @@ let test_wire_cross_identity () =
   Alcotest.(check bool) "bit-identical statistics across wires" true
     (mc_stat_bits json_payload = mc_stat_bits binary_payload);
   (* typed errors survive the binary wire too *)
-  let _, err =
+  let _, _, err =
     sync_call_binary server
       {
         Protocol.id = Jsonx.Num 9.0;
@@ -1194,7 +1415,7 @@ let test_server_concurrent_same_key_identity () =
     with_server @@ fun plain ->
     List.map
       (fun s ->
-        mc_stat_bits (expect_ok (sync_call plain (Protocol.encode_request (request s)))))
+        mc_stat_bits (expect_ok (sync_call plain (json_line (request s)))))
       seeds
   in
   with_server @@ fun server ->
@@ -1202,7 +1423,7 @@ let test_server_concurrent_same_key_identity () =
   let replies = Hashtbl.create 8 in
   List.iter
     (fun seed ->
-      Server.submit server (Protocol.encode_request (request seed)) ~reply:(fun line ->
+      Server.submit server (json_line (request seed)) ~reply:(fun line ->
           Mutex.protect m (fun () ->
               Hashtbl.replace replies seed line;
               Condition.signal c)))
@@ -1285,7 +1506,7 @@ let test_router_cross_shard_identity () =
         Router.backend_of_server ~describe:"shard-1" s2;
       ]
   in
-  let line = Protocol.encode_request (mc_request ~full:true ()) in
+  let line = json_line (mc_request ~full:true ()) in
   let want = mc_stat_bits (expect_ok (sync_call direct line)) in
   let got = mc_stat_bits (expect_ok (sync_router_call router line)) in
   Alcotest.(check bool) "bit-identical through the router" true (got = want);
@@ -1313,7 +1534,7 @@ let test_router_cross_shard_identity () =
 
 let test_router_shed_and_failover () =
   let request = mc_request () in
-  let line = Protocol.encode_request request in
+  let line = json_line request in
   let key = Option.get (Router.routing_key request) in
   (* failover: the key's owner is unhealthy, so its replica serves *)
   let down = [| false; false |] in
@@ -1549,69 +1770,17 @@ let test_server_req_id_echo_json () =
   Alcotest.(check (option string)) "echo on error" (Some "cli-aa-3")
     (Option.bind (Jsonx.member "req_id" (reply_json reply)) Jsonx.as_str)
 
-let sync_call_binary_full server request =
-  let payload =
-    match Wire.unframe (Wire.encode_request request) with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail "self-frame failed"
-  in
-  let m = Mutex.create () and c = Condition.create () in
-  let slot = ref None in
-  Server.submit_wire server ~wire:`Binary payload ~reply:(fun r ->
-      Mutex.protect m (fun () ->
-          slot := Some r;
-          Condition.signal c));
-  let frame =
-    Mutex.protect m (fun () ->
-        while !slot = None do
-          Condition.wait c m
-        done;
-        Option.get !slot)
-  in
-  match Wire.unframe frame with
-  | Error _ -> Alcotest.fail "binary reply is not a frame"
-  | Ok p -> (
-      match Wire.decode_response p with
-      | Error msg -> Alcotest.failf "binary reply decode: %s" msg
-      | Ok triple -> triple)
-
 let test_server_req_id_echo_binary () =
   with_server @@ fun server ->
-  (match sync_call_binary_full server (mc_request ~req_id:"cli-bb-1" ()) with
+  (match sync_call_binary server (mc_request ~req_id:"cli-bb-1" ()) with
   | _, Some "cli-bb-1", Ok _ -> ()
   | _, got, _ ->
       Alcotest.failf "binary echo: %s" (Option.value ~default:"<none>" got));
-  match sync_call_binary_full server (mc_request ~id:2.0 ()) with
+  match sync_call_binary server (mc_request ~id:2.0 ()) with
   | _, None, Ok _ -> ()
   | _, Some got, _ -> Alcotest.failf "unexpected binary echo %S" got
   | _, None, Error (code, msg) ->
       Alcotest.failf "binary call failed: %s %s" (Protocol.error_code_name code) msg
-
-let test_wire_v1_compat () =
-  (* writers emit the base version when there is no req_id to carry, so
-     replies to old clients are byte-compatible; the trailing section only
-     appears (as version 2) when a correlation ID is present *)
-  let v1 = Wire.ok_response ~id:(Jsonx.Num 1.0) (Jsonx.Obj []) in
-  Alcotest.(check char) "v1 when no req_id" '\x01' v1.[2];
-  let v2 = Wire.ok_response ~id:(Jsonx.Num 1.0) ~req_id:"x" (Jsonx.Obj []) in
-  Alcotest.(check char) "v2 with req_id" '\x02' v2.[2];
-  (match Wire.unframe v1 with
-  | Ok p -> (
-      match Wire.decode_response p with
-      | Ok (_, None, Ok _) -> ()
-      | _ -> Alcotest.fail "v1 response decode")
-  | Error _ -> Alcotest.fail "v1 unframe");
-  let r1 = Wire.encode_request (mc_request ()) in
-  Alcotest.(check char) "request v1 without req_id" '\x01' r1.[2];
-  let r2 = Wire.encode_request (mc_request ~req_id:"cli-1-1" ()) in
-  Alcotest.(check char) "request v2 with req_id" '\x02' r2.[2];
-  (* a v1 request payload (no trailing section) decodes with req_id None *)
-  match Wire.unframe r1 with
-  | Ok p -> (
-      match Wire.decode_request p with
-      | Ok { req_id = None; _ } -> ()
-      | _ -> Alcotest.fail "v1 request decode")
-  | Error _ -> Alcotest.fail "v1 request unframe"
 
 let test_client_generates_req_id () =
   with_server @@ fun server ->
@@ -1734,7 +1903,7 @@ let test_server_batch_wait_recorded () =
   let request seed = mc_request ~id:(float_of_int seed) ~seed () in
   List.iter
     (fun seed ->
-      Server.submit server (Protocol.encode_request (request seed)) ~reply:(fun line ->
+      Server.submit server (json_line (request seed)) ~reply:(fun line ->
           ignore (expect_ok line);
           Mutex.protect m (fun () ->
               incr got;
@@ -1820,6 +1989,7 @@ let () =
           Alcotest.test_case "responses" `Quick test_protocol_responses;
           Alcotest.test_case "unknown params key is typed" `Quick
             test_protocol_unknown_param_key;
+          Alcotest.test_case "seed range" `Quick test_protocol_seed_range;
         ] );
       ( "wire",
         [
@@ -1828,9 +1998,11 @@ let () =
           Alcotest.test_case "read_frame" `Quick test_wire_read_frame;
           Alcotest.test_case "jsonx codec" `Quick test_wire_jsonx_codec;
           Alcotest.test_case "jsonx adversarial" `Quick test_wire_jsonx_adversarial;
-          Alcotest.test_case "request roundtrip" `Quick test_wire_request_roundtrip;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 16 |])
+            prop_request_roundtrip;
           Alcotest.test_case "request adversarial" `Quick test_wire_request_adversarial;
-          Alcotest.test_case "response roundtrip" `Quick test_wire_response_roundtrip;
+          Alcotest.test_case "adversarial submissions" `Quick
+            test_wire_adversarial_submissions;
           Alcotest.test_case "cross-wire bit identity" `Quick test_wire_cross_identity;
           Alcotest.test_case "client binary wire" `Quick test_client_binary_wire;
         ] );
@@ -1876,7 +2048,6 @@ let () =
           Alcotest.test_case "req_id echo (json)" `Quick test_server_req_id_echo_json;
           Alcotest.test_case "req_id echo (binary)" `Quick
             test_server_req_id_echo_binary;
-          Alcotest.test_case "wire v1 compatibility" `Quick test_wire_v1_compat;
           Alcotest.test_case "client generates req_id" `Quick
             test_client_generates_req_id;
           Alcotest.test_case "metrics method" `Quick test_server_metrics_method;
