@@ -1196,19 +1196,25 @@ let carried_on_both_wires tree =
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"request roundtrip" ~count:300
     (QCheck.make
-       ~print:(fun (request, _) -> Jsonx.to_string (Protocol.encode_request request))
-       (G.pair gen_request gen_result))
-    (fun (request, result) ->
-      let { Protocol.id; req_id; _ } = request in
+       ~print:(fun request -> Jsonx.to_string (Protocol.encode_request request))
+       gen_request)
+    (fun request ->
       let tree = Protocol.encode_request request in
-      let response =
-        match result with
-        | Ok payload -> Protocol.ok_response ~id ?req_id payload
-        | Error (code, message, field) -> Protocol.error_response ~id ?req_id ?field code message
-      in
-      carried_on_both_wires tree
-      && Protocol.decode_request tree = Ok request
-      && carried_on_both_wires response
+      carried_on_both_wires tree && Protocol.decode_request tree = Ok request)
+
+let response_of (id, req_id, result) =
+  match result with
+  | Ok payload -> Protocol.ok_response ~id ?req_id payload
+  | Error (code, message, field) -> Protocol.error_response ~id ?req_id ?field code message
+
+let prop_response_roundtrip =
+  QCheck.Test.make ~name:"response roundtrip" ~count:300
+    (QCheck.make
+       ~print:(fun reply -> Jsonx.to_string (response_of reply))
+       (G.triple gen_jsonx (G.opt gen_text) gen_result))
+    (fun ((id, req_id, result) as reply) ->
+      let response = response_of reply in
+      carried_on_both_wires response
       && Protocol.decode_response response
          = Ok (id, req_id, Result.map_error (fun (code, message, _) -> (code, message)) result))
 
@@ -2000,6 +2006,8 @@ let () =
           Alcotest.test_case "jsonx adversarial" `Quick test_wire_jsonx_adversarial;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 16 |])
             prop_request_roundtrip;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 17 |])
+            prop_response_roundtrip;
           Alcotest.test_case "request adversarial" `Quick test_wire_request_adversarial;
           Alcotest.test_case "adversarial submissions" `Quick
             test_wire_adversarial_submissions;
