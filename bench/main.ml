@@ -1208,15 +1208,14 @@ let smoke () =
    Phase 1 (store): cold vs. warm prepare latency through the persistent
    model store — unchanged from the original serving bench.
 
-   Phase 2 (wire/shard sweep): payload-heavy run_mc traffic (an inline
-   bench circuit with many endpoints, [full] per-endpoint statistics in
-   every response) swept over {json, binary} wire x {1, 2} shards x a
-   rising concurrency ladder, reporting p50/p99/p999 latency and
-   saturation throughput per configuration. The same fixed reference
-   request is answered once per configuration and compared bit-for-bit:
-   responses must be identical across wires and shard counts, or the
-   bench exits non-zero. All in-process against Serve.Server /
-   Serve.Router — the same engines bin/ssta_serve.exe exposes. *)
+   Phase 2 (wire sweep): payload-heavy run_mc traffic (an inline bench
+   circuit with many endpoints, [full] per-endpoint statistics in every
+   response) swept over {json, binary} wire x a rising concurrency
+   ladder, reporting p50/p99/p999 latency and saturation throughput per
+   wire. The same fixed reference request is answered once per wire and
+   compared bit-for-bit: responses must be identical across wires, or the
+   bench exits non-zero. All in-process against Serve.Server — the same
+   engine bin/ssta_serve.exe exposes. *)
 let serve_bench () =
   header "Serving: persistent KLE model store + concurrent analysis server";
   let c0 = Util.Trace.counters () in
@@ -1270,7 +1269,7 @@ let serve_bench () =
     ~stages:[ ("prepare_cold", cold_s); ("prepare_warm", warm_s) ]
     ~counters:(counters_since c0)
     ~wall_s:(cold_s +. warm_s);
-  (* ---- wire/shard sweep ------------------------------------------- *)
+  (* ---- wire sweep ------------------------------------------------- *)
   (* a generated netlist with many endpoints, so [full] responses carry
      two per-endpoint float arrays — the payload-heavy shape the binary
      wire exists for *)
@@ -1291,11 +1290,10 @@ let serve_bench () =
     done;
     Buffer.contents b
   in
-  (* the load spreads over several distinct model-spec keys so a multi-shard
-     router actually fans out (one key would pin every request to its owning
-     shard — shed-not-spread by design). The variants differ only by a
-     comment line the parser strips, so every response stays bit-comparable
-     to one reference while hashing to a different key *)
+  (* the load cycles over four model-spec keys, as every committed sweep
+     row was measured. The variants differ only by a comment line the
+     parser strips, so every response stays bit-comparable to one
+     reference while keying a different cache entry *)
   let key_variants = 4 in
   let variant_text k =
     if k = 0 then bench_text else Printf.sprintf "%s# key variant %d\n" bench_text k
@@ -1320,7 +1318,7 @@ let serve_bench () =
     }
   in
   (* the sweep's serving config: a coarse mesh (the serving layers under
-     test are wire and routing — not the eigensolver), shared store *)
+     test are the wires — not the eigensolver), shared store *)
   let sweep_config =
     {
       config with
@@ -1346,62 +1344,20 @@ let serve_bench () =
   let reference = ref None in
   let saturation = ref [] in
   List.iter
-    (fun (wire_name, wire, shards) ->
-      (* fresh servers per configuration (clean memory tiers); the store
-         stays warm after the first configuration's first request *)
-      let servers, submit, shutdown =
-        if shards = 1 then begin
-          let server = Serve.Server.create sweep_config in
-          ( [ server ],
-            (fun ~wire payload ~reply ->
-              Serve.Server.submit_wire server ~wire payload ~reply),
-            fun () -> Serve.Server.drain server )
-        end
-        else begin
-          let servers = List.init shards (fun _ -> Serve.Server.create sweep_config) in
-          let backends =
-            List.mapi
-              (fun i s ->
-                Serve.Router.backend_of_server
-                  ~describe:(Printf.sprintf "shard-%d" i) s)
-              servers
-          in
-          let router = Serve.Router.create backends in
-          ( servers,
-            (fun ~wire payload ~reply -> Serve.Router.submit router ~wire payload ~reply),
-            fun () -> List.iter Serve.Server.drain servers )
-        end
-      in
-      (* server-side view of one sweep row: merge the named stage histogram
-         across every shard's telemetry (the cross-shard merge the router's
-         [metrics] method performs, done here directly) *)
-      let server_stage_hist stage =
-        let merged = Util.Histogram.create () in
-        List.iter
-          (fun s ->
-            Util.Histogram.merge_into ~dst:merged
-              (Serve.Telemetry.stage_histogram (Serve.Server.telemetry s) stage))
-          servers;
-        merged
-      in
-      let server_total_hist () =
-        let merged = Util.Histogram.create () in
-        List.iter
-          (fun s ->
-            Util.Histogram.merge_into ~dst:merged
-              (Serve.Telemetry.total_histogram (Serve.Server.telemetry s)))
-          servers;
-        merged
-      in
+    (fun (wire_name, wire) ->
+      (* a fresh server per wire (clean memory tier); the store stays warm
+         after the first wire's first request *)
+      let server = Serve.Server.create sweep_config in
+      let telemetry = Serve.Server.telemetry server in
       let hist_quantile_s h p = float_of_int (Util.Histogram.quantile h p) /. 1e9 in
       (* a client transport carries a whole message: a JSON line, or a full
-         binary frame whose header Server/Router.submit does not expect *)
+         binary frame whose header Server.submit_wire does not expect *)
       let transport message ~reply =
         match wire with
-        | `Json -> submit ~wire:`Json message ~reply
+        | `Json -> Serve.Server.submit_wire server ~wire:`Json message ~reply
         | `Binary -> (
             match Serve.Wire.unframe message with
-            | Ok payload -> submit ~wire:`Binary payload ~reply
+            | Ok payload -> Serve.Server.submit_wire server ~wire:`Binary payload ~reply
             | Error _ -> pf "FAIL: client emitted an unframeable request\n"; exit 1)
       in
       let client =
@@ -1411,17 +1367,15 @@ let serve_bench () =
           ~wire transport
       in
       (* warm every key variant (cache tiers, sampler artifacts), then take a
-         bit-identity reference probe per key: all variants, wires and shard
-         counts must agree on every bit *)
+         bit-identity reference probe per key: all variants on both wires
+         must agree on every bit *)
       for variant = 0 to key_variants - 1 do
         (match
            Serve.Client.call_request client (mc_request ~id:variant ~variant ~seed:opts.seed)
          with
         | Ok _ -> ()
         | Error f ->
-            pf "FAIL: warmup (%s, %d shard%s): %s\n" wire_name shards
-              (if shards = 1 then "" else "s")
-              (Serve.Client.failure_to_string f);
+            pf "FAIL: warmup (%s wire): %s\n" wire_name (Serve.Client.failure_to_string f);
             exit 1);
         match
           Serve.Client.call_request client
@@ -1437,9 +1391,9 @@ let serve_bench () =
             | Some want when want = bits -> ()
             | Some _ ->
                 pf
-                  "FAIL: WRONG RESULT — response over %s wire with %d shard(s) (key \
-                   variant %d) is not bit-identical to the reference\n"
-                  wire_name shards variant;
+                  "FAIL: WRONG RESULT — response over %s wire (key variant %d) is not \
+                   bit-identical to the reference\n"
+                  wire_name variant;
                 exit 1)
       done;
       let best_rps = ref 0.0 in
@@ -1448,7 +1402,7 @@ let serve_bench () =
           let n_requests = 8 * concurrency in
           (* each row starts from clean server-side histograms, so the
              scraped quantiles describe exactly this row's requests *)
-          List.iter (fun s -> Serve.Telemetry.reset (Serve.Server.telemetry s)) servers;
+          Serve.Telemetry.reset telemetry;
           let failures = Atomic.make 0 in
           let latencies = Array.make n_requests nan in
           let t_all = Util.Timer.start () in
@@ -1471,8 +1425,8 @@ let serve_bench () =
           List.iter Thread.join threads;
           let total_s = Util.Timer.elapsed_s t_all in
           if Atomic.get failures > 0 then begin
-            pf "FAIL: %d serve requests errored (%s wire, %d shard(s), concurrency %d)\n"
-              (Atomic.get failures) wire_name shards concurrency;
+            pf "FAIL: %d serve requests errored (%s wire, concurrency %d)\n"
+              (Atomic.get failures) wire_name concurrency;
             exit 1
           end;
           let sorted = Array.copy latencies in
@@ -1487,14 +1441,14 @@ let serve_bench () =
           (* scrape the server-side histograms for this row and compare with
              the client-observed latencies: the delta is time spent outside
              the server proper (client queueing, wire encode/decode) *)
-          let total_h = server_total_hist () in
-          let queue_h = server_stage_hist Serve.Telemetry.Queue_wait in
+          let total_h = Serve.Telemetry.total_histogram telemetry in
+          let queue_h = Serve.Telemetry.stage_histogram telemetry Serve.Telemetry.Queue_wait in
           let srv_p50 = hist_quantile_s total_h 0.5 in
           let srv_p99 = hist_quantile_s total_h 0.99 in
           pf
-            "%-6s wire, %d shard(s), concurrency %2d: %3d reqs in %6.2fs — %6.1f req/s, \
+            "%-6s wire, concurrency %2d: %3d reqs in %6.2fs — %6.1f req/s, \
              p50 %.4fs p99 %.4fs p99.9 %.4fs\n"
-            wire_name shards concurrency n_requests total_s rps (pct 50.) (pct 99.)
+            wire_name concurrency n_requests total_s rps (pct 50.) (pct 99.)
             (pct 99.9);
           pf
             "       server-side: p50 %.4fs p99 %.4fs, queue_wait p99 %.4fs, \
@@ -1505,7 +1459,6 @@ let serve_bench () =
           emit "serve-load"
             ~params:
               [ ("wire", J.Str wire_name);
-                ("shards", Bench_json.int shards);
                 ("concurrency", Bench_json.int concurrency);
                 ("requests", Bench_json.int n_requests);
                 ("endpoints", Bench_json.int 96);
@@ -1519,17 +1472,14 @@ let serve_bench () =
                 ("throughput_rps", rps) ]
             ~samples:n_mc ~wall_s:total_s)
         [ 1; 4; 12 ];
-      saturation := (wire_name, shards, !best_rps) :: !saturation;
-      shutdown ())
-    [ ("json", `Json, 1); ("binary", `Binary, 1); ("json", `Json, 2); ("binary", `Binary, 2) ];
+      saturation := (wire_name, !best_rps) :: !saturation;
+      Serve.Server.drain server)
+    [ ("json", `Json); ("binary", `Binary) ];
   List.iter
-    (fun (wire_name, shards, rps) ->
-      pf "saturation: %s wire, %d shard(s): %.1f req/s\n" wire_name shards rps;
+    (fun (wire_name, rps) ->
+      pf "saturation: %s wire: %.1f req/s\n" wire_name rps;
       emit_meta "serve-saturation"
-        ~params:
-          [ ("wire", J.Str wire_name);
-            ("shards", Bench_json.int shards);
-            ("throughput_rps", J.Num rps) ])
+        ~params:[ ("wire", J.Str wire_name); ("throughput_rps", J.Num rps) ])
     (List.rev !saturation);
   (* telemetry overhead: the same steady-state load with recording on vs.
      off (histograms, ring admission and counters all gated by one flag);
@@ -1595,7 +1545,7 @@ let serve_bench () =
       [ ("rps_on", J.Num rps_on);
         ("rps_off", J.Num rps_off);
         ("overhead_pct", J.Num overhead_pct) ];
-  pf "bit-identity: responses identical across both wires and shard counts\n";
+  pf "bit-identity: responses identical across both wires\n";
   (* leave no bench droppings in TMPDIR *)
   (try
      Array.iter (fun f -> Sys.remove (Filename.concat store_dir f)) (Sys.readdir store_dir);
@@ -1725,50 +1675,38 @@ let retime_bench ~quick () =
    typed, recovery to healthy). Exits non-zero on any violation. *)
 let chaos_bench () =
   header "Chaos: fault-injected serving (supervision, store faults, recovery)";
-  (* two storms with the same invariants: direct against one server, then
-     through the consistent-hash router over two fault-injected shards
-     (with shard-connection blackouts driving replica failover on top) *)
-  let storm label cfg =
-    let c0 = Util.Trace.counters () in
-    let store_dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "kle-chaos-bench-%s.%d" label (Unix.getpid ()))
-    in
-    let report, wall_s =
-      Util.Timer.time (fun () ->
-          Serve.Chaos.run ~log:(fun s -> pf "%s\n" s) ~store_dir cfg)
-    in
-    pf "[%s] %s\n" label (Serve.Chaos.report_to_string report);
-    emit
-      (if cfg.Serve.Chaos.router_shards > 0 then "chaos-router" else "chaos")
-      ~params:
-        [ ("requests", Bench_json.int report.Serve.Chaos.requests);
-          ("workers", Bench_json.int cfg.Serve.Chaos.workers);
-          ("router_shards", Bench_json.int cfg.Serve.Chaos.router_shards) ]
-      ~counters:
-        (counters_since c0
-        @ List.map
-            (fun f ->
-              ("fault_" ^ f.Serve.Chaos.fault, f.Serve.Chaos.fired))
-            report.Serve.Chaos.fault_counts
-        @ [ ("worker_restarts", report.Serve.Chaos.worker_restarts);
-            ("quarantined", report.Serve.Chaos.quarantined);
-            ("typed_errors", report.Serve.Chaos.typed_errors) ])
-      ~samples:cfg.Serve.Chaos.mc_samples ~wall_s;
-    (try
-       Array.iter (fun f -> Sys.remove (Filename.concat store_dir f)) (Sys.readdir store_dir);
-       Unix.rmdir store_dir
-     with Sys_error _ | Unix.Unix_error _ -> ());
-    match Serve.Chaos.violations report with
-    | [] -> pf "chaos (%s) OK\n" label
-    | viols ->
-        List.iter (fun v -> pf "CHAOS VIOLATION (%s): %s\n" label v) viols;
-        exit 1
+  let cfg = Serve.Chaos.default_config in
+  let c0 = Util.Trace.counters () in
+  let store_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kle-chaos-bench.%d" (Unix.getpid ()))
   in
-  storm "direct" Serve.Chaos.default_config;
-  storm "router"
-    { Serve.Chaos.default_config with Serve.Chaos.router_shards = 2 };
-  pf "chaos OK\n"
+  let report, wall_s =
+    Util.Timer.time (fun () -> Serve.Chaos.run ~log:(fun s -> pf "%s\n" s) ~store_dir cfg)
+  in
+  pf "%s\n" (Serve.Chaos.report_to_string report);
+  emit "chaos"
+    ~params:
+      [ ("requests", Bench_json.int report.Serve.Chaos.requests);
+        ("workers", Bench_json.int cfg.Serve.Chaos.workers) ]
+    ~counters:
+      (counters_since c0
+      @ List.map
+          (fun f -> ("fault_" ^ f.Serve.Chaos.fault, f.Serve.Chaos.fired))
+          report.Serve.Chaos.fault_counts
+      @ [ ("worker_restarts", report.Serve.Chaos.worker_restarts);
+          ("quarantined", report.Serve.Chaos.quarantined);
+          ("typed_errors", report.Serve.Chaos.typed_errors) ])
+    ~samples:cfg.Serve.Chaos.mc_samples ~wall_s;
+  (try
+     Array.iter (fun f -> Sys.remove (Filename.concat store_dir f)) (Sys.readdir store_dir);
+     Unix.rmdir store_dir
+   with Sys_error _ | Unix.Unix_error _ -> ());
+  match Serve.Chaos.violations report with
+  | [] -> pf "chaos OK\n"
+  | viols ->
+      List.iter (fun v -> pf "CHAOS VIOLATION: %s\n" v) viols;
+      exit 1
 
 let all () =
   fig1 ();

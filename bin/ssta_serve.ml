@@ -6,8 +6,6 @@
    Examples:
      ssta_serve --store /tmp/kle-store            # serve stdin/stdout
      ssta_serve --socket /tmp/ssta.sock &         # daemon on a socket
-     ssta_serve --socket /tmp/ssta.sock --router 4 &
-                                                  # shard across 4 processes
      ssta_serve --client /tmp/ssta.sock           # pipe stdin lines to it
      ssta_serve --client /tmp/ssta.sock --binary  # same, binary wire
      echo '{"id":1,"method":"stats"}' | ssta_serve
@@ -20,12 +18,6 @@
      {"id":4,"method":"stats"}
      {"id":5,"method":"health"}
      {"id":6,"method":"shutdown"}
-
-   Router mode (--router N): this process becomes a consistent-hash front
-   for N shard subprocesses (each a plain ssta_serve on <socket>.shard-<i>,
-   all sharing one --store). Shards are supervised — a crashed shard is
-   respawned with capped backoff and is unhealthy (candidates fail over to
-   the next ring replica) while down.
 
    Maintenance:
      ssta_serve --fsck DIR            # verify the store, report problems
@@ -52,24 +44,17 @@ let message_writer wire oc =
         output_string oc terminator;
         flush oc)
 
-(* what a connection handler needs from the thing it fronts — a single
-   Serve.Server or a Serve.Router over shard processes *)
-type frontend = {
-  fsubmit : wire:[ `Json | `Binary ] -> string -> reply:(string -> unit) -> unit;
-  fstop : unit -> bool;  (* shutdown requested: stop reading *)
-}
-
 (* one connection, either wire: sniff the first byte. 0xB5 (Wire.magic0)
    never begins a JSON-lines request, so it commits the connection to the
    binary wire; anything else starts the first JSON line. *)
-let serve_stream fe ic oc =
+let serve_stream server ic oc =
   match input_char ic with
   | exception (End_of_file | Sys_error _) -> ()
   | first when first = Serve.Wire.magic0 ->
       let reply = message_writer `Binary oc in
       let magic_consumed = ref true in
       (try
-         while not (fe.fstop ()) do
+         while not (Serve.Server.shutdown_requested server) do
            match Serve.Wire.read_frame ~magic_consumed:!magic_consumed ic with
            | Error `Eof -> raise End_of_file
            | Error (`Corrupt msg) ->
@@ -82,7 +67,7 @@ let serve_stream fe ic oc =
                raise End_of_file
            | Ok payload ->
                magic_consumed := false;
-               fe.fsubmit ~wire:`Binary payload ~reply
+               Serve.Server.submit_wire server ~wire:`Binary payload ~reply
          done
        with End_of_file | Sys_error _ -> ())
   | first ->
@@ -99,13 +84,14 @@ let serve_stream fe ic oc =
         | None -> input_line ic
       in
       (try
-         while not (fe.fstop ()) do
+         while not (Serve.Server.shutdown_requested server) do
            let line = next_line () in
-           if String.trim line <> "" then fe.fsubmit ~wire:`Json line ~reply
+           if String.trim line <> "" then
+             Serve.Server.submit_wire server ~wire:`Json line ~reply
          done
        with End_of_file | Sys_error _ -> ())
 
-let serve_channels fe ~drain ic oc =
+let serve_channels server ic oc =
   let reader_done = Atomic.make false in
   (* a shutdown request is executed on a worker domain while this thread
      blocks reading; closing the input fd is what unblocks it (the read
@@ -113,7 +99,7 @@ let serve_channels fe ~drain ic oc =
   let watcher =
     Thread.create
       (fun () ->
-        while not (Atomic.get reader_done || fe.fstop ()) do
+        while not (Atomic.get reader_done || Serve.Server.shutdown_requested server) do
           Thread.delay 0.1
         done;
         if not (Atomic.get reader_done) then
@@ -121,9 +107,9 @@ let serve_channels fe ~drain ic oc =
           with Unix.Unix_error _ | Sys_error _ -> ())
       ()
   in
-  serve_stream fe ic oc;
+  serve_stream server ic oc;
   Atomic.set reader_done true;
-  drain ();
+  Serve.Server.drain server;
   Thread.join watcher
 
 (* a connection's fd, with close/shutdown serialized so the drain-time
@@ -145,24 +131,24 @@ let conn_nudge c =
       if not c.closed then
         try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
 
-let serve_socket fe ~begin_drain ~drain path =
+let serve_socket server path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 16;
   Printf.printf "ssta_serve: listening on %s\n%!" path;
   (* one lightweight thread per connection reads messages; all execution
-     happens on the worker domains behind the frontend *)
+     happens on the server's worker domains *)
   let handle c =
     let ic = Unix.in_channel_of_descr c.fd in
     let oc = Unix.out_channel_of_descr c.fd in
-    serve_stream fe ic oc;
+    serve_stream server ic oc;
     conn_close c
   in
   let threads = ref [] in
   let conns = ref [] in
   (try
-     while not (fe.fstop ()) do
+     while not (Serve.Server.shutdown_requested server) do
        (* wake up periodically so a shutdown request also stops accept *)
        match Unix.select [ sock ] [] [] 0.2 with
        | [], _, _ -> ()
@@ -176,244 +162,13 @@ let serve_socket fe ~begin_drain ~drain path =
   (* stop intake first so late messages get typed shutting_down replies,
      then unblock handlers parked on idle connections so the join below
      terminates, then let queued work finish *)
-  begin_drain ();
+  Serve.Server.begin_drain server;
   List.iter conn_nudge !conns;
   List.iter Thread.join !threads;
-  drain ();
+  Serve.Server.drain server;
   List.iter conn_close !conns;
   (try Unix.close sock with Unix.Unix_error _ -> ());
   (try Unix.unlink path with Unix.Unix_error _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* router mode: shard subprocess supervision and binary connections *)
-
-let shard_socket_path base i = Printf.sprintf "%s.shard-%d" base i
-
-(* one live binary connection to a shard process. Requests multiplex over
-   it with rewritten integer ids; the original client id never leaves the
-   router (Router.submit re-attaches it when replying). *)
-type shard_link = {
-  lfd : Unix.file_descr;
-  loc : out_channel;
-  wlock : Mutex.t;
-  lpending :
-    (int, (Serve.Jsonx.t, Serve.Protocol.error_code * string) result -> unit) Hashtbl.t;
-  mutable lnext : int;
-}
-
-type shard = {
-  index : int;
-  spath : string;
-  argv : string array;
-  slock : Mutex.t;  (* guards link, pid and the link's pending table *)
-  mutable link : shard_link option;
-  mutable pid : int option;
-}
-
-(* raised from the backend's send so Router.submit fails over to the next
-   ring replica *)
-exception Shard_unavailable
-
-let shard_send shard request ~reply =
-  match Mutex.protect shard.slock (fun () -> shard.link) with
-  | None -> raise Shard_unavailable
-  | Some link -> (
-      let id =
-        Mutex.protect shard.slock (fun () ->
-            let id = link.lnext in
-            link.lnext <- id + 1;
-            Hashtbl.replace link.lpending id reply;
-            id)
-      in
-      let frame =
-        Serve.Wire.encode `Binary
-          (Serve.Protocol.encode_request
-             { request with Serve.Protocol.id = Serve.Jsonx.Num (float_of_int id) })
-      in
-      try
-        Mutex.protect link.wlock (fun () ->
-            output_string link.loc frame;
-            flush link.loc)
-      with Sys_error _ | Unix.Unix_error _ ->
-        Mutex.protect shard.slock (fun () -> Hashtbl.remove link.lpending id);
-        raise Shard_unavailable)
-
-let shard_reader shard link () =
-  let ic = Unix.in_channel_of_descr link.lfd in
-  (try
-     let stop = ref false in
-     while not !stop do
-       match Serve.Wire.read_frame ic with
-       | Error (`Eof | `Corrupt _) -> stop := true
-       | Ok payload -> (
-           match
-             Result.bind (Serve.Wire.decode `Binary payload) Serve.Protocol.decode_response
-           with
-           | Error _ -> ()  (* one bad payload; framing is still intact *)
-           | Ok (id_json, _req_id, result) -> (
-               let cb =
-                 Mutex.protect shard.slock (fun () ->
-                     match Serve.Jsonx.as_num id_json with
-                     | None -> None
-                     | Some f -> (
-                         let id = int_of_float f in
-                         match Hashtbl.find_opt link.lpending id with
-                         | Some cb ->
-                             Hashtbl.remove link.lpending id;
-                             Some cb
-                         | None -> None))
-               in
-               match cb with Some cb -> cb result | None -> ()))
-     done
-   with End_of_file | Sys_error _ -> ());
-  (* connection gone: everything in flight on it gets a typed error — the
-     client's retry policy owns any retry decision *)
-  let orphans =
-    Mutex.protect shard.slock (fun () ->
-        (match shard.link with Some l when l == link -> shard.link <- None | _ -> ());
-        let cbs = Hashtbl.fold (fun _ cb acc -> cb :: acc) link.lpending [] in
-        Hashtbl.reset link.lpending;
-        cbs)
-  in
-  List.iter
-    (fun cb -> cb (Error (Serve.Protocol.Internal_error, "shard connection lost")))
-    orphans
-
-let connect_shard spath ~attempts =
-  let rec go n =
-    if n >= attempts then None
-    else
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX spath) with
-      | () -> Some fd
-      | exception Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Thread.delay 0.05;
-          go (n + 1)
-  in
-  go 0
-
-(* spawn / connect / waitpid / restart-with-capped-backoff, until draining *)
-let supervise ~draining shard =
-  let backoff = ref 0.1 in
-  while not (Atomic.get draining) do
-    (try Unix.unlink shard.spath with Unix.Unix_error _ -> ());
-    match
-      Unix.create_process shard.argv.(0) shard.argv Unix.stdin Unix.stdout Unix.stderr
-    with
-    | exception Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "ssta_serve: shard %d spawn failed: %s\n%!" shard.index
-          (Unix.error_message e);
-        Thread.delay !backoff;
-        backoff := Float.min 2.0 (!backoff *. 2.0)
-    | pid ->
-        Mutex.protect shard.slock (fun () -> shard.pid <- Some pid);
-        (match connect_shard shard.spath ~attempts:200 with
-        | Some fd ->
-            let link =
-              {
-                lfd = fd;
-                loc = Unix.out_channel_of_descr fd;
-                wlock = Mutex.create ();
-                lpending = Hashtbl.create 16;
-                lnext = 0;
-              }
-            in
-            Mutex.protect shard.slock (fun () -> shard.link <- Some link);
-            ignore (Thread.create (shard_reader shard link) ());
-            backoff := 0.1
-        | None ->
-            Printf.eprintf "ssta_serve: shard %d did not come up on %s\n%!"
-              shard.index shard.spath);
-        let rec wait () =
-          match Unix.waitpid [] pid with
-          | _ -> ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-        in
-        wait ();
-        Mutex.protect shard.slock (fun () ->
-            shard.pid <- None;
-            match shard.link with
-            | Some l ->
-                shard.link <- None;
-                (try Unix.close l.lfd with Unix.Unix_error _ | Sys_error _ -> ())
-            | None -> ());
-        if not (Atomic.get draining) then begin
-          Printf.eprintf "ssta_serve: shard %d exited; restarting in %.1fs\n%!"
-            shard.index !backoff;
-          Thread.delay !backoff;
-          backoff := Float.min 2.0 (!backoff *. 2.0)
-        end
-  done
-
-let run_router ~path ~n_shards ~shard_argv =
-  let draining = Atomic.make false in
-  let shards =
-    List.init n_shards (fun i ->
-        {
-          index = i;
-          spath = shard_socket_path path i;
-          argv = shard_argv i;
-          slock = Mutex.create ();
-          link = None;
-          pid = None;
-        })
-  in
-  let sup_threads =
-    List.map (fun s -> Thread.create (fun () -> supervise ~draining s) ()) shards
-  in
-  let backends =
-    List.map
-      (fun s ->
-        {
-          Serve.Router.send = (fun request ~reply -> shard_send s request ~reply);
-          healthy = (fun () -> Mutex.protect s.slock (fun () -> Option.is_some s.link));
-          describe = Printf.sprintf "shard-%d" s.index;
-        })
-      shards
-  in
-  let rc = Serve.Router.default_config in
-  let rc = { rc with Serve.Router.replicas = min rc.Serve.Router.replicas n_shards } in
-  let router = Serve.Router.create ~config:rc backends in
-  let fe =
-    {
-      fsubmit =
-        (fun ~wire payload ~reply ->
-          Serve.Router.submit router ~wire payload ~reply;
-          (* flip the supervisor flag the instant the shutdown broadcast has
-             completed: the shards are already draining, and without this the
-             supervisors would see them exit and restart them before the
-             accept loop unwinds into [drain] below *)
-          if Serve.Router.shutdown_requested router then Atomic.set draining true);
-      fstop = (fun () -> Serve.Router.shutdown_requested router);
-    }
-  in
-  serve_socket fe
-    ~begin_drain:(fun () -> ())
-    ~drain:(fun () ->
-      (* the shutdown broadcast already reached every connected shard; give
-         them a grace period to drain and exit, SIGTERM stragglers, then
-         collect the supervisors *)
-      Atomic.set draining true;
-      let alive () =
-        List.exists (fun s -> Mutex.protect s.slock (fun () -> Option.is_some s.pid)) shards
-      in
-      let waited = ref 0.0 in
-      while alive () && !waited < 10.0 do
-        Thread.delay 0.1;
-        waited := !waited +. 0.1
-      done;
-      List.iter
-        (fun s ->
-          match Mutex.protect s.slock (fun () -> s.pid) with
-          | Some pid -> ( try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          | None -> ())
-        shards;
-      List.iter Thread.join sup_threads;
-      List.iter
-        (fun s -> try Unix.unlink s.spath with Unix.Unix_error _ -> ())
-        shards)
-    path
 
 (* ------------------------------------------------------------------ *)
 (* client mode: connect to a serving socket, forward stdin lines through
@@ -422,7 +177,8 @@ let run_router ~path ~n_shards ~shard_argv =
    request order. Each line travels as its JSON tree, over the binary wire
    with --binary (the stdin/stdout side stays JSON either way), and only
    the server validates it; a line that is not JSON at all is answered
-   here with the parse_error the server would send. *)
+   here with the parse_error the server would send. A typed error prints
+   with the offending params key the server named in its [field]. *)
 let run_client path timeout_s binary =
   let wire = if binary then `Binary else `Json in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -449,6 +205,9 @@ let run_client path timeout_s binary =
         | None -> None)
   in
   let id_of json = Option.value (Serve.Jsonx.member "id" json) ~default:Serve.Jsonx.Null in
+  (* the reply tree handed to the current call, for what a typed failure
+     does not carry *)
+  let last_reply = Atomic.make Serve.Jsonx.Null in
   let reader =
     Thread.create
       (fun () ->
@@ -465,12 +224,14 @@ let run_client path timeout_s binary =
                   | Ok payload -> (payload, Serve.Wire.frame payload)
                   | Error (`Eof | `Corrupt _) -> raise End_of_file)
             in
-            let key =
-              match Serve.Wire.decode wire body with
-              | Ok json -> Serve.Jsonx.to_string (id_of json)
-              | Error _ -> "null"
+            let tree =
+              Result.value (Serve.Wire.decode wire body) ~default:Serve.Jsonx.Null
             in
-            match take key with Some cb -> cb message | None -> ()
+            match take (Serve.Jsonx.to_string (id_of tree)) with
+            | Some cb ->
+                Atomic.set last_reply tree;
+                cb message
+            | None -> ()
           done
         with End_of_file | Sys_error _ -> ())
       ()
@@ -499,7 +260,13 @@ let run_client path timeout_s binary =
   let print_result id ?req_id = function
     | Ok payload -> print (Serve.Protocol.ok_response ~id ?req_id payload)
     | Error (Serve.Client.Protocol_error (code, msg)) ->
-        print (Serve.Protocol.error_response ~id ?req_id code msg)
+        let field =
+          Option.bind
+            (Option.bind (Serve.Jsonx.member "error" (Atomic.get last_reply))
+               (Serve.Jsonx.member "field"))
+            Serve.Jsonx.as_str
+        in
+        print (Serve.Protocol.error_response ~id ?req_id ?field code msg)
     | Error f ->
         incr failures;
         Printf.eprintf "ssta_serve --client: request id=%s failed: %s\n%!"
@@ -556,45 +323,13 @@ let json_log_sink () =
 
 let run store_dir socket client fsck repair gc_max_bytes timeout_s binary
     cache_entries queue_capacity workers jobs seed max_area_fraction drain_timeout
-    trace_file stats_file router_shards slow_ms log_json =
+    trace_file stats_file slow_ms log_json =
   (* a client that disconnects mid-reply must surface as a write error on
      that connection, not kill the process with SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match (fsck, client) with
   | Some dir, _ -> run_fsck dir repair gc_max_bytes
   | None, Some path -> run_client path timeout_s binary
-  | None, None when router_shards > 0 -> (
-      match socket with
-      | None ->
-          Printf.eprintf "ssta_serve: --router requires --socket\n";
-          exit 2
-      | Some path ->
-          let shard_argv i =
-            Array.of_list
-              ([ Sys.executable_name; "--socket"; shard_socket_path path i ]
-              @ (match store_dir with Some d -> [ "--store"; d ] | None -> [])
-              @ [
-                  "--cache-entries";
-                  string_of_int cache_entries;
-                  "--queue";
-                  string_of_int queue_capacity;
-                  "--workers";
-                  string_of_int workers;
-                  "--placement-seed";
-                  string_of_int seed;
-                  "--max-area-fraction";
-                  string_of_float max_area_fraction;
-                  "--slow-ms";
-                  string_of_float slow_ms;
-                ]
-              @ (if log_json then [ "--log-json" ] else [])
-              @ (match jobs with Some j -> [ "--jobs"; string_of_int j ] | None -> [])
-              @
-              match drain_timeout with
-              | Some s -> [ "--drain-timeout"; string_of_float s ]
-              | None -> [])
-          in
-          run_router ~path ~n_shards:router_shards ~shard_argv)
   | None, None ->
       if trace_file <> None then Util.Trace.enable ();
       let config =
@@ -614,21 +349,9 @@ let run store_dir socket client fsck repair gc_max_bytes timeout_s binary
         }
       in
       let server = Serve.Server.create config in
-      let fe =
-        {
-          fsubmit =
-            (fun ~wire payload ~reply ->
-              Serve.Server.submit_wire server ~wire payload ~reply);
-          fstop = (fun () -> Serve.Server.shutdown_requested server);
-        }
-      in
       (match socket with
-      | Some path ->
-          serve_socket fe
-            ~begin_drain:(fun () -> Serve.Server.begin_drain server)
-            ~drain:(fun () -> Serve.Server.drain server)
-            path
-      | None -> serve_channels fe ~drain:(fun () -> Serve.Server.drain server) stdin stdout);
+      | Some path -> serve_socket server path
+      | None -> serve_channels server stdin stdout);
       (match stats_file with
       | Some path ->
           Util.Fileio.write_atomic path
@@ -737,16 +460,6 @@ let stats_arg =
   let doc = "Write final server statistics (JSON) to $(docv) on exit." in
   Arg.(value & opt (some string) None & info [ "stats-file" ] ~docv:"PATH" ~doc)
 
-let router_arg =
-  let doc =
-    "Shard the server across $(docv) supervised subprocesses behind a consistent-hash router \
-     (requires --socket). Each shard is a full server with its own memory cache; all shards \
-     share --store. Crashed shards are respawned; while one is down its keys fail over to the \
-     next ring replica. Overload on the owning shard is shed with a typed overloaded error, \
-     never spread."
-  in
-  Arg.(value & opt int 0 & info [ "router" ] ~docv:"SHARDS" ~doc)
-
 let slow_ms_arg =
   let doc =
     "Slow-request threshold in milliseconds for the $(b,debug) ring buffer; 0 admits every \
@@ -766,6 +479,6 @@ let cmd =
       const run $ store_arg $ socket_arg $ client_arg $ fsck_arg $ repair_arg $ gc_arg
       $ timeout_arg $ binary_arg $ cache_arg $ queue_arg $ workers_arg $ jobs_arg
       $ seed_arg $ mesh_area_arg $ drain_timeout_arg $ trace_arg $ stats_arg
-      $ router_arg $ slow_ms_arg $ log_json_arg)
+      $ slow_ms_arg $ log_json_arg)
 
 let () = exit (Cmd.eval cmd)

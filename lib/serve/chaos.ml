@@ -12,7 +12,6 @@ type config = {
   latency_ms : float;
   client_timeout_s : float;
   recovery_probes : int;
-  router_shards : int;
 }
 
 let default_config =
@@ -30,7 +29,6 @@ let default_config =
     latency_ms = 0.2;
     client_timeout_s = 30.0;
     recovery_probes = 250;
-    router_shards = 0;
   }
 
 type fault_count = { fault : string; fired : int }
@@ -89,7 +87,7 @@ let violations ?(min_faults = 50) r =
 let tiny_bench = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nx = NAND(a, b)\ny = NOT(x)\n"
 
 (* every chaos request carries a correlation ID so the harness can assert
-   end-to-end propagation — including through retries and router failover *)
+   end-to-end propagation — including through retries *)
 let chaos_req_id id = "chaos-" ^ string_of_int id
 
 let run_mc_line ~id ~sampler ~n ~seed =
@@ -165,27 +163,13 @@ let server_config ?(store_dir = None) cfg =
       };
   }
 
-let direct_health_ok payload =
+let health_ok payload =
   let b key = Option.bind (Jsonx.member key payload) Jsonx.as_bool in
   let n key = Option.bind (Jsonx.member key payload) Jsonx.as_num in
   (* the probe itself occupies one worker while it is being answered *)
   b "healthy" = Some true
   && n "queue_depth" = Some 0.0
   && match n "workers_busy" with Some busy -> busy <= 1.0 | None -> false
-
-(* a router health payload aggregates per-shard health under [shard_health];
-   recovery means the router is healthy AND every shard individually is *)
-let health_ok payload =
-  match Jsonx.member "shard_health" payload with
-  | Some (Jsonx.List shard_payloads) ->
-      Option.bind (Jsonx.member "healthy" payload) Jsonx.as_bool = Some true
-      && List.for_all direct_health_ok shard_payloads
-  | Some _ -> false
-  | None -> direct_health_ok payload
-
-(* the router-mode "shard connection dies mid-send" fault: raised from a
-   wrapped backend so the router's replica failover path gets exercised *)
-exception Blackout
 
 let count_occurrences ~needle hay =
   let n = String.length needle in
@@ -229,14 +213,8 @@ let run ?diag ?(log = fun _ -> ()) ~store_dir cfg =
                        (Printf.sprintf "chaos baseline failed for %s: %s" name
                           (Client.failure_to_string f))))
   in
-  (* ---- phase 2: the same mix against fault-injected serving. With
-     [router_shards > 0] the storm is driven through a consistent-hash
-     {!Router} in front of N shard servers sharing one store directory;
-     every shard gets its own fresh fault plans, and shard 0's backend
-     additionally blacks out periodically (raising mid-send) so the
-     router's replica-failover path is exercised under load. *)
-  let shard_count = if cfg.router_shards > 0 then cfg.router_shards else 1 in
-  let make_plans () =
+  (* ---- phase 2: the same mix against a fault-injected server *)
+  let plans =
     [
       ("read-error", Util.Fault.io_plan ~period:cfg.read_error_period Util.Fault.Read_error);
       ("short-read", Util.Fault.io_plan ~period:cfg.short_read_period Util.Fault.Short_read);
@@ -245,61 +223,22 @@ let run ?diag ?(log = fun _ -> ()) ~store_dir cfg =
         Util.Fault.io_plan ~period:cfg.latency_period (Util.Fault.Latency cfg.latency_ms) );
     ]
   in
-  let shard_faults =
-    List.init shard_count (fun _ ->
-        ( make_plans (),
-          Util.Fault.io_plan ~first:1 ~period:cfg.crash_period ~limit:cfg.crash_limit
-            Util.Fault.Crash ))
+  let crash_plan =
+    Util.Fault.io_plan ~first:1 ~period:cfg.crash_period ~limit:cfg.crash_limit
+      Util.Fault.Crash
   in
-  let servers =
-    List.map
-      (fun (plans, crash_plan) ->
-        Server.create ~diag
-          {
-            (server_config ~store_dir:(Some store_dir) cfg) with
-            Server.store_io_faults = List.map snd plans;
-            chaos_crash = Some crash_plan;
-          })
-      shard_faults
-  in
-  let blackout_plan =
-    Util.Fault.io_plan ~first:12 ~period:23 ~limit:cfg.crash_limit Util.Fault.Crash
-  in
-  let router =
-    if cfg.router_shards <= 0 then None
-    else
-      let backends =
-        List.mapi
-          (fun i server ->
-            let b =
-              Router.backend_of_server ~describe:(Printf.sprintf "shard-%d" i) server
-            in
-            if i > 0 then b
-            else
-              {
-                b with
-                Router.send =
-                  (fun request ~reply ->
-                    if Util.Fault.fires blackout_plan then raise Blackout
-                    else b.Router.send request ~reply);
-              })
-          servers
-      in
-      Some
-        (Router.create
-           ~config:
-             { Router.default_config with Router.replicas = min 2 cfg.router_shards }
-           backends)
-  in
-  let base_transport =
-    match router with
-    | Some r -> fun line ~reply -> Router.submit r ~wire:`Json line ~reply
-    | None -> Server.submit (List.hd servers)
+  let server =
+    Server.create ~diag
+      {
+        (server_config ~store_dir:(Some store_dir) cfg) with
+        Server.store_io_faults = List.map snd plans;
+        chaos_crash = Some crash_plan;
+      }
   in
   (* the propagation assertion: every reply — including replies to retried
-     and failed-over sends — must echo the originating request's [req_id]
-     exactly once. The substring count catches duplicated fields that a
-     JSON parser would silently collapse. *)
+     sends — must echo the originating request's [req_id] exactly once. The
+     substring count catches duplicated fields that a JSON parser would
+     silently collapse. *)
   let id_violations = Atomic.make 0 in
   let sent_req_id line =
     match Jsonx.parse line with
@@ -323,9 +262,9 @@ let run ?diag ?(log = fun _ -> ()) ~store_dir cfg =
   in
   let transport line ~reply =
     match sent_req_id line with
-    | None -> base_transport line ~reply
+    | None -> Server.submit server line ~reply
     | Some want ->
-        base_transport line ~reply:(fun r ->
+        Server.submit server line ~reply:(fun r ->
             check_echo ~want r;
             reply r)
   in
@@ -380,33 +319,12 @@ let run ?diag ?(log = fun _ -> ()) ~store_dir cfg =
   done;
   log (Printf.sprintf "chaos: recovery probe %s after %d probe(s)"
          (if !recovered then "healthy" else "NOT healthy") !probes);
-  let worker_restarts =
-    List.fold_left (fun acc s -> acc + Server.worker_restarts s) 0 servers
-  in
-  let quarantined = List.fold_left (fun acc s -> acc + Server.quarantined s) 0 servers in
-  List.iter Server.drain servers;
+  let worker_restarts = Server.worker_restarts server in
+  let quarantined = Server.quarantined server in
+  Server.drain server;
   let fault_counts =
-    let io_count name =
-      {
-        fault = name;
-        fired =
-          List.fold_left
-            (fun acc (plans, _) -> acc + Util.Fault.fired (List.assoc name plans))
-            0 shard_faults;
-      }
-    in
-    List.map io_count [ "read-error"; "short-read"; "torn-write"; "latency" ]
-    @ [
-        {
-          fault = "crash";
-          fired =
-            List.fold_left (fun acc (_, cp) -> acc + Util.Fault.fired cp) 0 shard_faults;
-        };
-      ]
-    @
-    if cfg.router_shards > 0 then
-      [ { fault = "blackout"; fired = Util.Fault.fired blackout_plan } ]
-    else []
+    List.map (fun (name, plan) -> { fault = name; fired = Util.Fault.fired plan }) plans
+    @ [ { fault = "crash"; fired = Util.Fault.fired crash_plan } ]
   in
   {
     requests = cfg.requests;

@@ -17,8 +17,8 @@
       healthy — workers alive, queue empty — within a bounded number of
       probes;
     - {b correlation-ID propagation}: every chaos request carries a
-      [req_id], and every reply — including replies to retried and
-      failed-over sends — must echo it exactly once (a raw substring count
+      [req_id], and every reply — including replies to retried sends —
+      must echo it exactly once (a raw substring count
       catches duplicated fields a JSON parser would collapse).
 
     Both [bench chaos] and the [test_serve] chaos test drive this module,
@@ -38,13 +38,6 @@ type config = {
   latency_ms : float;
   client_timeout_s : float;  (** per-attempt client timeout *)
   recovery_probes : int;  (** health probes before declaring no recovery *)
-  router_shards : int;
-      (** 0 (default) storms a single server directly. [n > 0] storms a
-          consistent-hash {!Router} over [n] shard servers sharing one
-          store, each with its own fault plans; shard 0's backend also
-          blacks out periodically so replica failover is exercised. The
-          zero-wrong-results check then also asserts cross-shard
-          bit-identity against the single-server baseline. *)
 }
 
 val default_config : config

@@ -62,8 +62,7 @@ type call =
   | Stats  (** server counters + cache and store statistics *)
   | Metrics
       (** telemetry snapshot: per-stage latency histograms + unified
-          counters, as JSON and Prometheus text exposition; a router merges
-          every shard's histograms into one cluster view *)
+          counters, as JSON and Prometheus text exposition *)
   | Debug
       (** slow-request ring buffer dump: the last N requests over the
           server's [--slow-ms] threshold, with per-stage breakdown *)
@@ -79,8 +78,8 @@ type request = {
           Optional for compatibility: when absent the server generates one
           at ingress for telemetry/logs but does {e not} echo it, so replies
           to old clients are byte-identical to before. When present it is
-          echoed top-level in the response and threaded through router
-          and trace spans. *)
+          echoed top-level in the response and threaded through trace
+          spans. *)
   deadline_ms : float option;
   call : call;
 }

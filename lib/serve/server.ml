@@ -855,7 +855,7 @@ let enqueue t job =
 (* ---------------------------------------------------------------- *)
 (* lifecycle *)
 
-(* ingress req_id namespace: two servers in one process (router tests)
+(* ingress req_id namespace: two servers in one process (as in the tests)
    must not mint colliding IDs, so mix a per-process sequence into the
    monotonic-clock reading *)
 let instance_counter = Atomic.make 0
@@ -931,8 +931,14 @@ let submit_wire t ~wire payload ~reply =
       reply (Wire.encode wire response)
   | Ok request ->
       let submitted_ns = Util.Trace.now_ns () in
+      (* a deadline whose nanosecond offset does not fit in an int is one
+         that never expires *)
       let deadline_ns =
-        Option.map (fun ms -> submitted_ns + int_of_float (ms *. 1e6)) request.Protocol.deadline_ms
+        Option.bind request.Protocol.deadline_ms (fun ms ->
+            let offset_ns = ms *. 1e6 in
+            if offset_ns < float_of_int (max_int - submitted_ns) then
+              Some (submitted_ns + int_of_float offset_ns)
+            else None)
       in
       (* the effective correlation ID: the client's if it sent one, minted
          at ingress otherwise — so traces, logs and the slow ring always

@@ -156,7 +156,8 @@ let named_hists t =
 
 let prometheus t ~counters = prometheus_of ~counters (named_hists t)
 
-let payload_of ~counters named_hists =
+let metrics_payload t ~counters =
+  let named_hists = named_hists t in
   Jsonx.Obj
     [
       ( "counters",
@@ -165,54 +166,6 @@ let payload_of ~counters named_hists =
       ("histograms", Jsonx.Obj (List.map (fun (s, h) -> (s, Histogram.to_json h)) named_hists));
       ("prometheus", Jsonx.Str (prometheus_of ~counters named_hists));
     ]
-
-let metrics_payload t ~counters = payload_of ~counters (named_hists t)
-
-(* Cluster merge: counters sum by name (first-seen order), histograms merge
-   bucket-by-bucket under the shared fixed layout. Undecodable shard
-   entries are skipped — a degraded shard must not take the cluster view
-   down with it. *)
-let merge_metrics payloads =
-  let counter_order = ref [] and counter_sum = Hashtbl.create 32 in
-  let hist_order = ref [] and hists = Hashtbl.create 8 in
-  List.iter
-    (fun payload ->
-      (match Option.bind (Jsonx.member "counters" payload) Jsonx.as_obj with
-      | None -> ()
-      | Some fields ->
-          List.iter
-            (fun (name, v) ->
-              match Jsonx.as_int v with
-              | None -> ()
-              | Some v ->
-                  if not (Hashtbl.mem counter_sum name) then begin
-                    counter_order := name :: !counter_order;
-                    Hashtbl.add counter_sum name 0
-                  end;
-                  Hashtbl.replace counter_sum name (Hashtbl.find counter_sum name + v))
-            fields);
-      match Option.bind (Jsonx.member "histograms" payload) Jsonx.as_obj with
-      | None -> ()
-      | Some fields ->
-          List.iter
-            (fun (stage, hj) ->
-              match Histogram.of_json hj with
-              | Error _ -> ()
-              | Ok h -> (
-                  match Hashtbl.find_opt hists stage with
-                  | Some dst -> Histogram.merge_into ~dst h
-                  | None ->
-                      hist_order := stage :: !hist_order;
-                      Hashtbl.add hists stage h))
-            fields)
-    payloads;
-  let counters =
-    List.rev_map (fun name -> (name, Hashtbl.find counter_sum name)) !counter_order
-  in
-  let named =
-    List.rev_map (fun stage -> (stage, Hashtbl.find hists stage)) !hist_order
-  in
-  payload_of ~counters named
 
 let debug_payload t =
   let entries =

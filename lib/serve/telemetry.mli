@@ -14,8 +14,7 @@
     - [reply_write]: encoding + writing the response to the wire;
 
     plus a [total] (submission to reply) histogram. Recording is lock-free
-    ({!Util.Histogram}); the fixed bucket layout makes shard histograms
-    mergeable into one cluster view by the router ({!merge_metrics}).
+    ({!Util.Histogram}).
 
     The [metrics] protocol method returns {!metrics_payload} — counters
     unified from the server's own atomics and {!Util.Trace.counters},
@@ -75,13 +74,6 @@ val prometheus : t -> counters:(string * int) list -> string
 (** Prometheus text exposition alone: one [ssta_<counter>] counter line
     per entry plus [ssta_stage_latency_seconds{stage=...,quantile=...}]
     summaries with [_sum]/[_count]. *)
-
-val merge_metrics : Jsonx.t list -> Jsonx.t
-(** Router-side cluster view: merge shard {!metrics_payload}s — counters
-    summed by name, histograms merged bucket-by-bucket (the fixed layout
-    makes this exact), quantiles and the Prometheus text recomputed from
-    the merged histograms. Shard payload entries that fail to decode are
-    skipped. *)
 
 val debug_payload : t -> Jsonx.t
 (** The [debug] response: [{"slow_ms": <threshold>, "slow_requests":

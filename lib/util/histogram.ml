@@ -135,42 +135,3 @@ let to_json t =
                Jsonx.List [ Jsonx.Num (float_of_int i); Jsonx.Num (float_of_int c) ])
              (buckets t)) );
     ]
-
-let of_json j =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Jsonx.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "histogram: missing or invalid %S" name)
-  in
-  let* v = field "v" Jsonx.as_int in
-  if v <> version then Error (Printf.sprintf "histogram: unsupported version %d" v)
-  else
-    let* l = field "layout" Jsonx.as_str in
-    if l <> layout then Error (Printf.sprintf "histogram: foreign layout %S" l)
-    else
-      let* total = field "count" Jsonx.as_int in
-      let* sum = field "sum" Jsonx.as_int in
-      let* entries = field "buckets" Jsonx.as_list in
-      let t = create () in
-      let* counted =
-        List.fold_left
-          (fun acc entry ->
-            let* acc = acc in
-            match entry with
-            | Jsonx.List [ i; c ] -> (
-                match (Jsonx.as_int i, Jsonx.as_int c) with
-                | Some i, Some c when i >= 0 && i < num_buckets && c > 0 ->
-                    Atomic.set t.buckets.(i) (Atomic.get t.buckets.(i) + c);
-                    Ok (acc + c)
-                | _ -> Error "histogram: bucket entry out of range")
-            | _ -> Error "histogram: malformed bucket entry")
-          (Ok 0) entries
-      in
-      if counted <> total then Error "histogram: count does not match buckets"
-      else if sum < 0 then Error "histogram: negative sum"
-      else begin
-        Atomic.set t.count total;
-        Atomic.set t.sum sum;
-        Ok t
-      end

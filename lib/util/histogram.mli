@@ -4,8 +4,7 @@
     layout is value-range independent and identical for every instance:
     exact buckets below 32, then 32 sub-buckets per power of two —
     bounding relative error at ~3% — so histograms recorded on different
-    domains, processes, or shards merge bucket-by-bucket with no
-    resampling. Recording is lock-free (one atomic fetch-and-add per
+    domains merge bucket-by-bucket with no resampling. Recording is lock-free (one atomic fetch-and-add per
     bucket); because addition commutes, the bucket counts after recording
     a given multiset of samples are bit-identical regardless of how the
     samples were interleaved across domains.
@@ -14,10 +13,6 @@
     bucket index, so [quantile h p <= quantile h q] whenever [p <= q]. *)
 
 type t
-
-val layout : string
-(** Layout identifier embedded in the JSON encoding ("log-linear-5");
-    decoding rejects snapshots produced under a different layout. *)
 
 val num_buckets : int
 (** Size of the fixed bucket array (covers every non-negative [int]). *)
@@ -67,7 +62,3 @@ val buckets : t -> (int * int) list
 val to_json : t -> Jsonx.t
 (** Versioned snapshot: [{"v":1,"layout":"log-linear-5","count":..,
     "sum":..,"buckets":[[index,count],..]}]. *)
-
-val of_json : Jsonx.t -> (t, string) result
-(** Decode a snapshot; rejects unknown versions, foreign layouts,
-    out-of-range indices and counts that do not add up. *)

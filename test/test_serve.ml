@@ -674,7 +674,23 @@ let test_server_deadline_exceeded () =
       (fun r -> Jsonx.member "id" (reply_json r) = Some (Jsonx.Num 2.0))
       !replies
   in
-  ignore (expect_error deadline_reply Protocol.Deadline_exceeded)
+  ignore (expect_error deadline_reply Protocol.Deadline_exceeded);
+  (* a deadline too far out for the nanosecond clock never expires: 1e300
+     on the JSON wire and infinity, which only the binary wire carries *)
+  let far_ok wire body =
+    let reply = sync_submit server wire body in
+    if Jsonx.member "ok" reply = None then
+      Alcotest.failf "far deadline not answered ok: %s" (Jsonx.to_string reply)
+  in
+  far_ok `Json {|{"id":3,"deadline_ms":1e300,"method":"stats"}|};
+  far_ok `Binary
+    (body_of `Binary
+       (Jsonx.Obj
+          [
+            ("id", Jsonx.Num 4.0);
+            ("deadline_ms", Jsonx.Num Float.infinity);
+            ("method", Jsonx.Str "stats");
+          ]))
 
 let test_server_shutdown_drains () =
   let server = Server.create test_config in
@@ -953,7 +969,6 @@ let test_jsonx_control_and_bytes () =
 (* ---------- binary wire ---------- *)
 
 module Codec = Persist.Codec
-module Router = Serve.Router
 
 let test_wire_frame_roundtrip () =
   List.iter
@@ -1341,7 +1356,7 @@ let test_wire_adversarial_submissions () =
     (List.map (fun _ -> 1) !counters)
     (List.map Atomic.get !counters)
 
-(* ---------- cross-wire / cross-shard helpers ---------- *)
+(* ---------- cross-wire helpers ---------- *)
 
 let mc_request ?(id = 1.0) ?req_id ?(seed = 3) ?(n = 24) ?(full = false) () =
   {
@@ -1442,178 +1457,6 @@ let test_server_concurrent_same_key_identity () =
   Alcotest.(check bool) "concurrent results bit-identical to sequential" true
     (got = reference)
 
-(* ---------- router ---------- *)
-
-let sync_router_call router line =
-  let m = Mutex.create () and c = Condition.create () in
-  let slot = ref None in
-  Router.submit router ~wire:`Json line ~reply:(fun r ->
-      Mutex.protect m (fun () ->
-          slot := Some r;
-          Condition.signal c));
-  Mutex.protect m (fun () ->
-      while !slot = None do
-        Condition.wait c m
-      done;
-      Option.get !slot)
-
-let test_router_routing_key () =
-  let req call = { Protocol.id = Jsonx.Null; req_id = None; deadline_ms = None; call } in
-  let run_mc r =
-    req
-      (Protocol.Run_mc
-         { circuit = Protocol.Named "c17"; sampler = Protocol.Kle; r; seed = 99; n = 4;
-           batch = None; full = false })
-  in
-  let k_prepare =
-    Router.routing_key (req (Protocol.Prepare { circuit = Protocol.Named "c17"; r = Some 3 }))
-  in
-  let k_run = Router.routing_key (run_mc (Some 3)) in
-  Alcotest.(check bool) "prepare and run_mc share the model-spec key" true
-    (k_prepare <> None && k_prepare = k_run);
-  Alcotest.(check bool) "truncation is part of the key" true
-    (k_run <> Router.routing_key (run_mc (Some 4)));
-  let k_bench call = Router.routing_key (req call) in
-  Alcotest.(check bool) "bench text keys by content hash" true
-    (k_bench (Protocol.Prepare { circuit = Protocol.Bench_text tiny_bench; r = None })
-     = k_bench
-         (Protocol.Compare
-            { circuit = Protocol.Bench_text tiny_bench; r = None; seed = 1; n = 2 }));
-  List.iter
-    (fun call ->
-      Alcotest.(check bool) "control calls are unrouted" true
-        (Router.routing_key (req call) = None))
-    [ Protocol.Stats; Protocol.Health; Protocol.Shutdown ]
-
-let test_router_ring () =
-  with_server @@ fun s1 ->
-  with_server @@ fun s2 ->
-  let router = Router.create [ Router.backend_of_server s1; Router.backend_of_server s2 ] in
-  let counts = Array.make 2 0 in
-  for i = 0 to 499 do
-    let key = Printf.sprintf "name:c%d;r=auto" i in
-    let shard = Router.shard_of router key in
-    Alcotest.(check int) "stable assignment" shard (Router.shard_of router key);
-    counts.(shard) <- counts.(shard) + 1
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "balanced (%d/%d)" counts.(0) counts.(1))
-    true
-    (counts.(0) > 100 && counts.(1) > 100)
-
-let test_router_cross_shard_identity () =
-  with_server @@ fun direct ->
-  with_server @@ fun s1 ->
-  with_server @@ fun s2 ->
-  let router =
-    Router.create
-      [
-        Router.backend_of_server ~describe:"shard-0" s1;
-        Router.backend_of_server ~describe:"shard-1" s2;
-      ]
-  in
-  let line = json_line (mc_request ~full:true ()) in
-  let want = mc_stat_bits (expect_ok (sync_call direct line)) in
-  let got = mc_stat_bits (expect_ok (sync_router_call router line)) in
-  Alcotest.(check bool) "bit-identical through the router" true (got = want);
-  (* health and stats aggregate every shard plus router counters *)
-  let health = expect_ok (sync_router_call router {|{"id":0,"method":"health"}|}) in
-  Alcotest.(check (option bool)) "healthy" (Some true)
-    (Option.bind (Jsonx.member "healthy" health) Jsonx.as_bool);
-  Alcotest.(check (option int)) "shards" (Some 2)
-    (Option.bind (Jsonx.member "shards" health) Jsonx.as_int);
-  (match Jsonx.member "shard_health" health with
-  | Some (Jsonx.List [ _; _ ]) -> ()
-  | _ -> Alcotest.fail "expected a per-shard health list");
-  let stats = expect_ok (sync_router_call router {|{"id":0,"method":"stats"}|}) in
-  (match Option.bind (Jsonx.member "router" stats) (Jsonx.member "forwarded") with
-  | Some (Jsonx.Num f) when f >= 1.0 -> ()
-  | _ -> Alcotest.fail "router counters missing from stats");
-  (* shutdown broadcasts to every shard and drains the router *)
-  let bye = expect_ok (sync_router_call router {|{"id":0,"method":"shutdown"}|}) in
-  Alcotest.(check (option bool)) "shutting down" (Some true)
-    (Option.bind (Jsonx.member "shutting_down" bye) Jsonx.as_bool);
-  Alcotest.(check bool) "router drains" true (Router.shutdown_requested router);
-  ignore (expect_error (sync_router_call router line) Protocol.Shutting_down);
-  Alcotest.(check bool) "shards saw the shutdown" true
-    (Server.shutdown_requested s1 && Server.shutdown_requested s2)
-
-let test_router_shed_and_failover () =
-  let request = mc_request () in
-  let line = json_line request in
-  let key = Option.get (Router.routing_key request) in
-  (* failover: the key's owner is unhealthy, so its replica serves *)
-  let down = [| false; false |] in
-  let backend i =
-    {
-      Router.send =
-        (fun _request ~reply ->
-          reply (Ok (Jsonx.Obj [ ("served_by", Jsonx.Num (float_of_int i)) ])));
-      healthy = (fun () -> not down.(i));
-      describe = Printf.sprintf "shard-%d" i;
-    }
-  in
-  let router = Router.create [ backend 0; backend 1 ] in
-  let owner = Router.shard_of router key in
-  down.(owner) <- true;
-  let payload = expect_ok (sync_router_call router line) in
-  Alcotest.(check (option int)) "replica served" (Some (1 - owner))
-    (Option.bind (Jsonx.member "served_by" payload) Jsonx.as_int);
-  Alcotest.(check bool) "retry counted" true ((Router.stats router).Router.retried >= 1);
-  (* both replicas down: a typed internal error, never a hang *)
-  down.(0) <- true;
-  down.(1) <- true;
-  ignore (expect_error (sync_router_call router line) Protocol.Internal_error);
-  (* a backend whose send raises also fails over to the replica *)
-  let raised = ref 0 in
-  let backend2 i =
-    if i = owner then
-      {
-        Router.send =
-          (fun _request ~reply:_ ->
-            incr raised;
-            failwith "shard connection lost");
-        healthy = (fun () -> true);
-        describe = "raiser";
-      }
-    else backend i
-  in
-  down.(0) <- false;
-  down.(1) <- false;
-  let router2 = Router.create [ backend2 0; backend2 1 ] in
-  let payload2 = expect_ok (sync_router_call router2 line) in
-  Alcotest.(check (option int)) "failover after raise" (Some (1 - owner))
-    (Option.bind (Jsonx.member "served_by" payload2) Jsonx.as_int);
-  Alcotest.(check bool) "raise recorded" true
-    ((Router.stats router2).Router.shard_errors >= 1 && !raised = 1);
-  (* shed, not spread: the owner at capacity answers overloaded immediately
-     instead of spilling the key onto the other shard *)
-  let parked = ref [] in
-  let slow i =
-    if i = owner then
-      {
-        Router.send = (fun _request ~reply -> parked := reply :: !parked);
-        healthy = (fun () -> true);
-        describe = "parked";
-      }
-    else backend i
-  in
-  let config = { Router.default_config with Router.max_inflight_per_shard = 1 } in
-  let router3 = Router.create ~config [ slow 0; slow 1 ] in
-  let first = ref None in
-  Router.submit router3 ~wire:`Json line ~reply:(fun r -> first := Some r);
-  Alcotest.(check int) "first request forwarded and parked" 1 (List.length !parked);
-  let msg = expect_error (sync_router_call router3 line) Protocol.Overloaded in
-  Alcotest.(check bool) "names the capacity" true (contains ~sub:"capacity" msg);
-  Alcotest.(check bool) "shed counted" true ((Router.stats router3).Router.shed >= 1);
-  (* releasing the parked request completes the first call normally *)
-  (match !parked with
-  | [ release ] -> release (Ok (Jsonx.Obj [ ("served_by", Jsonx.Num (float_of_int owner)) ]))
-  | _ -> Alcotest.fail "expected exactly one parked request");
-  match !first with
-  | Some reply_line -> ignore (expect_ok reply_line)
-  | None -> Alcotest.fail "parked reply never delivered"
-
 let test_client_binary_wire () =
   with_server @@ fun server ->
   let transport message ~reply =
@@ -1674,7 +1517,7 @@ let test_server_chaos_invariants () =
     (report.Serve.Chaos.faults_injected >= 50);
   Alcotest.(check bool) "workers were crashed" true
     (report.Serve.Chaos.worker_restarts >= 1);
-  (* every reply — including retried and failed-over ones — carried the
+  (* every reply — including retried ones — carried the
      originating request's correlation ID exactly once *)
   Alcotest.(check int) "req_id violations" 0 report.Serve.Chaos.id_violations;
   (match Serve.Chaos.violations ~min_faults:50 report with
@@ -1682,56 +1525,6 @@ let test_server_chaos_invariants () =
   | v ->
       Alcotest.failf "chaos violations: %s (report: %s)" (String.concat "; " v)
         (Serve.Chaos.report_to_string report))
-
-(* the same storm through the router path: two shards sharing one store,
-   shard 0's backend blacking out periodically — crash + restart + replica
-   failover all covered by the zero-wrong-results invariant *)
-let test_router_chaos_invariants () =
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kle-test-chaos-router.%d" (Unix.getpid ()))
-  in
-  let cfg =
-    {
-      Serve.Chaos.default_config with
-      Serve.Chaos.requests = 60;
-      mc_samples = 8;
-      crash_period = 10;
-      crash_limit = 4;
-      read_error_period = 4;
-      short_read_period = 6;
-      torn_write_period = 2;
-      latency_period = 2;
-      latency_ms = 0.05;
-      router_shards = 2;
-    }
-  in
-  let report =
-    Fun.protect
-      ~finally:(fun () ->
-        try
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat store_dir f))
-            (Sys.readdir store_dir);
-          Unix.rmdir store_dir
-        with Sys_error _ | Unix.Unix_error _ -> ())
-      (fun () -> Serve.Chaos.run ~store_dir cfg)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "fault floor (got %d)" report.Serve.Chaos.faults_injected)
-    true
-    (report.Serve.Chaos.faults_injected >= 50);
-  let blackouts =
-    List.fold_left
-      (fun acc c -> if c.Serve.Chaos.fault = "blackout" then acc + c.Serve.Chaos.fired else acc)
-      0 report.Serve.Chaos.fault_counts
-  in
-  Alcotest.(check bool) "shard 0 blacked out" true (blackouts >= 1);
-  match Serve.Chaos.violations ~min_faults:50 report with
-  | [] -> ()
-  | v ->
-      Alcotest.failf "router chaos violations: %s (report: %s)" (String.concat "; " v)
-        (Serve.Chaos.report_to_string report)
 
 (* ---------- telemetry: req_id propagation, metrics, debug ---------- *)
 
@@ -1923,58 +1716,6 @@ let test_server_batch_wait_recorded () =
   await "batch_wait recorded for every request" (fun () -> Util.Histogram.count h >= 4);
   Alcotest.(check int) "recorded once per executed request" 4 (Util.Histogram.count h)
 
-let test_router_merged_metrics () =
-  with_server @@ fun s1 ->
-  with_server @@ fun s2 ->
-  let router =
-    Router.create
-      [
-        Router.backend_of_server ~describe:"shard-0" s1;
-        Router.backend_of_server ~describe:"shard-1" s2;
-      ]
-  in
-  ignore (expect_ok (sync_router_call router (run_mc_line ())));
-  ignore (expect_ok (sync_router_call router (run_mc_line ~id:2 ~sampler:"kle" ~n:16 ())));
-  await "shard recording landed" (fun () ->
-      Util.Histogram.count (Serve.Telemetry.total_histogram (Server.telemetry s1))
-      + Util.Histogram.count (Serve.Telemetry.total_histogram (Server.telemetry s2))
-      >= 2);
-  let mp = expect_ok (sync_router_call router {|{"id":9,"method":"metrics"}|}) in
-  Alcotest.(check (option int)) "both shards reporting" (Some 2)
-    (Option.bind (Jsonx.member "shards_reporting" mp) Jsonx.as_int);
-  let shard_requests server =
-    (* every shard also counts the metrics fan-out request itself at submit
-       time, so compare against live server counters scraped after *)
-    match
-      Option.bind
-        (Jsonx.member "requests" (expect_ok (sync_call server {|{"id":0,"method":"stats"}|})))
-        Jsonx.as_int
-    with
-    | Some n -> n
-    | None -> Alcotest.fail "shard stats missing requests"
-  in
-  (match Option.bind (Jsonx.member "counters" mp) (Jsonx.member "requests") with
-  | Some v -> (
-      match Jsonx.as_int v with
-      | Some merged ->
-          Alcotest.(check bool)
-            (Printf.sprintf "merged requests %d sums both shards" merged)
-            true
-            (merged >= 2 && merged <= shard_requests s1 + shard_requests s2)
-      | None -> Alcotest.fail "merged requests not an int")
-  | None -> Alcotest.fail "merged counters missing requests");
-  (* the merged histogram holds both shards' samples *)
-  match
-    Option.bind
-      (Option.bind (Option.bind (Jsonx.member "stages" mp) (Jsonx.member "total"))
-         (Jsonx.member "count"))
-      Jsonx.as_int
-  with
-  | Some n when n >= 2 -> ()
-  | v ->
-      Alcotest.failf "merged total count: %s"
-        (match v with Some n -> string_of_int n | None -> "absent")
-
 let () =
   Alcotest.run "serve"
     [
@@ -2013,15 +1754,6 @@ let () =
             test_wire_adversarial_submissions;
           Alcotest.test_case "cross-wire bit identity" `Quick test_wire_cross_identity;
           Alcotest.test_case "client binary wire" `Quick test_client_binary_wire;
-        ] );
-      ( "router",
-        [
-          Alcotest.test_case "routing key" `Quick test_router_routing_key;
-          Alcotest.test_case "ring balance + stability" `Quick test_router_ring;
-          Alcotest.test_case "cross-shard bit identity" `Quick
-            test_router_cross_shard_identity;
-          Alcotest.test_case "shed + failover" `Quick test_router_shed_and_failover;
-          Alcotest.test_case "chaos invariants" `Slow test_router_chaos_invariants;
         ] );
       ( "lru",
         [
@@ -2063,8 +1795,6 @@ let () =
           Alcotest.test_case "json request log" `Quick test_server_json_request_log;
           Alcotest.test_case "batch_wait recorded" `Quick
             test_server_batch_wait_recorded;
-          Alcotest.test_case "router merges shard metrics" `Quick
-            test_router_merged_metrics;
         ] );
       ( "supervision",
         [
