@@ -1138,7 +1138,8 @@ let micro () =
 (* ---------------------------------------------------------------- *)
 (* smoke: fast CI check of the domain-parallel paths — asserts that a tiny
    Galerkin assembly and a small Monte Carlo run are bit-identical at -j 1
-   and -j 2, and prints their timings *)
+   and -j 2, that the Monte Carlo run (on a netlist with DFFs) equals the
+   per-sample [Sta.Timing.run] oracle, and prints their timings *)
 
 let smoke () =
   header "Smoke: parallel paths bit-identical across -j (tiny fixtures)";
@@ -1168,7 +1169,7 @@ let smoke () =
   let netlist =
     Circuit.Generator.generate
       { Circuit.Generator.name = "smoke"; n_gates = 160; n_inputs = 12;
-        n_outputs = 10; dff_fraction = 0.0; seed = 7 }
+        n_outputs = 10; dff_fraction = 0.1; seed = 7 }
   in
   let setup = Ssta.Experiment.setup_circuit netlist in
   let proc = Ssta.Process.paper_default () in
@@ -1192,6 +1193,23 @@ let smoke () =
   end;
   pf "run_mc %d gates x 200 samples: -j 1 %.3fs, -j 2 %.3fs — bit-identical\n"
     (Circuit.Netlist.logic_gate_count netlist) mdt1 mdt2;
+  let oracle =
+    Ssta.Experiment.run_mc_reference ~batch:64 setup ~sampler ~seed:opts.seed ~n:200
+  in
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let same_arrays a b = Array.length a = Array.length b && Array.for_all2 same_bits a b in
+  if
+    not
+      (same_bits r1.Ssta.Experiment.worst_mean oracle.Ssta.Experiment.worst_mean
+      && same_bits r1.Ssta.Experiment.worst_sigma oracle.Ssta.Experiment.worst_sigma
+      && same_arrays r1.Ssta.Experiment.endpoint_mean oracle.Ssta.Experiment.endpoint_mean
+      && same_arrays r1.Ssta.Experiment.endpoint_sigma oracle.Ssta.Experiment.endpoint_sigma)
+  then begin
+    pf "FAIL: run_mc differs from the per-sample Timing.run oracle\n";
+    exit 1
+  end;
+  pf "run_mc (%d DFFs) = per-sample Timing.run oracle, bit for bit\n"
+    (Array.length (Circuit.Netlist.dffs netlist));
   emit "smoke"
     ~stages:
       [ ("assemble_j1", dt1); ("assemble_j2", dt2); ("run_mc_j1", mdt1);

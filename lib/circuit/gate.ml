@@ -78,17 +78,29 @@ let input_timing =
     beta_slew = [| 0.0; 0.0; 0.0; 0.0 |];
   }
 
+(* one record per kind, built once: callers time every gate of every
+   sample, so [timing] must not allocate *)
+let inv_timing = characterize ~d0:14.0 ~r_drive:2.4 ~c_in:1.8 ~s0:22.0
+let buf_timing = characterize ~d0:26.0 ~r_drive:1.4 ~c_in:2.0 ~s0:20.0
+let nand2_timing = characterize ~d0:20.0 ~r_drive:2.8 ~c_in:2.2 ~s0:26.0
+let nor2_timing = characterize ~d0:24.0 ~r_drive:3.4 ~c_in:2.2 ~s0:30.0
+let and2_timing = characterize ~d0:32.0 ~r_drive:1.8 ~c_in:2.2 ~s0:24.0
+let or2_timing = characterize ~d0:36.0 ~r_drive:1.8 ~c_in:2.2 ~s0:26.0
+let xor2_timing = characterize ~d0:44.0 ~r_drive:2.6 ~c_in:3.6 ~s0:32.0
+let xnor2_timing = characterize ~d0:46.0 ~r_drive:2.6 ~c_in:3.6 ~s0:32.0
+let dff_timing = characterize ~d0:60.0 ~r_drive:2.0 ~c_in:2.6 ~s0:28.0
+
 let timing = function
   | Input -> input_timing
-  | Inv -> characterize ~d0:14.0 ~r_drive:2.4 ~c_in:1.8 ~s0:22.0
-  | Buf -> characterize ~d0:26.0 ~r_drive:1.4 ~c_in:2.0 ~s0:20.0
-  | Nand2 -> characterize ~d0:20.0 ~r_drive:2.8 ~c_in:2.2 ~s0:26.0
-  | Nor2 -> characterize ~d0:24.0 ~r_drive:3.4 ~c_in:2.2 ~s0:30.0
-  | And2 -> characterize ~d0:32.0 ~r_drive:1.8 ~c_in:2.2 ~s0:24.0
-  | Or2 -> characterize ~d0:36.0 ~r_drive:1.8 ~c_in:2.2 ~s0:26.0
-  | Xor2 -> characterize ~d0:44.0 ~r_drive:2.6 ~c_in:3.6 ~s0:32.0
-  | Xnor2 -> characterize ~d0:46.0 ~r_drive:2.6 ~c_in:3.6 ~s0:32.0
-  | Dff -> characterize ~d0:60.0 ~r_drive:2.0 ~c_in:2.6 ~s0:28.0
+  | Inv -> inv_timing
+  | Buf -> buf_timing
+  | Nand2 -> nand2_timing
+  | Nor2 -> nor2_timing
+  | And2 -> and2_timing
+  | Or2 -> or2_timing
+  | Xor2 -> xor2_timing
+  | Xnor2 -> xnor2_timing
+  | Dff -> dff_timing
 
 let check_params params =
   if Array.length params <> num_parameters then

@@ -51,7 +51,8 @@ type timing = {
 
 val timing : kind -> timing
 (** Characterization record for each kind. [Input] has a zero-delay driver
-    model with a finite drive resistance. *)
+    model with a finite drive resistance. The record and its arrays are
+    shared by every call for the same kind: read them, never mutate them. *)
 
 val delay : kind -> slew_in:float -> c_load:float -> params:float array -> float
 (** Pin-to-output delay under the rank-one quadratic model. [params] must

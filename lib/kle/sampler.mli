@@ -49,7 +49,13 @@ val sample_matrix : ?paper_literal:bool -> t -> Prng.Rng.t -> n:int -> Linalg.Ma
     [O(n · r · n_triangles + n · N_loc)], the overhead the paper attributes
     to "the reconstruction in (28)". Both paths consume the same random
     stream and produce bit-identical matrices; the literal path exists as a
-    cost ablation. *)
+    cost ablation.
+
+    The product is {!Linalg.Mat.mul_nt}, which fans its rows out over
+    [Util.Pool.default ()] once [n · r · N_loc] reaches its parallel
+    threshold — whatever [jobs] the caller gives
+    [Ssta.Experiment.run_mc], whose [jobs] only sizes the timing fan-out.
+    The result is bit-identical for any pool size. *)
 
 val sample_matrix_with : t -> xi:Linalg.Mat.t -> Linalg.Mat.t
 (** Expand externally supplied reduced-space samples (rows of [xi], width

@@ -149,9 +149,10 @@ let mul a b =
 
 (* [a * bᵀ] without materializing the transpose: both operands are scanned
    along contiguous rows, k-blocked so the active row panels stay
-   cache-resident at covariance sizes. Per-cell additions run in the same
-   ascending-k order as [mul a (transpose b)] (zero [a] entries skipped the
-   same way), so the two spellings are bit-identical. *)
+   cache-resident at covariance sizes. Within a k-panel four outputs
+   [c.(i, j..j+3)] share each load of [a.(i, k)]; every output still adds
+   its own terms in ascending-k order (zero [a] entries skipped the same
+   way), so the product is bit-identical to [mul a (transpose b)]. *)
 let mul_nt_block = 256
 
 let mul_nt a b =
@@ -160,6 +161,7 @@ let mul_nt a b =
   let c = create a.rows b.rows in
   let kk = a.cols in
   let bn = b.rows in
+  let ad = a.data and bd = b.data and cd = c.data in
   let rows lo hi =
     for i = lo to hi - 1 do
       let ai = i * kk in
@@ -167,15 +169,41 @@ let mul_nt a b =
       let k0 = ref 0 in
       while !k0 < kk do
         let k1 = min kk (!k0 + mul_nt_block) in
-        for j = 0 to bn - 1 do
-          let bj = j * kk in
-          let acc = ref (Bigarray.Array1.unsafe_get c.data (ci + j)) in
+        let j = ref 0 in
+        while !j + 4 <= bn do
+          let j0 = !j in
+          let b0 = j0 * kk in
+          let b1 = b0 + kk in
+          let b2 = b1 + kk in
+          let b3 = b2 + kk in
+          let acc0 = ref (Bigarray.Array1.unsafe_get cd (ci + j0)) in
+          let acc1 = ref (Bigarray.Array1.unsafe_get cd (ci + j0 + 1)) in
+          let acc2 = ref (Bigarray.Array1.unsafe_get cd (ci + j0 + 2)) in
+          let acc3 = ref (Bigarray.Array1.unsafe_get cd (ci + j0 + 3)) in
           for k = !k0 to k1 - 1 do
-            let aik = Bigarray.Array1.unsafe_get a.data (ai + k) in
-            if aik <> 0.0 then
-              acc := !acc +. (aik *. Bigarray.Array1.unsafe_get b.data (bj + k))
+            let aik = Bigarray.Array1.unsafe_get ad (ai + k) in
+            if aik <> 0.0 then begin
+              acc0 := !acc0 +. (aik *. Bigarray.Array1.unsafe_get bd (b0 + k));
+              acc1 := !acc1 +. (aik *. Bigarray.Array1.unsafe_get bd (b1 + k));
+              acc2 := !acc2 +. (aik *. Bigarray.Array1.unsafe_get bd (b2 + k));
+              acc3 := !acc3 +. (aik *. Bigarray.Array1.unsafe_get bd (b3 + k))
+            end
           done;
-          Bigarray.Array1.unsafe_set c.data (ci + j) !acc
+          Bigarray.Array1.unsafe_set cd (ci + j0) !acc0;
+          Bigarray.Array1.unsafe_set cd (ci + j0 + 1) !acc1;
+          Bigarray.Array1.unsafe_set cd (ci + j0 + 2) !acc2;
+          Bigarray.Array1.unsafe_set cd (ci + j0 + 3) !acc3;
+          j := j0 + 4
+        done;
+        for j = !j to bn - 1 do
+          let bj = j * kk in
+          let acc = ref (Bigarray.Array1.unsafe_get cd (ci + j)) in
+          for k = !k0 to k1 - 1 do
+            let aik = Bigarray.Array1.unsafe_get ad (ai + k) in
+            if aik <> 0.0 then
+              acc := !acc +. (aik *. Bigarray.Array1.unsafe_get bd (bj + k))
+          done;
+          Bigarray.Array1.unsafe_set cd (ci + j) !acc
         done;
         k0 := k1
       done

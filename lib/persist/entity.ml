@@ -306,13 +306,7 @@ let read_setup r =
      as [Experiment.setup_circuit] does from a fresh placement *)
   let wireload = Circuit.Wireload.build placement in
   let sta = Sta.Timing.prepare wireload in
-  let logic_ids =
-    nl.Circuit.Netlist.gates |> Array.to_seq
-    |> Seq.filter_map (fun (g : Circuit.Netlist.gate) ->
-           if g.Circuit.Netlist.kind = Circuit.Gate.Input then None
-           else Some g.Circuit.Netlist.id)
-    |> Array.of_seq
-  in
+  let logic_ids = Sta.Timing.logic_ids sta in
   let gate_locations = Array.map (fun i -> locations.(i)) logic_ids in
   {
     Ssta.Experiment.netlist = nl;

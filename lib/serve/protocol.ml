@@ -169,7 +169,7 @@ let int_field params key ~min =
   | Some v -> (
       match Jsonx.as_int v with
       | Some i when i >= min -> i
-      | Some i -> reject Bad_params "params.%s = %d out of range (min %d)" key i min
+      | Some i -> reject ~field:key Bad_params "params.%s = %d out of range (min %d)" key i min
       | None -> reject Bad_params "params.%s must be an integer" key)
 
 let opt_int_field params key ~min =
@@ -178,7 +178,7 @@ let opt_int_field params key ~min =
   | Some v -> (
       match Jsonx.as_int v with
       | Some i when i >= min -> Some i
-      | Some i -> reject Bad_params "params.%s = %d out of range (min %d)" key i min
+      | Some i -> reject ~field:key Bad_params "params.%s = %d out of range (min %d)" key i min
       | None -> reject Bad_params "params.%s must be an integer" key)
 
 let bool_field params key ~default =

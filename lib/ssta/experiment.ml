@@ -12,12 +12,7 @@ let setup_circuit ?(placement_seed = 1) netlist =
   let placement = Circuit.Placer.place ~seed:placement_seed netlist in
   let wireload = Circuit.Wireload.build placement in
   let sta = Sta.Timing.prepare wireload in
-  let logic_ids =
-    netlist.Netlist.gates |> Array.to_seq
-    |> Seq.filter_map (fun (g : Netlist.gate) ->
-           if g.kind = Circuit.Gate.Input then None else Some g.id)
-    |> Array.of_seq
-  in
+  let logic_ids = Sta.Timing.logic_ids sta in
   let locations = Array.map (fun i -> placement.Circuit.Placer.locations.(i)) logic_ids in
   { netlist; placement; sta; logic_ids; locations }
 
@@ -47,7 +42,9 @@ let run_mc ?(batch = 256) ?jobs ?(policy = Fail) ?diag setup ~sampler ~seed ~n =
   let stage = "experiment.run_mc" in
   let n_gates_total = Netlist.size setup.netlist in
   let n_logic = Array.length setup.logic_ids in
-  let n_endpoints = Array.length setup.sta.Sta.Timing.endpoints in
+  let endpoints = setup.sta.Sta.Timing.endpoints in
+  let n_endpoints = Array.length endpoints in
+  let plan = Sta.Timing.plan setup.sta in
   let worst = ref (Stats.Welford.create ()) in
   let endpoint_acc = Array.init n_endpoints (fun _ -> Stats.Welford.create ()) in
   let sample_seconds = ref 0.0 in
@@ -139,27 +136,22 @@ let run_mc ?(batch = 256) ?jobs ?(policy = Fail) ?diag setup ~sampler ~seed ~n =
         Util.Pool.parallel_for pool ~chunk:sta_chunk ~n:b (fun lo hi ->
             let ri = lo / sta_chunk in
             let w_acc = range_worst.(ri) and e_acc = range_endpoints.(ri) in
-            (* per-range scatter buffers: full-size parameter arrays, zero
-               at Input gates; never shared across domains *)
-            let l = Array.make n_gates_total 0.0 in
-            let w = Array.make n_gates_total 0.0 in
-            let vt = Array.make n_gates_total 0.0 in
-            let tox = Array.make n_gates_total 0.0 in
+            (* per-range scratch, never shared across domains; [eval]
+               writes every gate before any fanout reads it *)
+            let arrival = Array.create_float n_gates_total in
+            let slew = Array.create_float n_gates_total in
             for i = lo to hi - 1 do
               if not (Array.unsafe_get bad i) then begin
-              let row = i * n_logic in
-              for g = 0 to n_logic - 1 do
-                let id = Array.unsafe_get setup.logic_ids g in
-                Array.unsafe_set l id (Bigarray.Array1.unsafe_get rl (row + g));
-                Array.unsafe_set w id (Bigarray.Array1.unsafe_get rw (row + g));
-                Array.unsafe_set vt id (Bigarray.Array1.unsafe_get rvt (row + g));
-                Array.unsafe_set tox id (Bigarray.Array1.unsafe_get rtox (row + g))
-              done;
-              let result = Sta.Timing.run setup.sta ~l ~w ~vt ~tox in
-              Stats.Welford.add w_acc result.Sta.Timing.worst_delay;
-              Array.iteri
-                (fun e a -> Stats.Welford.add e_acc.(e) a)
-                result.Sta.Timing.endpoint_arrivals
+                Sta.Timing.eval plan ~l:rl ~w:rw ~vt:rvt ~tox:rtox ~row:(i * n_logic)
+                  ~arrival ~slew;
+                (* [Timing.run]'s left fold in endpoint order *)
+                let worst = ref neg_infinity in
+                for e = 0 to n_endpoints - 1 do
+                  let a = Array.unsafe_get arrival (Array.unsafe_get endpoints e) in
+                  worst := Float.max !worst a;
+                  Stats.Welford.add (Array.unsafe_get e_acc e) a
+                done;
+                Stats.Welford.add w_acc !worst
               end
             done));
         sta_seconds := !sta_seconds +. Util.Timer.elapsed_s t0;
@@ -188,6 +180,52 @@ let run_mc ?(batch = 256) ?jobs ?(policy = Fail) ?diag setup ~sampler ~seed ~n =
     endpoint_sigma = Array.map Stats.Welford.std_dev endpoint_acc;
     sample_seconds = !sample_seconds;
     sta_seconds = !sta_seconds;
+  }
+
+let run_mc_reference ?(batch = 256) setup ~sampler ~seed ~n =
+  if n <= 0 then invalid_arg "Experiment.run_mc_reference: n must be positive";
+  if batch <= 0 then invalid_arg "Experiment.run_mc_reference: batch must be positive";
+  let n_gates = Netlist.size setup.netlist in
+  let n_endpoints = Array.length setup.sta.Sta.Timing.endpoints in
+  let worst = ref (Stats.Welford.create ()) in
+  let endpoint_acc = Array.init n_endpoints (fun _ -> Stats.Welford.create ()) in
+  for bi = 0 to ((n + batch - 1) / batch) - 1 do
+    let b = min batch (n - (bi * batch)) in
+    let blocks = sampler (Prng.Rng.substream ~seed ~stream:bi) ~n:b in
+    let lo = ref 0 in
+    while !lo < b do
+      let hi = min b (!lo + sta_chunk) in
+      let w_acc = Stats.Welford.create () in
+      let e_acc = Array.init n_endpoints (fun _ -> Stats.Welford.create ()) in
+      for i = !lo to hi - 1 do
+        let scatter p =
+          let a = Array.make n_gates 0.0 in
+          Array.iteri (fun c id -> a.(id) <- Linalg.Mat.get blocks.(p) i c) setup.logic_ids;
+          a
+        in
+        let r =
+          Sta.Timing.run setup.sta ~l:(scatter 0) ~w:(scatter 1) ~vt:(scatter 2)
+            ~tox:(scatter 3)
+        in
+        Stats.Welford.add w_acc r.Sta.Timing.worst_delay;
+        Array.iteri (fun e a -> Stats.Welford.add e_acc.(e) a) r.Sta.Timing.endpoint_arrivals
+      done;
+      worst := Stats.Welford.merge !worst w_acc;
+      Array.iteri
+        (fun e acc -> endpoint_acc.(e) <- Stats.Welford.merge endpoint_acc.(e) acc)
+        e_acc;
+      lo := hi
+    done
+  done;
+  {
+    n_samples = n;
+    n_skipped = 0;
+    worst_mean = Stats.Welford.mean !worst;
+    worst_sigma = Stats.Welford.std_dev !worst;
+    endpoint_mean = Array.map Stats.Welford.mean endpoint_acc;
+    endpoint_sigma = Array.map Stats.Welford.std_dev endpoint_acc;
+    sample_seconds = 0.0;
+    sta_seconds = 0.0;
   }
 
 type comparison = {

@@ -69,6 +69,17 @@ val run_mc :
     @raise Invalid_argument if [n <= 0], [batch <= 0], or the sampler
     returns blocks of the wrong shape. *)
 
+val run_mc_reference :
+  ?batch:int -> circuit_setup -> sampler:sampler -> seed:int -> n:int -> mc_result
+(** The per-sample oracle of {!run_mc}, kept for tests and the bench
+    [smoke] check: the same batches, substreams, accumulator ranges and
+    merge order, but each sample is scattered into full-size parameter
+    arrays (zeros at [Input] gates) and timed by {!Sta.Timing.run}.
+    Sequential, with no non-finite guard and zero timings. On finite
+    samples {!run_mc} must match it bit for bit.
+
+    @raise Invalid_argument if [n <= 0] or [batch <= 0]. *)
+
 type comparison = {
   e_mu_pct : float; (* |Δmean| as % of reference mean *)
   e_sigma_pct : float; (* |Δsigma| as % of reference sigma *)

@@ -15,8 +15,44 @@ type prepared = {
 }
 
 val prepare : Circuit.Wireload.t -> prepared
-(** Precompute everything that does not depend on parameter values, so the
-    Monte Carlo loop pays only for the timing propagation itself. *)
+(** Precompute everything that does not depend on parameter values. *)
+
+val logic_ids : prepared -> int array
+(** Ids of the non-[Input] gates, ascending: entry [c] is the gate whose
+    parameters sit in column [c] of the rows {!eval} reads. *)
+
+type plan
+(** The timer compiled for the Monte Carlo loop: the topological order, the
+    fanins in CSR form with each edge's wire Elmore delay and squared
+    Bakoglu wire slew, each gate's {!Circuit.Gate.timing} coefficients
+    (with [r_drive · c_load] folded in) in flat float arrays, and each
+    gate's logic column. *)
+
+val plan : prepared -> plan
+(** Compile [prepared] for {!eval}, in time linear in gates plus fanin
+    edges. A plan is read-only, so any number of domains may evaluate
+    samples through one plan at once. *)
+
+type params = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val eval :
+  plan ->
+  l:params ->
+  w:params ->
+  vt:params ->
+  tox:params ->
+  row:int ->
+  arrival:float array ->
+  slew:float array ->
+  unit
+(** [eval plan ~l ~w ~vt ~tox ~row ~arrival ~slew] times one sample whose
+    parameters for logic column [c] (see {!logic_ids}) are [l.{row + c}],
+    [w.{row + c}], …; [Input] gates take zero parameters. It writes every
+    gate's output arrival and slew into the caller's scratch (indexed by
+    gate id, at least the gate count long) and allocates nothing. The
+    arrivals are bit-identical to {!arrival_times} given the same
+    parameters scattered to gate ids with zeros at [Input] gates. Raises
+    [Invalid_argument] when a parameter row or the scratch is too short. *)
 
 type result = {
   worst_delay : float; (* max endpoint arrival, ps *)

@@ -91,19 +91,6 @@ let max_value t =
   done;
   !best
 
-let merge_into ~dst src =
-  for i = 0 to num_buckets - 1 do
-    let c = Atomic.get src.buckets.(i) in
-    if c > 0 then ignore (Atomic.fetch_and_add dst.buckets.(i) c)
-  done;
-  ignore (Atomic.fetch_and_add dst.count (Atomic.get src.count));
-  ignore (Atomic.fetch_and_add dst.sum (Atomic.get src.sum))
-
-let copy t =
-  let c = create () in
-  merge_into ~dst:c t;
-  c
-
 let reset t =
   for i = 0 to num_buckets - 1 do
     Atomic.set t.buckets.(i) 0

@@ -3,19 +3,15 @@
     Values are non-negative integers (by convention nanoseconds). The
     layout is value-range independent and identical for every instance:
     exact buckets below 32, then 32 sub-buckets per power of two —
-    bounding relative error at ~3% — so histograms recorded on different
-    domains merge bucket-by-bucket with no resampling. Recording is lock-free (one atomic fetch-and-add per
-    bucket); because addition commutes, the bucket counts after recording
-    a given multiset of samples are bit-identical regardless of how the
-    samples were interleaved across domains.
+    bounding relative error at ~3%. Recording is lock-free (one atomic
+    fetch-and-add per bucket); because addition commutes, the bucket
+    counts after recording a given multiset of samples are bit-identical
+    regardless of how the samples were interleaved across domains.
 
     Quantile queries return the bucket midpoint, which is monotone in the
     bucket index, so [quantile h p <= quantile h q] whenever [p <= q]. *)
 
 type t
-
-val num_buckets : int
-(** Size of the fixed bucket array (covers every non-negative [int]). *)
 
 val create : unit -> t
 (** A fresh, empty histogram. *)
@@ -42,15 +38,6 @@ val quantile : t -> float -> int
 
 val max_value : t -> int
 (** Representative value of the highest occupied bucket; 0 when empty. *)
-
-val merge_into : dst:t -> t -> unit
-(** Add [src]'s bucket counts and sum into [dst]. Layouts are fixed, so
-    any two histograms merge; merging is commutative and associative up
-    to bit-identical bucket counts. *)
-
-val copy : t -> t
-(** Snapshot (a plain copy; subsequent recording into either side is
-    independent). *)
 
 val reset : t -> unit
 (** Zero every bucket, the count and the sum. Not atomic with respect to

@@ -497,6 +497,47 @@ let prop_eig_psd_nonnegative =
       let vals = Linalg.Sym_eig.eig_values (random_spd seed n) in
       Array.for_all (fun v -> v > 0.0) vals)
 
+(* the register-blocked [mul_nt] against the textbook triple loop: output
+   widths that leave a 1..3-wide tail, signed zeros in [a] on the skip
+   path, and inner dimensions past the 256-wide k-panel *)
+let prop_mul_nt_naive =
+  let gen =
+    QCheck.Gen.(
+      let* m = int_range 1 5 in
+      let* n = int_range 1 13 in
+      let* k = oneof [ int_range 1 40; int_range 257 700 ] in
+      let* seed = int_range 1 10000 in
+      let* zero_pct = int_range 0 60 in
+      return (m, n, k, seed, zero_pct))
+  in
+  let print (m, n, k, seed, z) =
+    Printf.sprintf "(m=%d, n=%d, k=%d, seed=%d, zeros=%d%%)" m n k seed z
+  in
+  QCheck.Test.make ~name:"mul_nt = naive triple loop, bit for bit" ~count:200
+    (QCheck.make gen ~print)
+    (fun (m, n, k, seed, zero_pct) ->
+      let next = lcg_stream seed in
+      let a =
+        Mat.init m k (fun _ _ ->
+            let u = next () +. 0.5 in
+            if u *. 100.0 < float_of_int zero_pct then (if u < 0.1 then -0.0 else 0.0)
+            else next ())
+      in
+      let b = random_mat (seed + 7) n k in
+      let c = Mat.mul_nt a b in
+      let ok = ref true in
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          let acc = ref 0.0 in
+          for kk = 0 to k - 1 do
+            let aik = Mat.get a i kk in
+            if aik <> 0.0 then acc := !acc +. (aik *. Mat.get b j kk)
+          done;
+          if Int64.bits_of_float !acc <> Int64.bits_of_float (Mat.get c i j) then ok := false
+        done
+      done;
+      !ok)
+
 let () =
   Alcotest.run "linalg"
     [
@@ -580,6 +621,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_eig_trace; prop_cholesky_roundtrip; prop_eig_psd_nonnegative ]
+          [
+            prop_eig_trace;
+            prop_cholesky_roundtrip;
+            prop_eig_psd_nonnegative;
+            prop_mul_nt_naive;
+          ]
       );
     ]

@@ -453,6 +453,11 @@ let test_protocol_decode_errors () =
   check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"}}}|} Protocol.Bad_params;
   check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"},"n":0}}|}
     Protocol.Bad_params;
+  (* a range reject names its key, as the unknown-key reject does *)
+  Alcotest.(check (option string)) "n = 0 names field n" (Some "n")
+    (error_member "field"
+       (same_on_both_wires server
+          {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"},"n":0}}|}));
   check_code {|{"id":1,"method":"run_mc","params":{"circuit":{"name":"c17"},"n":10,"sampler":"bogus"}}|}
     Protocol.Bad_params;
   check_code {|{"id":1,"method":"prepare","params":{}}|} Protocol.Bad_params;

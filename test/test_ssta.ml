@@ -520,6 +520,69 @@ let test_run_mc_all_skipped_raises () =
     | _ -> false
     | exception Util.Diag.Failure e -> e.Util.Diag.code = `Non_finite)
 
+(* ---------- compiled timing plan vs the per-sample oracle ---------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let gaussian_sampler ~scale ~n_logic rng ~n =
+  Array.init 4 (fun _ ->
+      Linalg.Mat.scale scale (Prng.Gaussian.matrix rng ~rows:n ~cols:n_logic))
+
+let prop_run_mc_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* n_gates = int_range 20 90 in
+      let* dff_fraction = float_range 0.05 0.3 in
+      let* gen_seed = int_range 0 10_000 in
+      let* scale = float_range 0.1 12.0 in
+      let* n = int_range 1 80 in
+      let* batch = int_range 1 80 in
+      let* seed = int_range 0 10_000 in
+      return (n_gates, dff_fraction, gen_seed, scale, n, batch, seed))
+  in
+  let print (g, d, gs, sc, n, b, s) =
+    Printf.sprintf "(gates=%d dff=%.2f gen_seed=%d scale=%.2f n=%d batch=%d seed=%d)" g d
+      gs sc n b s
+  in
+  QCheck.Test.make ~name:"plan-driven run_mc = per-sample Timing.run oracle, bit for bit"
+    ~count:200 (QCheck.make gen ~print)
+    (fun (n_gates, dff_fraction, gen_seed, scale, n, batch, seed) ->
+      let netlist =
+        Circuit.Generator.generate
+          { Circuit.Generator.name = "q"; n_gates; n_inputs = 6; n_outputs = 4;
+            dff_fraction; seed = gen_seed }
+      in
+      let s = Ssta.Experiment.setup_circuit netlist in
+      let sampler = gaussian_sampler ~scale ~n_logic:(Array.length s.logic_ids) in
+      let r = Ssta.Experiment.run_mc ~jobs:1 ~batch s ~sampler ~seed ~n in
+      let o = Ssta.Experiment.run_mc_reference ~batch s ~sampler ~seed ~n in
+      let same_arrays a b = Array.length a = Array.length b && Array.for_all2 same_bits a b in
+      same_bits o.Ssta.Experiment.worst_mean r.Ssta.Experiment.worst_mean
+      && same_bits o.Ssta.Experiment.worst_sigma r.Ssta.Experiment.worst_sigma
+      && same_arrays o.Ssta.Experiment.endpoint_mean r.Ssta.Experiment.endpoint_mean
+      && same_arrays o.Ssta.Experiment.endpoint_sigma r.Ssta.Experiment.endpoint_sigma)
+
+(* c880 statistics pinned to the bits the scatter + [Timing.run] loop and
+   the one-output-at-a-time [Mat.mul_nt] produced before the compiled plan
+   and the register-blocked product replaced them *)
+let test_run_mc_c880_golden () =
+  let s = Ssta.Experiment.setup_circuit (Circuit.Generator.generate_paper "c880") in
+  let a2 =
+    Ssta.Algorithm2.prepare ~config:fast_config (Lazy.force process) s.Ssta.Experiment.locations
+  in
+  List.iter
+    (fun jobs ->
+      let r =
+        Ssta.Experiment.run_mc ~jobs s ~sampler:(Ssta.Algorithm2.sample_block a2) ~seed:2024
+          ~n:500
+      in
+      let label what = Printf.sprintf "%s at jobs %d" what jobs in
+      Alcotest.(check string) (label "worst_mean") "0x1.367acd8e25e4cp+12"
+        (Printf.sprintf "%h" r.Ssta.Experiment.worst_mean);
+      Alcotest.(check string) (label "worst_sigma") "0x1.e9d33e133c5e4p+5"
+        (Printf.sprintf "%h" r.Ssta.Experiment.worst_sigma))
+    [ 1; 2 ]
+
 (* ---------- Pipeline ---------- *)
 
 let test_pipeline_cholesky_end_to_end () =
@@ -910,6 +973,8 @@ let () =
             test_run_mc_rejects_bad_sampler_shape;
           Alcotest.test_case "single sample" `Quick test_run_mc_single_sample;
           Alcotest.test_case "jobs bit-identical" `Quick test_run_mc_jobs_bit_identical;
+          Alcotest.test_case "c880 golden bits" `Quick test_run_mc_c880_golden;
+          QCheck_alcotest.to_alcotest prop_run_mc_matches_oracle;
           Alcotest.test_case "compare skips zero-sigma endpoints" `Quick
             test_compare_skips_zero_sigma_endpoints;
           Alcotest.test_case "compare reports excluded endpoints" `Quick

@@ -198,6 +198,112 @@ let prop_peri_dominates_inputs =
       let s = Sta.Slew.peri ~slew_in:a ~wire_slew:b in
       s >= a -. 1e-9 && s >= b -. 1e-9)
 
+(* ---------- compiled plan ---------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let param_rows st ~rows ~cols ~scale =
+  Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout (rows * cols) (fun _ ->
+      scale *. (Random.State.float st 2.0 -. 1.0))
+
+(* parameters of logic column [c] in row [row], scattered to gate ids with
+   zeros at Input gates — the oracle's input layout *)
+let scatter p ba ~row =
+  let a = Array.make (Array.length p.Sta.Timing.c_loads) 0.0 in
+  Array.iteri (fun c id -> a.(id) <- Bigarray.Array1.get ba (row + c)) (Sta.Timing.logic_ids p);
+  a
+
+let test_plan_nominal_matches_oracle () =
+  let netlist =
+    Circuit.Generator.generate
+      { Circuit.Generator.name = "nominal"; n_gates = 150; n_inputs = 10; n_outputs = 8;
+        dff_fraction = 0.1; seed = 3 }
+  in
+  let p = prepared_of netlist in
+  let n = N.size netlist in
+  let zeros = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Bigarray.Array1.fill zeros 0.0;
+  let arrival = Array.make n Float.nan and slew = Array.make n Float.nan in
+  Sta.Timing.eval (Sta.Timing.plan p) ~l:zeros ~w:zeros ~vt:zeros ~tox:zeros ~row:0
+    ~arrival ~slew;
+  let arrival', slew' = Sta.Timing.nominal_arrival_and_slew p in
+  Alcotest.(check bool) "arrivals bit-identical" true (Array.for_all2 same_bits arrival' arrival);
+  Alcotest.(check bool) "slews bit-identical" true (Array.for_all2 same_bits slew' slew)
+
+let test_plan_eval_rejects_short_rows () =
+  let p = prepared_of (tiny ()) in
+  let n_logic = Array.length (Sta.Timing.logic_ids p) in
+  let row = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n_logic in
+  let scratch = Array.make 4 0.0 in
+  let plan = Sta.Timing.plan p in
+  Alcotest.check_raises "row past the end"
+    (Invalid_argument "Sta.Timing.eval: parameter row out of range") (fun () ->
+      Sta.Timing.eval plan ~l:row ~w:row ~vt:row ~tox:row ~row:1 ~arrival:scratch
+        ~slew:scratch);
+  Alcotest.check_raises "short scratch"
+    (Invalid_argument "Sta.Timing.eval: scratch shorter than the gate count") (fun () ->
+      Sta.Timing.eval plan ~l:row ~w:row ~vt:row ~tox:row ~row:0
+        ~arrival:(Array.make 3 0.0) ~slew:scratch)
+
+(* the Monte Carlo loop's budget: timing a c880 sample through the plan
+   allocates nothing per gate (the scatter + [run] loop took ~59 k words) *)
+let test_plan_eval_allocation_free () =
+  let p = prepared_of (Circuit.Generator.generate_paper "c880") in
+  let n = Array.length p.Sta.Timing.c_loads in
+  let n_logic = Array.length (Sta.Timing.logic_ids p) in
+  let samples = 500 in
+  let st = Random.State.make [| 880 |] in
+  let block () = param_rows st ~rows:samples ~cols:n_logic ~scale:3.0 in
+  let l = block () and w = block () and vt = block () and tox = block () in
+  let arrival = Array.make n 0.0 and slew = Array.make n 0.0 in
+  let plan = Sta.Timing.plan p in
+  let before = Gc.minor_words () in
+  for i = 0 to samples - 1 do
+    Sta.Timing.eval plan ~l ~w ~vt ~tox ~row:(i * n_logic) ~arrival ~slew
+  done;
+  let per_sample = (Gc.minor_words () -. before) /. float_of_int samples in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per sample <= 16" per_sample)
+    true (per_sample <= 16.0)
+
+(* the compiled plan against [arrival_times] at every gate, on generated
+   netlists with DFFs and parameters large enough to hit the clamps *)
+let prop_plan_matches_arrival_times =
+  let gen =
+    QCheck.Gen.(
+      let* n_gates = int_range 10 120 in
+      let* dff_fraction = float_range 0.0 0.3 in
+      let* gen_seed = int_range 0 10_000 in
+      let* scale = float_range 0.1 40.0 in
+      let* param_seed = int_range 0 10_000 in
+      return (n_gates, dff_fraction, gen_seed, scale, param_seed))
+  in
+  let print (g, d, gs, sc, ps) =
+    Printf.sprintf "(gates=%d dff=%.2f gen_seed=%d scale=%.2f param_seed=%d)" g d gs sc ps
+  in
+  QCheck.Test.make ~name:"plan eval = arrival_times at every gate, bit for bit" ~count:100
+    (QCheck.make gen ~print)
+    (fun (n_gates, dff_fraction, gen_seed, scale, param_seed) ->
+      let netlist =
+        Circuit.Generator.generate
+          { Circuit.Generator.name = "q"; n_gates; n_inputs = 6; n_outputs = 4;
+            dff_fraction; seed = gen_seed }
+      in
+      let p = prepared_of netlist in
+      let n = N.size netlist in
+      let n_logic = Array.length (Sta.Timing.logic_ids p) in
+      let st = Random.State.make [| param_seed |] in
+      let block () = param_rows st ~rows:2 ~cols:n_logic ~scale in
+      let l = block () and w = block () and vt = block () and tox = block () in
+      let row = n_logic in
+      let arrival = Array.make n Float.nan and slew = Array.make n Float.nan in
+      Sta.Timing.eval (Sta.Timing.plan p) ~l ~w ~vt ~tox ~row ~arrival ~slew;
+      let expected =
+        Sta.Timing.arrival_times p ~l:(scatter p l ~row) ~w:(scatter p w ~row)
+          ~vt:(scatter p vt ~row) ~tox:(scatter p tox ~row)
+      in
+      Array.for_all2 same_bits expected arrival)
+
 let () =
   Alcotest.run "sta"
     [
@@ -221,6 +327,14 @@ let () =
           Alcotest.test_case "slack scales with clock" `Quick test_slack_report_scales_with_clock;
           Alcotest.test_case "critical path structure" `Quick test_critical_path_structure;
         ] );
+      ( "plan",
+        [
+          Alcotest.test_case "nominal arrivals and slews" `Quick
+            test_plan_nominal_matches_oracle;
+          Alcotest.test_case "short rows rejected" `Quick test_plan_eval_rejects_short_rows;
+          Alcotest.test_case "allocation-free on c880" `Quick test_plan_eval_allocation_free;
+        ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_peri_dominates_inputs ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_peri_dominates_inputs; prop_plan_matches_arrival_times ] );
     ]

@@ -327,25 +327,6 @@ let test_histogram_domain_determinism () =
         (Util.Histogram.quantile h1 p) (Util.Histogram.quantile h2 p))
     [ 0.5; 0.9; 0.99; 0.999 ]
 
-let test_histogram_shard_merge () =
-  (* two histograms each record a disjoint half; merging (in either order)
-     equals one histogram that saw everything *)
-  let whole = Util.Histogram.create () in
-  record_all whole hist_samples;
-  let n = Array.length hist_samples in
-  let a = Util.Histogram.create () and b = Util.Histogram.create () in
-  Array.iteri
-    (fun i v -> Util.Histogram.record (if i < n / 2 then a else b) v)
-    hist_samples;
-  let m1 = Util.Histogram.create () in
-  Util.Histogram.merge_into ~dst:m1 a;
-  Util.Histogram.merge_into ~dst:m1 b;
-  let m2 = Util.Histogram.create () in
-  Util.Histogram.merge_into ~dst:m2 b;
-  Util.Histogram.merge_into ~dst:m2 a;
-  Alcotest.(check bool) "a+b = whole" true (hist_state m1 = hist_state whole);
-  Alcotest.(check bool) "merge commutes" true (hist_state m1 = hist_state m2)
-
 let test_histogram_quantiles () =
   let h = Util.Histogram.create () in
   record_all h hist_samples;
@@ -930,8 +911,6 @@ let () =
         [
           Alcotest.test_case "1-vs-2-domain bit identity" `Quick
             test_histogram_domain_determinism;
-          Alcotest.test_case "shard merge determinism" `Quick
-            test_histogram_shard_merge;
           Alcotest.test_case "quantile bounds" `Quick test_histogram_quantiles;
         ] );
       ( "fault",
