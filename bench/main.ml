@@ -143,8 +143,8 @@ let paper_solution =
 let paper_model =
   lazy
     (let sol = Lazy.force paper_solution in
-     let n = Geometry.Mesh.size (Lazy.force paper_mesh) in
-     let r = Kle.Model.choose_r ~n_total:n sol.Kle.Galerkin.eigenvalues in
+     let trace = Kle.Galerkin.trace (Lazy.force paper_mesh) (Lazy.force paper_kernel) in
+     let r = Kle.Model.choose_r ~trace sol.Kle.Galerkin.eigenvalues in
      pf "[lab] truncation rule selects r = %d (paper: 25)\n%!" r;
      Kle.Model.create ~r sol)
 
@@ -313,7 +313,7 @@ let fig5 () =
       if j < 12 || (j < 60 && (j + 1) mod 5 = 0) || (j + 1) mod 50 = 0 then
         pf "%6d %12.5f %14.5f\n" (j + 1) v (!cum /. total))
     vals;
-  let r = Kle.Model.choose_r ~n_total:n vals in
+  let r = Kle.Model.choose_r ~trace:total vals in
   pf "truncation rule (tolerance 1%%): r = %d  (paper: 25)\n" r;
   pf "variance captured by r pairs: %.2f%%\n"
     (100.0 *. Util.Arrayx.sum (Array.sub vals 0 r) /. total)
@@ -818,7 +818,7 @@ let ablate_kernel () =
       let sol = Kle.Galerkin.solve ~solver:(Kle.Galerkin.Lanczos { count }) mesh kernel in
       let vals = sol.Kle.Galerkin.eigenvalues in
       let total = Kle.Galerkin.trace mesh kernel in
-      let r_rule = Kle.Model.choose_r ~n_total:n vals in
+      let r_rule = Kle.Model.choose_r ~trace:total vals in
       let r99 =
         let cum = ref 0.0 in
         let r = ref count in

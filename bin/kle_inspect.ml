@@ -55,7 +55,7 @@ let run kernel_name param shape mesh_frac min_angle pairs =
       if j < 10 || (j + 1) mod 10 = 0 then
         Printf.printf "%6d %12.6f %12.5f\n" (j + 1) v (!cum /. total))
     vals;
-  let r = Kle.Model.choose_r ~n_total:n vals in
+  let r = Kle.Model.choose_r ~trace:total vals in
   Printf.printf "\ntruncation rule (1%% tolerance): r = %d\n" r;
   let model = Kle.Model.create ~r sol in
   Printf.printf "reconstruction error from die center (mesh nodes): %.4f\n"

@@ -8,15 +8,26 @@
 
    Point indices 0..2 are the internal super-triangle vertices; public
    indices are offset by 3. Triangles are kept counter-clockwise so the
-   incircle determinant has a fixed sign convention. *)
+   incircle determinant has a fixed sign convention.
 
-type tri = { ia : int; ib : int; ic : int }
+   Triangles live in a flat vertex array (triangle [i] is [tv.(3i)],
+   [tv.(3i+1)], [tv.(3i+2)]) whose order is part of the output: after an
+   insertion it holds the new cavity-boundary triangles in discovery order,
+   then the surviving triangles by descending old index. The seed scan
+   picks the lowest-index containing triangle, so this order fixes every
+   decision of the refinement above. An insertion allocates nothing: the
+   next order is written into a second buffer that is then swapped in. *)
 
 type t = {
   rect : Rect.t;
   mutable pts : Point.t array; (* includes the 3 super vertices *)
   mutable n : int;
-  mutable tris : tri list;
+  mutable tv : int array; (* 3 vertex indices per triangle *)
+  mutable ntri : int;
+  (* scratch reused across insertions *)
+  mutable next : int array; (* the order after the current insertion *)
+  mutable in_cavity : Bytes.t; (* per triangle; all zero between inserts *)
+  mutable cavity : int array; (* cavity triangles, also the BFS queue *)
 }
 
 let super_vertices rect =
@@ -34,18 +45,49 @@ let create rect =
   pts.(0) <- sv.(0);
   pts.(1) <- sv.(1);
   pts.(2) <- sv.(2);
+  let cap = 128 in
+  let tv = Array.make (3 * cap) 0 in
   (* super triangle must be CCW *)
-  let t0 =
-    if Point.cross sv.(0) sv.(1) sv.(2) > 0.0 then { ia = 0; ib = 1; ic = 2 }
-    else { ia = 0; ib = 2; ic = 1 }
-  in
-  { rect; pts; n = 3; tris = [ t0 ] }
+  tv.(1) <- 1;
+  tv.(2) <- 2;
+  if Point.cross sv.(0) sv.(1) sv.(2) <= 0.0 then begin
+    tv.(1) <- 2;
+    tv.(2) <- 1
+  end;
+  {
+    rect;
+    pts;
+    n = 3;
+    tv;
+    ntri = 1;
+    next = Array.make (3 * cap) 0;
+    in_cavity = Bytes.make cap '\000';
+    cavity = Array.make cap 0;
+  }
 
 let grow t =
   if t.n = Array.length t.pts then begin
     let pts = Array.make (2 * t.n) t.pts.(0) in
     Array.blit t.pts 0 pts 0 t.n;
     t.pts <- pts
+  end
+
+(* make room for [count] triangles in every per-triangle buffer, keeping
+   the current triangles and cavity marks *)
+let reserve t count =
+  let cap = Bytes.length t.in_cavity in
+  if count > cap then begin
+    let cap = max count (2 * cap) in
+    let tv = Array.make (3 * cap) 0 in
+    Array.blit t.tv 0 tv 0 (3 * t.ntri);
+    t.tv <- tv;
+    t.next <- Array.make (3 * cap) 0;
+    let in_cavity = Bytes.make cap '\000' in
+    Bytes.blit t.in_cavity 0 in_cavity 0 (Bytes.length t.in_cavity);
+    t.in_cavity <- in_cavity;
+    let cavity = Array.make cap 0 in
+    Array.blit t.cavity 0 cavity 0 (Array.length t.cavity);
+    t.cavity <- cavity
   end
 
 (* incircle determinant: positive when d is strictly inside the circumcircle
@@ -66,19 +108,33 @@ let incircle_det (a : Point.t) (b : Point.t) (c : Point.t) (d : Point.t) =
   let scale = (a2 +. b2 +. c2) ** 2.0 in
   (det, scale)
 
-let in_circumcircle ?(slack = 0.0) t tri (p : Point.t) =
-  let det, scale = incircle_det t.pts.(tri.ia) t.pts.(tri.ib) t.pts.(tri.ic) p in
+let vertex t i k = t.pts.(t.tv.((3 * i) + k))
+
+let in_circumcircle ?(slack = 0.0) t i (p : Point.t) =
+  let det, scale = incircle_det (vertex t i 0) (vertex t i 1) (vertex t i 2) p in
   det > -.slack *. scale
 
 (* barycentric containment, tolerant of boundary points *)
-let tri_contains t tri (p : Point.t) =
-  let a = t.pts.(tri.ia) and b = t.pts.(tri.ib) and c = t.pts.(tri.ic) in
+let tri_contains t i (p : Point.t) =
+  let a = vertex t i 0 and b = vertex t i 1 and c = vertex t i 2 in
   let denom = Point.cross a b c in
   if Float.abs denom < 1e-300 then false
   else begin
     let tol = -1e-12 *. Float.abs denom in
     Point.cross a b p >= tol && Point.cross b c p >= tol && Point.cross c a p >= tol
   end
+
+let has_vertex t i v =
+  let tv = t.tv and o = 3 * i in
+  tv.(o) = v || tv.(o + 1) = v || tv.(o + 2) = v
+
+let has_edge t i u v = has_vertex t i u && has_vertex t i v
+
+(* triangles [i] and [j] share an (undirected) edge *)
+let adjacent t i j =
+  let o = 3 * i in
+  let a = t.tv.(o) and b = t.tv.(o + 1) and c = t.tv.(o + 2) in
+  has_edge t j a b || has_edge t j b c || has_edge t j c a
 
 let find_existing t p =
   let rec loop i =
@@ -88,7 +144,43 @@ let find_existing t p =
   in
   loop 3
 
-let edge_key u v = if u < v then (u, v) else (v, u)
+let is_in_cavity t i = Bytes.unsafe_get t.in_cavity i <> '\000'
+
+(* the first triangle, in the current order, satisfying [pred] *)
+let first_triangle t pred =
+  let rec scan i = if i >= t.ntri then -1 else if pred i then i else scan (i + 1) in
+  scan 0
+
+(* the cavity of [p]: every triangle reachable from [seed] through
+   edge-adjacent triangles whose circumcircle holds [p]; returns its size *)
+let grow_cavity t seed p =
+  Bytes.unsafe_set t.in_cavity seed '\001';
+  t.cavity.(0) <- seed;
+  let size = ref 1 and head = ref 0 in
+  while !head < !size do
+    let i = t.cavity.(!head) in
+    incr head;
+    for j = 0 to t.ntri - 1 do
+      if (not (is_in_cavity t j)) && adjacent t i j && in_circumcircle ~slack:1e-12 t j p
+      then begin
+        Bytes.unsafe_set t.in_cavity j '\001';
+        t.cavity.(!size) <- j;
+        incr size
+      end
+    done
+  done;
+  !size
+
+(* no cavity triangle other than [i] has the edge (u, v): covers hull edges
+   and edges to triangles outside the cavity *)
+let boundary_edge t ~cavity_size i u v =
+  let rec scan k =
+    k >= cavity_size
+    ||
+    let j = t.cavity.(k) in
+    (j = i || not (has_edge t j u v)) && scan (k + 1)
+  in
+  scan 0
 
 let insert t p =
   if not (Rect.contains ~tol:1e-9 t.rect p) then
@@ -100,106 +192,82 @@ let insert t p =
       let pi = t.n in
       t.pts.(pi) <- p;
       t.n <- t.n + 1;
-      let tris = Array.of_list t.tris in
-      let ntri = Array.length tris in
-      (* edge -> adjacent triangle indices *)
-      let edge_map : ((int * int), int list) Hashtbl.t = Hashtbl.create (3 * ntri) in
-      Array.iteri
-        (fun i { ia; ib; ic } ->
-          List.iter
-            (fun key ->
-              Hashtbl.replace edge_map key
-                (i :: Option.value ~default:[] (Hashtbl.find_opt edge_map key)))
-            [ edge_key ia ib; edge_key ib ic; edge_key ic ia ])
-        tris;
       (* seed: the triangle containing p *)
+      let seed = first_triangle t (fun i -> tri_contains t i p) in
       let seed =
-        let rec scan i =
-          if i >= ntri then None
-          else if tri_contains t tris.(i) p then Some i
-          else scan (i + 1)
-        in
-        scan 0
+        if seed >= 0 then seed
+        else begin
+          (* numerical corner case: fall back to any triangle whose
+             circumcircle contains p *)
+          let s = first_triangle t (fun i -> in_circumcircle ~slack:1e-12 t i p) in
+          if s < 0 then invalid_arg "Delaunay.insert: point not inside any triangle";
+          s
+        end
       in
-      let seed =
-        match seed with
-        | Some s -> s
-        | None ->
-            (* numerical corner case: fall back to any triangle whose
-               circumcircle contains p *)
-            let rec scan i =
-              if i >= ntri then
-                invalid_arg "Delaunay.insert: point not inside any triangle"
-              else if in_circumcircle ~slack:1e-12 t tris.(i) p then i
-              else scan (i + 1)
-            in
-            scan 0
-      in
-      (* grow the cavity by BFS over edge-adjacency *)
-      let in_cavity = Array.make ntri false in
-      in_cavity.(seed) <- true;
-      let queue = Queue.create () in
-      Queue.add seed queue;
-      while not (Queue.is_empty queue) do
-        let i = Queue.pop queue in
-        let { ia; ib; ic } = tris.(i) in
-        List.iter
-          (fun key ->
-            match Hashtbl.find_opt edge_map key with
-            | None -> ()
-            | Some adjacent ->
-                List.iter
-                  (fun j ->
-                    if
-                      (not in_cavity.(j))
-                      && in_circumcircle ~slack:1e-12 t tris.(j) p
-                    then begin
-                      in_cavity.(j) <- true;
-                      Queue.add j queue
-                    end)
-                  adjacent)
-          [ edge_key ia ib; edge_key ib ic; edge_key ic ia ]
-      done;
-      (* boundary edges: cavity-triangle edges whose other side is outside
-         the cavity; keep the CCW orientation of the cavity triangle *)
-      let fresh = ref [] in
+      let cavity_size = grow_cavity t seed p in
+      (* the cavity's boundary edges (at most three per cavity triangle)
+         become fresh triangles fanned around p *)
+      reserve t (t.ntri + (2 * cavity_size));
+      let next = t.next in
+      let fresh = ref 0 in
       let add_boundary_edge u v =
         (* (u, v) was CCW in its cavity triangle, so (u, v, pi) is CCW when p
            is inside the cavity *)
-        let tri =
-          if Point.cross t.pts.(u) t.pts.(v) p > 0.0 then { ia = u; ib = v; ic = pi }
-          else { ia = v; ib = u; ic = pi }
-        in
-        fresh := tri :: !fresh
+        let o = 3 * !fresh in
+        if Point.cross t.pts.(u) t.pts.(v) p > 0.0 then begin
+          next.(o) <- u;
+          next.(o + 1) <- v
+        end
+        else begin
+          next.(o) <- v;
+          next.(o + 1) <- u
+        end;
+        next.(o + 2) <- pi;
+        incr fresh
       in
-      Array.iteri
-        (fun i { ia; ib; ic } ->
-          if in_cavity.(i) then
-            List.iter
-              (fun (u, v) ->
-                let neighbors =
-                  Option.value ~default:[] (Hashtbl.find_opt edge_map (edge_key u v))
-                in
-                (* boundary iff no {e other} cavity triangle shares the edge
-                   (covers hull edges, whose only adjacency is [i] itself) *)
-                let boundary =
-                  List.for_all (fun j -> j = i || not in_cavity.(j)) neighbors
-                in
-                if boundary then add_boundary_edge u v)
-              [ (ia, ib); (ib, ic); (ic, ia) ])
-        tris;
-      let survivors = ref [] in
-      Array.iteri (fun i tri -> if not in_cavity.(i) then survivors := tri :: !survivors) tris;
-      t.tris <- List.rev_append !fresh !survivors;
+      for i = 0 to t.ntri - 1 do
+        if is_in_cavity t i then begin
+          let o = 3 * i in
+          let a = t.tv.(o) and b = t.tv.(o + 1) and c = t.tv.(o + 2) in
+          if boundary_edge t ~cavity_size i a b then add_boundary_edge a b;
+          if boundary_edge t ~cavity_size i b c then add_boundary_edge b c;
+          if boundary_edge t ~cavity_size i c a then add_boundary_edge c a
+        end
+      done;
+      (* survivors follow, by descending old index *)
+      let count = ref !fresh in
+      for i = t.ntri - 1 downto 0 do
+        if not (is_in_cavity t i) then begin
+          Array.blit t.tv (3 * i) next (3 * !count) 3;
+          incr count
+        end
+      done;
+      for k = 0 to cavity_size - 1 do
+        Bytes.unsafe_set t.in_cavity t.cavity.(k) '\000'
+      done;
+      t.next <- t.tv;
+      t.tv <- next;
+      t.ntri <- !count;
       pi - 3
 
 let point_count t = t.n - 3
 
+let point t i = t.pts.(i + 3)
+
 let points t = Array.sub t.pts 3 (t.n - 3)
 
+let iter_triangles t f =
+  let tv = t.tv in
+  for i = 0 to t.ntri - 1 do
+    let o = 3 * i in
+    let a = tv.(o) and b = tv.(o + 1) and c = tv.(o + 2) in
+    if a >= 3 && b >= 3 && c >= 3 then f (a - 3) (b - 3) (c - 3)
+  done
+
 let triangles t =
-  let real = List.filter (fun { ia; ib; ic } -> ia >= 3 && ib >= 3 && ic >= 3) t.tris in
-  Array.of_list (List.map (fun { ia; ib; ic } -> (ia - 3, ib - 3, ic - 3)) real)
+  let acc = ref [] in
+  iter_triangles t (fun i j k -> acc := (i, j, k) :: !acc);
+  Array.of_list (List.rev !acc)
 
 let triangulate rect pts =
   let t = create rect in

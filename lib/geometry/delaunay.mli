@@ -19,8 +19,15 @@ val insert : t -> Point.t -> int
 
 val point_count : t -> int
 
+val point : t -> int -> Point.t
+(** [point t i] is the [i]-th inserted point, without copying {!points}. *)
+
 val points : t -> Point.t array
-(** Inserted points, in insertion order. *)
+(** Inserted points, in insertion order (a fresh copy). *)
+
+val iter_triangles : t -> (int -> int -> int -> unit) -> unit
+(** [iter_triangles t f] calls [f i j k] on every current triangle, in the
+    order of {!triangles}, without building the array. *)
 
 val triangles : t -> (int * int * int) array
 (** Current triangles as counter-clockwise index triples into {!points}

@@ -35,7 +35,7 @@ type state = {
   ignored : (int * int * int, unit) Hashtbl.t;
 }
 
-let point st i = (Delaunay.points st.dt).(i)
+let point st i = Delaunay.point st.dt i
 
 let encroaches_pt ~slack (a : Point.t) (b : Point.t) (p : Point.t) =
   let mid = Point.midpoint a b in
@@ -68,12 +68,11 @@ let split_segment st seg =
 
 let some_point_encroaches st seg =
   let a = point st seg.u and b = point st seg.v in
-  let pts = Delaunay.points st.dt in
-  let n = Array.length pts in
+  let n = Delaunay.point_count st.dt in
   let rec scan i =
     if i >= n then false
     else if
-      i <> seg.u && i <> seg.v && encroaches_pt ~slack:(1.0 -. 1e-9) a b pts.(i)
+      i <> seg.u && i <> seg.v && encroaches_pt ~slack:(1.0 -. 1e-9) a b (point st i)
     then true
     else scan (i + 1)
   in
@@ -111,24 +110,20 @@ let violates ~max_area ~min_angle_deg tri =
 
 (* one refinement step: returns false when nothing is left to fix *)
 let step st ~max_area ~min_angle_deg =
-  let pts = Delaunay.points st.dt in
-  let tris = Delaunay.triangles st.dt in
   (* pick the worst offender: largest area among violators, which empirically
-     keeps the point count low *)
+     keeps the point count low; on a tie the first in triangle order wins *)
   let worst = ref None in
-  Array.iter
-    (fun ijk ->
-      if not (Hashtbl.mem st.ignored (tri_key ijk)) then begin
-        let i, j, k = ijk in
-        let tri = Triangle.make pts.(i) pts.(j) pts.(k) in
-        if violates ~max_area ~min_angle_deg tri then begin
-          let a = Triangle.area tri in
-          match !worst with
-          | Some (a0, _, _) when a0 >= a -> ()
-          | _ -> worst := Some (a, tri, ijk)
-        end
-      end)
-    tris;
+  Delaunay.iter_triangles st.dt (fun i j k ->
+      let tri = Triangle.make (point st i) (point st j) (point st k) in
+      if
+        violates ~max_area ~min_angle_deg tri
+        && not (Hashtbl.mem st.ignored (tri_key (i, j, k)))
+      then begin
+        let a = Triangle.area tri in
+        match !worst with
+        | Some (a0, _, _) when a0 >= a -> ()
+        | _ -> worst := Some (a, tri, (i, j, k))
+      end);
   match !worst with
   | None -> false
   | Some (_, tri, ijk) ->
@@ -231,5 +226,5 @@ let mesh ?(min_angle_deg = 28.0) ?(max_points = 100_000) rect ~max_area_fraction
   {
     Geometry_intf.mesh;
     satisfied = (not !continue_refining) && Hashtbl.length st.ignored = 0;
-    inserted_points = Array.length (Delaunay.points dt);
+    inserted_points = Delaunay.point_count dt;
   }

@@ -49,14 +49,11 @@ let assemble ?(quadrature = Centroid) ?jobs mesh kernel =
           done));
   c
 
-let trace mesh kernel =
-  let n = Mesh.size mesh in
+let trace ?(quadrature = Centroid) mesh kernel =
+  let mean = Operator.mean_kernel_value quadrature mesh kernel in
   let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc :=
-      !acc
-      +. (Kernel.eval kernel mesh.Mesh.centroids.(i) mesh.Mesh.centroids.(i)
-         *. mesh.Mesh.areas.(i))
+  for i = 0 to Mesh.size mesh - 1 do
+    acc := !acc +. (mean i i *. mesh.Mesh.areas.(i))
   done;
   !acc
 

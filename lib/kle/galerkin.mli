@@ -122,6 +122,10 @@ val eigenvalue_sum_bound : solution -> float
     equals the die area (trace identity), so this reports how much variance
     the computed pairs capture. *)
 
-val trace : Geometry.Mesh.t -> Kernels.Kernel.t -> float
-(** The Galerkin trace [Σ_i K(c_i, c_i) a_i] (= die area for normalized
-    kernels): the total variance that the full spectrum accounts for. *)
+val trace : ?quadrature:quadrature -> Geometry.Mesh.t -> Kernels.Kernel.t -> float
+(** The trace of the Galerkin matrix [C], i.e. the sum of all [n] of its
+    eigenvalues: [Σ_i K(c_i, c_i) a_i] under the default [Centroid] rule
+    (= die area for normalized kernels), the mean of [K] over each
+    element's mid-edge points under [Midedge]. It is the total variance
+    that the full spectrum accounts for, at [n] kernel evaluations
+    ([9n] for [Midedge]). *)

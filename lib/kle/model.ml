@@ -6,21 +6,17 @@ type t = {
   locator : Geometry.Locator.t;
 }
 
-let choose_r ?(tolerance = 0.01) ~n_total eigenvalues =
+let choose_r ?(tolerance = 0.01) ~trace eigenvalues =
   let m = Array.length eigenvalues in
   if m = 0 then invalid_arg "Model.choose_r: no eigenvalues";
-  if n_total < m then invalid_arg "Model.choose_r: n_total below computed count";
-  let lambda_m = eigenvalues.(m - 1) in
-  let uncomputed = lambda_m *. float_of_int (n_total - m) in
-  (* suffix sums of the computed tail *)
-  let rec search r head tail =
-    if r > m then m
-    else if uncomputed +. tail <= tolerance *. head && r >= 1 then r
+  (* [head] is λ_1 + … + λ_r summed left to right; the discarded weight is
+     exactly [trace - head] *)
+  let rec search r head =
+    if trace -. head <= tolerance *. head then r
     else if r = m then m
-    else search (r + 1) (head +. eigenvalues.(r)) (tail -. eigenvalues.(r))
+    else search (r + 1) (head +. eigenvalues.(r))
   in
-  let total = Util.Arrayx.sum eigenvalues in
-  search 1 eigenvalues.(0) (total -. eigenvalues.(0))
+  search 1 eigenvalues.(0)
 
 let create ?r solution =
   let m = Array.length solution.Galerkin.eigenvalues in
@@ -35,7 +31,9 @@ let create ?r solution =
         if r <= 0 || r > m then
           invalid_arg "Model.create: r out of range of computed eigenpairs";
         r
-    | None -> choose_r ~n_total:n solution.Galerkin.eigenvalues
+    | None ->
+        let { Galerkin.mesh; kernel; quadrature; eigenvalues; _ } = solution in
+        choose_r ~trace:(Galerkin.trace ~quadrature mesh kernel) eigenvalues
   in
   { solution; r; locator = Geometry.Locator.create solution.Galerkin.mesh }
 
@@ -173,9 +171,8 @@ let variance_at ?diag t x =
   !acc
 
 let captured_variance_fraction t =
-  let total =
-    Galerkin.trace t.solution.Galerkin.mesh t.solution.Galerkin.kernel
-  in
+  let { Galerkin.mesh; kernel; quadrature; _ } = t.solution in
+  let total = Galerkin.trace ~quadrature mesh kernel in
   Util.Arrayx.sum (eigenvalues t) /. total
 
 let d_lambda t =

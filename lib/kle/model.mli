@@ -10,17 +10,21 @@ type t = {
 
 val create : ?r:int -> Galerkin.solution -> t
 (** [create solution] truncates to [r] eigenpairs (default: {!choose_r} with
-    its default tolerance). Raises [Invalid_argument] when [r] exceeds the
+    its default tolerance, against the {!Galerkin.trace} of the solution's
+    mesh, kernel and quadrature). Raises [Invalid_argument] when [r] exceeds the
     number of computed pairs or is not positive. *)
 
-val choose_r : ?tolerance:float -> n_total:int -> float array -> int
-(** [choose_r ~n_total eigenvalues] implements the paper's truncation rule:
-    the smallest [r] such that
-    [λ_m (n_total - m) + Σ_{i=r+1}^{m} λ_i <= tolerance * Σ_{i=1}^{r} λ_i],
-    where [m] is the number of computed eigenvalues (paper: m = 200,
-    tolerance = 0.01, giving r = 25). The left side upper-bounds the total
-    weight of ALL discarded eigenvalues, because eigenvalues are
-    non-increasing. Returns [m] when no such [r] exists. *)
+val choose_r : ?tolerance:float -> trace:float -> float array -> int
+(** [choose_r ~trace eigenvalues] is the truncation rule of Section 5.2
+    with the discarded weight computed exactly: the smallest [r] such that
+    [trace - Σ_{i≤r} λ_i <= tolerance * Σ_{i≤r} λ_i], where [trace] is the
+    sum of the whole spectrum ({!Galerkin.trace}) and the partial sum runs
+    left to right over the descending [eigenvalues] (default tolerance
+    0.01, giving r = 25 on the paper kernel and mesh). The paper's solver
+    gives no trace, so it bounds the uncomputed part by [λ_m (n - m)] and
+    solves m = 200 pairs; the exact tail lets a few dozen pairs decide the
+    same [r]. Returns [m = Array.length eigenvalues] when no [r <= m]
+    qualifies. *)
 
 val eval_eigenfunction : ?diag:Util.Diag.sink -> t -> int -> Geometry.Point.t -> float
 (** [eval_eigenfunction t j x] evaluates the [j]-th (0-based) eigenfunction

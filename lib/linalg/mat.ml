@@ -24,8 +24,8 @@ let set m i j v =
   check_bounds m i j;
   Bigarray.Array1.unsafe_set m.data ((i * m.cols) + j) v
 
-let unsafe_get m i j = Bigarray.Array1.unsafe_get m.data ((i * m.cols) + j)
-let unsafe_set m i j v = Bigarray.Array1.unsafe_set m.data ((i * m.cols) + j) v
+let[@inline] unsafe_get m i j = Bigarray.Array1.unsafe_get m.data ((i * m.cols) + j)
+let[@inline] unsafe_set m i j v = Bigarray.Array1.unsafe_set m.data ((i * m.cols) + j) v
 
 let init rows cols f =
   let m = create rows cols in

@@ -1,6 +1,21 @@
-(* xoshiro256++ (Blackman & Vigna), seeded through splitmix64. *)
+(* xoshiro256++ (Blackman & Vigna), seeded through splitmix64.
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+   The four state words live unboxed in one 32-byte buffer (s0..s3 at
+   offsets 0, 8, 16, 24, native byte order), so a draw reads and writes
+   them without allocating an [Int64] box. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let make s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
+  t
 
 let splitmix64 state =
   state := Int64.add !state 0x9E3779B97F4A7C15L;
@@ -9,13 +24,15 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
+(* four consecutive splitmix64 outputs of [state] *)
+let seeded state =
   let s0 = splitmix64 state in
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
+
+let create ~seed = seeded (ref (Int64.of_int seed))
 
 let substream ~seed ~stream =
   (* counter-based derivation: hash seed and stream index independently
@@ -25,37 +42,29 @@ let substream ~seed ~stream =
      while staying bit-reproducible *)
   let a = ref (Int64.of_int seed) in
   let b = ref (Int64.lognot (Int64.of_int stream)) in
-  let state = ref (Int64.logxor (splitmix64 a) (splitmix64 b)) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  seeded (ref (Int64.logxor (splitmix64 a) (splitmix64 b)))
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] bits64 t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (Int64.logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let split t = seeded (ref (bits64 t))
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let uniform t =
+let[@inline] uniform t =
   (* top 53 bits -> [0, 1) *)
   Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
 

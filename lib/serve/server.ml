@@ -260,38 +260,24 @@ let get_setup_edited t circuit edit =
 
 let get_setup t circuit = get_setup_edited t circuit None
 
+(* the server's KLE config with the request's truncation *)
+let kle_config t ~r = { t.config.kle with Ssta.Algorithm2.r }
+
 let model_spec t kernel ~r =
-  let cfg = t.config.kle in
-  Printf.sprintf "kle-model(kernel=%s;die=unit;maf=%.17g;angle=%.17g;pairs=%d;r=%s)"
+  let cfg = kle_config t ~r in
+  Printf.sprintf "kle-model(kernel=%s;die=unit;maf=%.17g;angle=%.17g;pairs=%s;r=%s)"
     (Persist.Entity.kernel_spec kernel)
     cfg.Ssta.Algorithm2.max_area_fraction cfg.Ssta.Algorithm2.min_angle_deg
-    cfg.Ssta.Algorithm2.computed_pairs
+    (Ssta.Algorithm2.pairs_spec cfg)
     (match r with None -> "auto" | Some r -> string_of_int r)
-
-(* mirrors Algorithm2.prepare: unit-die mesh, Lanczos unless the mesh is
-   small, Model.create truncation — so a cached model is bit-identical to
-   the uncached pipeline's *)
-let compute_model t kernel ~r () =
-  let cfg = t.config.kle in
-  let mesh =
-    (Geometry.Refine.mesh Geometry.Rect.unit_die
-       ~max_area_fraction:cfg.Ssta.Algorithm2.max_area_fraction
-       ~min_angle_deg:cfg.Ssta.Algorithm2.min_angle_deg)
-      .Geometry.Geometry_intf.mesh
-  in
-  let solver =
-    if cfg.Ssta.Algorithm2.computed_pairs >= Geometry.Mesh.size mesh then Kle.Galerkin.Dense
-    else Kle.Galerkin.Lanczos { count = cfg.Ssta.Algorithm2.computed_pairs }
-  in
-  Kle.Model.create ?r
-    (Kle.Galerkin.solve ~solver ~diag:t.diag ?jobs:t.config.jobs mesh kernel)
 
 let get_model t kernel ~r =
   let spec = model_spec t kernel ~r in
   cached t Persist.Entity.model ~spec
     ~inject:(fun m -> A_model m)
     ~project:(function A_model m -> Some m | _ -> None)
-    (compute_model t kernel ~r)
+    (fun () ->
+      Ssta.Algorithm2.model ~config:(kle_config t ~r) ~diag:t.diag ?jobs:t.config.jobs kernel)
 
 (* the model set's cache-key contribution for hierarchical macros: every
    parameter's full model spec, hashed to keep macro specs short. Any
@@ -513,6 +499,10 @@ let execute t (request : Protocol.request) : Jsonx.t =
               ( "logic_gates",
                 Jsonx.Num (float_of_int (Array.length setup.Ssta.Experiment.logic_ids)) );
               ("r", Jsonx.Num (float_of_int models.(0).Kle.Model.r));
+              ( "pairs",
+                Jsonx.Num
+                  (float_of_int
+                     (Array.length models.(0).Kle.Model.solution.Kle.Galerkin.eigenvalues)) );
               ( "mesh_size",
                 Jsonx.Num
                   (float_of_int

@@ -19,28 +19,49 @@ type t = {
   setup_seconds : float;
 }
 
-let prepare ?(config = paper_config) ?mesh ?diag ?jobs (process : Process.t) locations =
+let mesh config =
+  (Geometry.Refine.mesh Geometry.Rect.unit_die ~max_area_fraction:config.max_area_fraction
+     ~min_angle_deg:config.min_angle_deg)
+    .Geometry.Geometry_intf.mesh
+
+(* the pair ladder's first rung; each further rung doubles it *)
+let first_rung = 32
+
+let pairs_spec config =
+  match config.r with
+  | Some _ -> string_of_int config.computed_pairs
+  | None -> Printf.sprintf "ladder(%d..%d)" (min first_rung config.computed_pairs) config.computed_pairs
+
+let model ?(config = paper_config) ?mesh:m ?diag ?jobs kernel =
+  let mesh = match m with Some m -> m | None -> mesh config in
+  let n = Geometry.Mesh.size mesh in
+  let solve count =
+    let solver = if count >= n then Kle.Galerkin.Dense else Kle.Galerkin.Lanczos { count } in
+    Kle.Galerkin.solve ~solver ?diag ?jobs mesh kernel
+  in
+  Util.Trace.with_span ~attrs:[ ("n", string_of_int n) ] "algorithm2.model" @@ fun () ->
+  match config.r with
+  | Some _ -> Kle.Model.create ?r:config.r (solve config.computed_pairs)
+  | None ->
+      (* the exact-tail rule only needs the pairs it keeps, plus one to show
+         that the rest fall under the tolerance: climb until it picks
+         r < m *)
+      let cap = config.computed_pairs in
+      let rec climb count =
+        let model = Kle.Model.create (solve count) in
+        let m = Array.length model.Kle.Model.solution.Kle.Galerkin.eigenvalues in
+        if model.Kle.Model.r < m || count >= cap || count >= n then model
+        else climb (min cap (2 * count))
+      in
+      climb (min first_rung cap)
+
+let prepare ?(config = paper_config) ?mesh:m ?diag ?jobs (process : Process.t) locations =
   Util.Trace.with_span
     ~attrs:[ ("locations", string_of_int (Array.length locations)) ]
     "algorithm2.prepare"
   @@ fun () ->
   let timer = Util.Timer.start () in
-  let mesh =
-    match mesh with
-    | Some m -> m
-    | None ->
-        let result =
-          Geometry.Refine.mesh Geometry.Rect.unit_die
-            ~max_area_fraction:config.max_area_fraction
-            ~min_angle_deg:config.min_angle_deg
-        in
-        result.Geometry.Geometry_intf.mesh
-  in
-  let n = Geometry.Mesh.size mesh in
-  let solver =
-    if config.computed_pairs >= n then Kle.Galerkin.Dense
-    else Kle.Galerkin.Lanczos { count = config.computed_pairs }
-  in
+  let mesh = match m with Some m -> m | None -> mesh config in
   let cache : (Kernels.Kernel.t * Kle.Model.t) list ref = ref [] in
   (* cache key by PHYSICAL equality: [Kernel.t] can carry closures (a
      [Faulty] plan with a [Transform] corruption), on which
@@ -51,10 +72,7 @@ let prepare ?(config = paper_config) ?mesh ?diag ?jobs (process : Process.t) loc
     match List.find_opt (fun (k, _) -> k == kernel) !cache with
     | Some (_, m) -> m
     | None ->
-        let solution =
-          Kle.Galerkin.solve ~solver ?diag ?jobs mesh kernel
-        in
-        let m = Kle.Model.create ?r:config.r solution in
+        let m = model ~config ~mesh ?diag ?jobs kernel in
         cache := (kernel, m) :: !cache;
         m
   in

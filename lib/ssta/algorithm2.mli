@@ -10,13 +10,40 @@
 type config = {
   max_area_fraction : float; (* mesh resolution; paper: 0.001 -> n ~ 1546 *)
   min_angle_deg : float; (* mesh quality; paper: 28 *)
-  computed_pairs : int; (* eigenpairs computed by the solver; paper: 200 *)
-  r : int option; (* retained pairs; None = paper's automatic rule *)
+  computed_pairs : int;
+      (* eigenpairs solved for a fixed [r]; the cap of the pair ladder for
+         [r = None]; paper: 200 *)
+  r : int option; (* retained pairs; None = the exact-tail rule *)
 }
 
 val paper_config : config
 (** max_area_fraction = 0.001, min_angle_deg = 28, computed_pairs = 200,
     r = None (automatic rule; picks 25 on the paper kernel). *)
+
+val mesh : config -> Geometry.Mesh.t
+(** The unit-die mesh at [config]'s area fraction and minimum angle. *)
+
+val model :
+  ?config:config ->
+  ?mesh:Geometry.Mesh.t ->
+  ?diag:Util.Diag.sink ->
+  ?jobs:int ->
+  Kernels.Kernel.t ->
+  Kle.Model.t
+(** [model kernel] is the truncated KLE model of [kernel] on [mesh]
+    (default: {!mesh} [config]) — the one builder behind {!prepare} and
+    the server's cached models. With [config.r = Some k] it solves
+    [config.computed_pairs] pairs and keeps [k]. With [r = None] it climbs
+    a pair ladder: it solves 32, 64, 128, … pairs (capped at
+    [computed_pairs]) and stops at the first rung where
+    {!Kle.Model.choose_r}'s exact-tail rule keeps fewer pairs than it
+    solved (32 pairs suffice for the paper's r = 25). A rung of at least
+    [n] pairs is a dense solve. Deterministic, so the model does not
+    depend on [jobs]. *)
+
+val pairs_spec : config -> string
+(** What {!model} solves under [config], for cache keys: the pair count
+    for a fixed [r], the ladder's rungs for [r = None]. *)
 
 type t
 
@@ -29,7 +56,7 @@ val prepare :
   Geometry.Point.t array ->
   t
 (** [prepare process locations] meshes the die (unless [mesh] is given),
-    solves the Galerkin KLE for each distinct kernel, and builds the
+    builds a {!model} for each distinct kernel, and builds the
     per-location expansion matrices. [jobs] controls the domain fan-out of
     the Galerkin assembly or H-matrix build ({!Util.Pool.with_jobs}
     semantics); results do not depend on it. Solver fallbacks (Lanczos → dense) and boundary

@@ -170,13 +170,7 @@ let prepare ?mesh t method_ process (setup : Experiment.circuit_setup) =
         match mesh with
         | Some m -> Ok m
         | None ->
-            guard t ~stage (fun () ->
-                let result =
-                  Geometry.Refine.mesh Geometry.Rect.unit_die
-                    ~max_area_fraction:config.Algorithm2.max_area_fraction
-                    ~min_angle_deg:config.Algorithm2.min_angle_deg
-                in
-                result.Geometry.Geometry_intf.mesh)
+            guard t ~stage (fun () -> Algorithm2.mesh config)
       in
       Result.bind mesh_result (fun m ->
           Result.bind (validate_mesh t m) (fun m ->

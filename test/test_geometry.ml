@@ -261,6 +261,44 @@ let test_refine_non_square_domain () =
   check_close ~tol:1e-6 "area covered" 4.0 (Geometry.Mesh.total_area m);
   Alcotest.(check bool) "structure" true (Geometry.Mesh.check m = Ok ())
 
+(* points as %h, then triangles: equal digests mean byte-identical meshes *)
+let mesh_digest (m : Geometry.Mesh.t) =
+  let b = Buffer.create 4096 in
+  Array.iter (fun (p : P.t) -> Printf.bprintf b "%h %h\n" p.x p.y) m.Geometry.Mesh.points;
+  Array.iter (fun (i, j, k) -> Printf.bprintf b "%d %d %d\n" i j k) m.Geometry.Mesh.triangles;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_refine_golden () =
+  (* the unit-die meshes at every mesh_frac that tests, benches and
+     perfbench use, pinned by digest: a mesher rewrite must reproduce them
+     byte for byte *)
+  List.iter
+    (fun (frac, size, digest) ->
+      let m =
+        (Geometry.Refine.mesh R.unit_die ~max_area_fraction:frac ~min_angle_deg:28.0)
+          .Geometry.Geometry_intf.mesh
+      in
+      let what = Printf.sprintf "mesh_frac %g" frac in
+      Alcotest.(check int) (what ^ " size") size (Geometry.Mesh.size m);
+      Alcotest.(check string) (what ^ " digest") digest (mesh_digest m))
+    [
+      (0.05, 28, "da9ca657350c023f466799a1afffde82");
+      (0.01, 158, "ecfc7c6a71ab05cd66c7d22ce27d46f3");
+      (0.004, 396, "2d3b9863f39253893346808cc18ba091");
+      (0.0015, 1030, "68f3d87194a25e10aca4ee38aa9071f0");
+      (0.001, 1544, "1d026b41941f5cb3bc0a6d059c89e3c6");
+    ]
+
+let test_refine_major_collections () =
+  (* the mesher keeps its triangles and scratch across insertions instead
+     of copying them per step: meshing at 0.004 (n = 396) ran 34-40 major
+     collections when it did, and none since *)
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_collections in
+  ignore (Geometry.Refine.mesh R.unit_die ~max_area_fraction:0.004 ~min_angle_deg:28.0);
+  let major = (Gc.quick_stat ()).Gc.major_collections - before in
+  Alcotest.(check bool) (Printf.sprintf "%d major collections <= 4" major) true (major <= 4)
+
 (* ---------- Locator ---------- *)
 
 let test_locator_matches_brute_force () =
@@ -388,6 +426,8 @@ let () =
           Alcotest.test_case "invalid fraction" `Quick test_refine_invalid_fraction;
           Alcotest.test_case "deterministic" `Quick test_refine_deterministic;
           Alcotest.test_case "non-square domain" `Quick test_refine_non_square_domain;
+          Alcotest.test_case "golden meshes" `Quick test_refine_golden;
+          Alcotest.test_case "major collections" `Quick test_refine_major_collections;
         ] );
       ( "locator",
         [

@@ -214,36 +214,52 @@ let test_sampler_out_of_domain_location_clamps () =
   let m = Kle.Sampler.sample_matrix s rng ~n:8 in
   Alcotest.(check bool) "samples finite" true (Linalg.Mat.is_finite m)
 
-let test_choose_r_rule () =
-  (* eigenvalues 8, 4, 2, 1, ... fast decay: small r *)
-  let vals = [| 8.0; 4.0; 2.0; 1.0; 0.001; 0.0005; 0.0001; 0.00005 |] in
-  let r = Kle.Model.choose_r ~tolerance:0.01 ~n_total:100 vals in
-  Alcotest.(check bool) (Printf.sprintf "r = %d reasonable" r) true (r >= 3 && r <= 8);
-  (* the bound must actually hold at the chosen r *)
-  let m = Array.length vals in
-  let tail = ref (vals.(m - 1) *. float_of_int (100 - m)) in
-  for i = r to m - 1 do
-    tail := !tail +. vals.(i)
-  done;
+(* the exact-tail rule, recomputed the way its contract states it *)
+let rule_holds ~tolerance ~trace vals r =
   let head = ref 0.0 in
   for i = 0 to r - 1 do
     head := !head +. vals.(i)
   done;
-  Alcotest.(check bool) "bound holds" true (!tail <= 0.01 *. !head)
+  trace -. !head <= tolerance *. !head
+
+let test_choose_r_rule () =
+  (* eigenvalues 8, 4, 2, 1, ... fast decay, plus 0.05 of uncomputed
+     spectrum: the discarded weight first falls under 1 % at r = 4 *)
+  let vals = [| 8.0; 4.0; 2.0; 1.0; 0.001; 0.0005; 0.0001; 0.00005 |] in
+  let trace = Util.Arrayx.sum vals +. 0.05 in
+  let r = Kle.Model.choose_r ~tolerance:0.01 ~trace vals in
+  Alcotest.(check int) "r" 4 r;
+  Alcotest.(check bool) "rule holds at r" true (rule_holds ~tolerance:0.01 ~trace vals r);
+  Alcotest.(check bool) "rule fails at r - 1" false
+    (rule_holds ~tolerance:0.01 ~trace vals (r - 1))
 
 let test_choose_r_flat_spectrum () =
-  (* flat spectrum: rule cannot satisfy the bound, returns m *)
+  (* flat spectrum with most of the trace uncomputed: no r qualifies, so
+     the rule returns m *)
   let vals = Array.make 10 1.0 in
-  Alcotest.(check int) "returns m" 10 (Kle.Model.choose_r ~n_total:10 vals)
+  Alcotest.(check int) "returns m" 10 (Kle.Model.choose_r ~trace:100.0 vals)
 
 let test_choose_r_monotone_in_tolerance () =
   let s = Lazy.force solve_coarse in
-  let n = Geometry.Mesh.size (Lazy.force mesh_coarse) in
-  let r_tight = Kle.Model.choose_r ~tolerance:0.001 ~n_total:n s.Kle.Galerkin.eigenvalues in
-  let r_loose = Kle.Model.choose_r ~tolerance:0.1 ~n_total:n s.Kle.Galerkin.eigenvalues in
+  let trace = Kle.Galerkin.trace (Lazy.force mesh_coarse) gaussian in
+  let r_tight = Kle.Model.choose_r ~tolerance:0.001 ~trace s.Kle.Galerkin.eigenvalues in
+  let r_loose = Kle.Model.choose_r ~tolerance:0.1 ~trace s.Kle.Galerkin.eigenvalues in
   Alcotest.(check bool)
     (Printf.sprintf "tight %d >= loose %d" r_tight r_loose)
     true (r_tight >= r_loose)
+
+let test_choose_r_full_spectrum_trace () =
+  (* with every eigenvalue computed the trace is their sum, so a truncated
+     [m] picks the same r as the whole spectrum (what the pair ladder
+     relies on) *)
+  let s = Lazy.force solve_coarse in
+  let vals = s.Kle.Galerkin.eigenvalues in
+  let trace = Kle.Galerkin.trace (Lazy.force mesh_coarse) gaussian in
+  check_close ~tol:1e-9 "trace = eigenvalue sum" trace (Util.Arrayx.sum vals);
+  let r = Kle.Model.choose_r ~trace vals in
+  Alcotest.(check bool) "r < n" true (r < Array.length vals);
+  Alcotest.(check int) "leading r + 1 pairs decide the same r" r
+    (Kle.Model.choose_r ~trace (Array.sub vals 0 (r + 1)))
 
 let test_model_create_bounds () =
   let s = Lazy.force solve_coarse in
@@ -931,31 +947,31 @@ let test_p1_index_out_of_range () =
 (* ---------- qcheck ---------- *)
 
 let prop_choose_r_bound_holds =
-  (* for random decaying spectra, the selection rule's bound truly holds *)
+  (* on random non-increasing spectra with a random uncomputed remainder,
+     the chosen r is the smallest at which the exact-tail rule holds, and
+     never exceeds m *)
   let gen =
     QCheck.Gen.(
-      let* m = int_range 5 30 in
-      let* decay = float_range 1.2 3.0 in
-      let* seed = int_range 0 1000 in
-      return (m, decay, seed))
+      let* m = int_range 1 40 in
+      let* decay = float_range 1.0 3.0 in
+      let* rest = float_range 0.0 2.0 in
+      let* tolerance = float_range 0.001 0.2 in
+      return (m, decay, rest, tolerance))
   in
-  let arb = QCheck.make gen ~print:(fun (m, d, s) -> Printf.sprintf "(m=%d, decay=%f, seed=%d)" m d s) in
-  QCheck.Test.make ~name:"choose_r bound holds on synthetic spectra" ~count:100 arb
-    (fun (m, decay, _) ->
+  let arb =
+    QCheck.make gen ~print:(fun (m, d, rest, tol) ->
+        Printf.sprintf "(m=%d, decay=%g, rest=%g, tol=%g)" m d rest tol)
+  in
+  QCheck.Test.make ~name:"choose_r bound holds on synthetic spectra (exact tail)" ~count:300
+    arb (fun (m, decay, rest, tolerance) ->
       let vals = Array.init m (fun i -> decay ** float_of_int (-i)) in
-      let n_total = m + 50 in
-      let r = Kle.Model.choose_r ~tolerance:0.01 ~n_total vals in
-      r = m
-      ||
-      let tail = ref (vals.(m - 1) *. float_of_int (n_total - m)) in
-      for i = r to m - 1 do
-        tail := !tail +. vals.(i)
-      done;
-      let head = ref 0.0 in
-      for i = 0 to r - 1 do
-        head := !head +. vals.(i)
-      done;
-      !tail <= 0.01 *. !head +. 1e-12)
+      let trace = Util.Arrayx.sum vals +. rest in
+      let r = Kle.Model.choose_r ~tolerance ~trace vals in
+      1 <= r && r <= m
+      && (r = m || rule_holds ~tolerance ~trace vals r)
+      && List.for_all
+           (fun r' -> not (rule_holds ~tolerance ~trace vals r'))
+           (List.init (r - 1) (fun i -> i + 1)))
 
 let () =
   Alcotest.run "kle"
@@ -986,6 +1002,7 @@ let () =
           Alcotest.test_case "choose_r rule" `Quick test_choose_r_rule;
           Alcotest.test_case "choose_r flat spectrum" `Quick test_choose_r_flat_spectrum;
           Alcotest.test_case "choose_r monotone in tolerance" `Quick test_choose_r_monotone_in_tolerance;
+          Alcotest.test_case "choose_r full spectrum trace" `Quick test_choose_r_full_spectrum_trace;
           Alcotest.test_case "create bounds" `Quick test_model_create_bounds;
           Alcotest.test_case "piecewise-constant eigenfunctions" `Quick test_eigenfunction_piecewise_constant;
           Alcotest.test_case "variance at points" `Quick test_variance_at_close_to_one;

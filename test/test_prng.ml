@@ -145,6 +145,70 @@ let test_gaussian_matrix_shape () =
 
 (* ---------- Mvn ---------- *)
 
+(* the streams below were computed before the generator state was
+   unboxed; any change to the draw order or the arithmetic shows here *)
+let stream_digest f =
+  let b = Buffer.create 16384 in
+  f b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_bits64_golden () =
+  let rng = Prng.Rng.create ~seed:42 in
+  let first = Prng.Rng.bits64 rng in
+  let second = Prng.Rng.bits64 rng in
+  Alcotest.(check int64) "first" (-3425465463722317665L) first;
+  Alcotest.(check int64) "second" 5881210131331364753L second;
+  let rng = Prng.Rng.create ~seed:42 in
+  Alcotest.(check string) "first 1000" "81f8653fd42adcb3beebdf45d819782e"
+    (stream_digest (fun b ->
+         for _ = 1 to 1000 do
+           Printf.bprintf b "%Ld\n" (Prng.Rng.bits64 rng)
+         done));
+  (* split, substream, int_below and copy derive from the same state *)
+  let rng = Prng.Rng.create ~seed:3 in
+  let s = Prng.Rng.split rng in
+  Alcotest.(check int64) "split" (-1225541115960542028L) (Prng.Rng.bits64 s);
+  Alcotest.(check int64) "parent after split" (-6494774918105765596L) (Prng.Rng.bits64 rng);
+  Alcotest.(check int64) "substream" (-4972421132930043179L)
+    (Prng.Rng.bits64 (Prng.Rng.substream ~seed:3 ~stream:5));
+  Alcotest.(check int) "int_below" 543 (Prng.Rng.int_below rng 1000);
+  let copied = Prng.Rng.uniform (Prng.Rng.copy rng) in
+  Alcotest.(check string) "uniform of a copy" "0x1.b08c8e71aa4b5p-1" (Printf.sprintf "%h" copied);
+  Alcotest.(check (float 0.0)) "copy leaves the original in step" copied (Prng.Rng.uniform rng)
+
+let test_gaussian_golden () =
+  let rng = Prng.Rng.create ~seed:42 in
+  let v = Prng.Gaussian.vector rng 1000 in
+  Alcotest.(check string) "first three" "0x1.f679d98b6ab7bp-1 -0x1.21a610c887574p-1 0x1.571f94d19c30ap+0"
+    (Printf.sprintf "%h %h %h" v.(0) v.(1) v.(2));
+  Alcotest.(check string) "first 1000" "f84932a785b5a5c9148b138a73835a1a"
+    (stream_digest (fun b -> Array.iter (fun x -> Printf.bprintf b "%h\n" x) v));
+  (* odd rows drop each row's last spare value; draw keeps the first *)
+  let rng = Prng.Rng.create ~seed:42 in
+  let m = Prng.Gaussian.matrix rng ~rows:10 ~cols:25 in
+  Alcotest.(check string) "matrix, then draws" "e5f271d010346dd91f9a2c6c6b840659"
+    (stream_digest (fun b ->
+         for i = 0 to 9 do
+           for j = 0 to 24 do
+             Printf.bprintf b "%h\n" (Linalg.Mat.get m i j)
+           done
+         done;
+         for _ = 1 to 10 do
+           Printf.bprintf b "%h\n" (Prng.Gaussian.draw rng)
+         done))
+
+let test_gaussian_matrix_minor_words () =
+  (* the generator state is unboxed and polar pairs go straight into the
+     output: ~36 minor words per entry before, 0 when Rng.uniform is
+     inlined, and its boxed float (2 words per uniform) otherwise *)
+  let rng = Prng.Rng.create ~seed:1 in
+  let before = Gc.minor_words () in
+  let m = Prng.Gaussian.matrix rng ~rows:1000 ~cols:25 in
+  let per_entry = (Gc.minor_words () -. before) /. 25_000.0 in
+  ignore (Sys.opaque_identity m);
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per entry < 4" per_entry) true
+    (per_entry < 4.0)
+
 let test_mvn_covariance_recovery () =
   (* target 3x3 covariance; check the sample covariance converges to it *)
   let k =
@@ -338,6 +402,7 @@ let () =
           Alcotest.test_case "split independence" `Quick test_split_independence;
           Alcotest.test_case "copy snapshots state" `Quick test_copy_snapshot;
           Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
+          Alcotest.test_case "golden bits64 stream" `Quick test_bits64_golden;
         ] );
       ( "gaussian",
         [
@@ -345,6 +410,8 @@ let () =
           Alcotest.test_case "tail fraction at 1.96" `Quick test_gaussian_tail_fraction;
           Alcotest.test_case "fill matches vector" `Quick test_gaussian_fill_matches_vector;
           Alcotest.test_case "matrix shape" `Quick test_gaussian_matrix_shape;
+          Alcotest.test_case "golden stream" `Quick test_gaussian_golden;
+          Alcotest.test_case "matrix minor words" `Quick test_gaussian_matrix_minor_words;
         ] );
       ( "mvn",
         [

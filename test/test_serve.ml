@@ -766,6 +766,28 @@ let test_server_single_flight () =
   Alcotest.(check (option int)) "one compute per key" (Some 2)
     (Option.bind (Jsonx.member "cache_misses" stats) Jsonx.as_int)
 
+(* the prepare reply says how many eigenpairs its model solved: the pair
+   ladder's first rung for the automatic truncation, computed_pairs for a
+   fixed r *)
+let test_server_prepare_reports_pairs () =
+  let kle = { Ssta.Algorithm2.paper_config with Ssta.Algorithm2.max_area_fraction = 0.004 } in
+  with_server ~config:{ test_config with Server.kle } @@ fun server ->
+  let prepare r =
+    expect_ok
+      (sync_call server
+         (Printf.sprintf {|{"id":1,"method":"prepare","params":{"circuit":{"bench":"%s"}%s}}|}
+            (escape_bench tiny_bench) r))
+  in
+  let int_field payload name = Option.bind (Jsonx.member name payload) Jsonx.as_int in
+  let auto = prepare "" in
+  Alcotest.(check (option int)) "mesh_size" (Some 396) (int_field auto "mesh_size");
+  Alcotest.(check (option int)) "ladder pairs" (Some 32) (int_field auto "pairs");
+  Alcotest.(check bool) "r below the rung" true
+    (match int_field auto "r" with Some r -> r < 32 | None -> false);
+  let fixed = prepare {|,"r":5|} in
+  Alcotest.(check (option int)) "fixed r" (Some 5) (int_field fixed "r");
+  Alcotest.(check (option int)) "computed_pairs" (Some 200) (int_field fixed "pairs")
+
 (* above 600 triangles the served model comes from the H-matrix eigensolve:
    it must be bit-identical to the uncached Algorithm2.prepare model, so a
    served run_mc equals the direct one *)
@@ -1783,6 +1805,7 @@ let () =
           Alcotest.test_case "single-flight dedup" `Quick test_server_single_flight;
           Alcotest.test_case "concurrent same-key identity" `Quick
             test_server_concurrent_same_key_identity;
+          Alcotest.test_case "prepare reports pairs" `Quick test_server_prepare_reports_pairs;
           Alcotest.test_case "model matches Algorithm2.prepare" `Quick
             test_server_model_matches_prepare;
           Alcotest.test_case "reply failure survives" `Quick

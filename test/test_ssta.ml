@@ -133,6 +133,42 @@ let test_a2_structure () =
   Alcotest.(check bool) "mesh sized" true (Ssta.Algorithm2.mesh_size a2 > 50);
   Alcotest.(check bool) "setup timed" true (Ssta.Algorithm2.setup_seconds a2 > 0.0)
 
+(* the pair ladder against the paper's 200-pair solve on the same mesh:
+   same r, and the leading eigenvalues agree to 1e-10 relative *)
+let check_ladder_matches_full_solve ~what ~rung kernel =
+  let config = { fast_config with Ssta.Algorithm2.computed_pairs = 200; r = None } in
+  let mesh = Ssta.Algorithm2.mesh config in
+  let ladder = Ssta.Algorithm2.model ~config ~mesh kernel in
+  let full =
+    Kle.Model.create
+      (Kle.Galerkin.solve ~solver:(Kle.Galerkin.Lanczos { count = 200 }) mesh kernel)
+  in
+  let pairs m = Array.length m.Kle.Model.solution.Kle.Galerkin.eigenvalues in
+  Alcotest.(check int) (what ^ ": ladder stops at its rung") rung (pairs ladder);
+  Alcotest.(check int) (what ^ ": same r") full.Kle.Model.r ladder.Kle.Model.r;
+  Alcotest.(check bool) (what ^ ": r below the rung") true (ladder.Kle.Model.r < rung);
+  let full_vals = Kle.Model.eigenvalues full in
+  let gap = ref 0.0 in
+  Array.iteri
+    (fun j lam -> gap := Float.max !gap (Float.abs (lam -. full_vals.(j)) /. lam))
+    (Kle.Model.eigenvalues ladder);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: leading eigenvalues within %.1e <= 1e-10" what !gap)
+    true (!gap <= 1e-10)
+
+let test_a2_pair_ladder () =
+  (* the paper kernel keeps r < 32, so the first rung decides *)
+  check_ladder_matches_full_solve ~what:"paper kernel" ~rung:32
+    (Lazy.force process).Ssta.Process.parameters.(0).Ssta.Process.kernel;
+  (* a shorter correlation length keeps more pairs: the ladder climbs *)
+  check_ladder_matches_full_solve ~what:"short kernel" ~rung:64 (K.Gaussian { c = 6.0 })
+
+let test_a2_fixed_r_solves_computed_pairs () =
+  let models = Ssta.Algorithm2.models (Lazy.force a2_fixture) in
+  Alcotest.(check int) "computed_pairs solved for r = Some"
+    fast_config.Ssta.Algorithm2.computed_pairs
+    (Array.length models.(0).Kle.Model.solution.Kle.Galerkin.eigenvalues)
+
 let test_a2_shared_kernel_shares_model () =
   let a2 = Lazy.force a2_fixture in
   let models = Ssta.Algorithm2.models a2 in
@@ -926,6 +962,9 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_a2_structure;
           Alcotest.test_case "kernel sharing" `Quick test_a2_shared_kernel_shares_model;
+          Alcotest.test_case "pair ladder matches 200 pairs" `Quick test_a2_pair_ladder;
+          Alcotest.test_case "fixed r solves computed_pairs" `Quick
+            test_a2_fixed_r_solves_computed_pairs;
           Alcotest.test_case "closure-carrying kernels (regression)" `Quick
             test_a2_prepare_closure_kernels;
           Alcotest.test_case "block shapes" `Quick test_a2_block_shapes;
