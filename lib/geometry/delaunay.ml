@@ -91,7 +91,7 @@ let reserve t count =
   end
 
 (* incircle determinant: positive when d is strictly inside the circumcircle
-   of the CCW triangle (a, b, c); [tolerant] also accepts near-cocircular *)
+   of the CCW triangle (a, b, c) *)
 let incircle_det (a : Point.t) (b : Point.t) (c : Point.t) (d : Point.t) =
   let ax = a.x -. d.x and ay = a.y -. d.y in
   let bx = b.x -. d.x and by = b.y -. d.y in
@@ -110,9 +110,10 @@ let incircle_det (a : Point.t) (b : Point.t) (c : Point.t) (d : Point.t) =
 
 let vertex t i k = t.pts.(t.tv.((3 * i) + k))
 
-let in_circumcircle ?(slack = 0.0) t i (p : Point.t) =
+(* tolerant: a near-cocircular point counts as inside *)
+let in_circumcircle t i (p : Point.t) =
   let det, scale = incircle_det (vertex t i 0) (vertex t i 1) (vertex t i 2) p in
-  det > -.slack *. scale
+  det > -1e-12 *. scale
 
 (* barycentric containment, tolerant of boundary points *)
 let tri_contains t i (p : Point.t) =
@@ -161,7 +162,7 @@ let grow_cavity t seed p =
     let i = t.cavity.(!head) in
     incr head;
     for j = 0 to t.ntri - 1 do
-      if (not (is_in_cavity t j)) && adjacent t i j && in_circumcircle ~slack:1e-12 t j p
+      if (not (is_in_cavity t j)) && adjacent t i j && in_circumcircle t j p
       then begin
         Bytes.unsafe_set t.in_cavity j '\001';
         t.cavity.(!size) <- j;
@@ -199,7 +200,7 @@ let insert t p =
         else begin
           (* numerical corner case: fall back to any triangle whose
              circumcircle contains p *)
-          let s = first_triangle t (fun i -> in_circumcircle ~slack:1e-12 t i p) in
+          let s = first_triangle t (fun i -> in_circumcircle t i p) in
           if s < 0 then invalid_arg "Delaunay.insert: point not inside any triangle";
           s
         end
