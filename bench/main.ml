@@ -62,6 +62,10 @@ let fmt_f = Util.Table.fmt_float
    cheap), written at exit when a path was given *)
 let json_records : Bench_json.entry list ref = ref []
 
+(* set by a check that fails after its rows are recorded: the run still
+   writes --json (the failing row included) and then exits 1 *)
+let check_failed = ref false
+
 (* the worker-domain count a run actually used: an explicit -j as given,
    otherwise the default pool's size, resolved at report time — so rows
    never carry "jobs": null when -j was left to default *)
@@ -1571,121 +1575,129 @@ let serve_bench () =
    with Sys_error _ | Unix.Unix_error _ -> ());
   pf "serve OK\n"
 
-(* incremental hierarchical re-timing: cold full analysis vs a warm
-   stitch-cache hit vs a one-gate edit that re-extracts exactly one block
-   macro. Exits non-zero when the reuse counters are wrong — the bench
-   doubles as a correctness gate for the dependency-aware cache. *)
+(* served retime: one NAND2 <-> NOR2 edit per design through an in-process
+   server, against a flat Block_ssta.run of the same edited setup with the
+   same models. Each row records whether the reply's worst mean and sigma
+   equal the flat run's bit for bit; the run exits 1 if any row does not. *)
 let retime_bench ~quick () =
-  header "Incremental re-timing: block macro-models + dependency-aware cache";
-  let c0 = Util.Trace.counters () in
-  let n_gates = if quick then 600 else 2400 in
-  let n_blocks = 8 in
-  let netlist =
-    Circuit.Generator.generate
-      { Circuit.Generator.name = "retime-bench"; n_gates; n_inputs = 12;
-        n_outputs = 8; dff_fraction = 0.05; seed = opts.seed }
+  header "Retime: a served one-gate edit vs a flat Block_ssta.run";
+  let designs =
+    if quick then [ "c880"; "s9234" ] else [ "c880"; "c1908"; "c3540"; "c5315"; "s9234" ]
   in
-  let setup = Ssta.Experiment.setup_circuit netlist in
-  let kle_config =
-    {
-      Ssta.Algorithm2.paper_config with
-      Ssta.Algorithm2.max_area_fraction = (if quick then 0.05 else 0.01);
-    }
+  let kle =
+    if quick then
+      { Ssta.Algorithm2.paper_config with Ssta.Algorithm2.max_area_fraction = 0.05 }
+    else Ssta.Algorithm2.paper_config
   in
-  let a2, prep_s =
-    Util.Timer.time (fun () ->
-        Ssta.Algorithm2.prepare ~config:kle_config ?jobs:opts.jobs
-          (Ssta.Process.paper_default ())
-          setup.Ssta.Experiment.locations)
+  let config =
+    { Serve.Server.default_config with Serve.Server.kle; workers = 1; jobs = opts.jobs }
   in
-  let models = Ssta.Algorithm2.models a2 in
-  let model_key = "retime-bench" in
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kle-retime-bench.%d" (Unix.getpid ()))
+  let server = Serve.Server.create config in
+  let client =
+    Serve.Client.create
+      ~policy:{ Serve.Client.default_policy with Serve.Client.timeout_s = Some 600.0 }
+      (Serve.Server.submit server)
   in
-  let dg = Persist.Depgraph.create (Persist.Store.open_ ~dir:store_dir ()) in
-  let retime setup =
-    Hier.Engine.retime ~n_blocks ?jobs:opts.jobs ~cache:dg setup ~models ~model_key
+  let call line =
+    match Serve.Client.call client line with
+    | Ok payload -> payload
+    | Error f ->
+        pf "FAIL: request %s -> %s\n" line (Serve.Client.failure_to_string f);
+        exit 1
   in
-  let expect label got want =
-    if got <> want then begin
-      pf "FAIL: %s = %d, expected %d\n" label got want;
-      exit 1
-    end
-  in
-  let cold, cold_s = Util.Timer.time (fun () -> retime setup) in
-  let nb = cold.Hier.Engine.n_blocks in
-  expect "cold blocks_recomputed" cold.Hier.Engine.counters.Hier.Engine.blocks_recomputed nb;
-  let warm, warm_s = Util.Timer.time (fun () -> retime setup) in
-  expect "warm blocks_reused" warm.Hier.Engine.counters.Hier.Engine.blocks_reused nb;
-  expect "warm blocks_recomputed" warm.Hier.Engine.counters.Hier.Engine.blocks_recomputed 0;
-  (* one-gate kind swap within an equal-pin-capacitance pair, so exactly
-     one block's content hash moves *)
-  let edit =
-    let found = ref None in
-    Array.iter
-      (fun g ->
-        if !found = None then
-          match g.Circuit.Netlist.kind with
-          | Circuit.Gate.Nand2 ->
-              found := Some { Hier.Edit.gate = g.Circuit.Netlist.id; kind = Circuit.Gate.Nor2 }
-          | Circuit.Gate.Nor2 ->
-              found := Some { Hier.Edit.gate = g.Circuit.Netlist.id; kind = Circuit.Gate.Nand2 }
-          | _ -> ())
-      netlist.Circuit.Netlist.gates;
-    match !found with
-    | Some e -> e
+  let num payload field =
+    match Option.bind (J.member field payload) J.as_num with
+    | Some v -> v
     | None ->
-        pf "FAIL: no swappable gate in the generated netlist\n";
+        pf "FAIL: reply has no numeric %S: %s\n" field (J.to_string payload);
         exit 1
   in
-  let edited_netlist =
-    match Hier.Edit.apply netlist edit with
-    | Ok nl -> nl
-    | Error m ->
-        pf "FAIL: edit rejected: %s\n" m;
-        exit 1
+  (* the server's models, built once on each side: the served ones by a
+     prepare (so no timed retime pays the eigensolve), the flat ones here *)
+  ignore (call {|{"id":0,"method":"prepare","params":{"circuit":{"name":"c880"}}}|});
+  let models, models_s =
+    Util.Timer.time (fun () ->
+        Array.map
+          (fun (p : Ssta.Process.parameter) ->
+            Ssta.Algorithm2.model ~config:kle ?jobs:opts.jobs p.Ssta.Process.kernel)
+          (Ssta.Process.paper_default ()).Ssta.Process.parameters)
   in
-  let edited_setup = Ssta.Experiment.setup_circuit edited_netlist in
-  let edited, edit_s = Util.Timer.time (fun () -> retime edited_setup) in
-  expect "edit blocks_recomputed" edited.Hier.Engine.counters.Hier.Engine.blocks_recomputed 1;
-  expect "edit blocks_reused" edited.Hier.Engine.counters.Hier.Engine.blocks_reused (nb - 1);
-  (* the composed result stays faithful to a flat pass over the edit *)
-  let flat = Ssta.Block_ssta.run edited_setup ~models in
-  let e_mu, e_sigma = Hier.Engine.validate_against_flat edited ~flat in
-  if e_mu > 1.0 || e_sigma > 10.0 then begin
-    pf "FAIL: edited compose drifted from flat (e_mu %.3f%%, e_sigma %.3f%%)\n" e_mu e_sigma;
-    exit 1
-  end;
-  pf "retime %d gates, %d blocks: cold %.3fs, warm (stitch hit) %.4fs, one-gate edit %.3fs\n"
-    n_gates nb cold_s warm_s edit_s;
-  pf "  edit recomputed %d/%d blocks; cold/edit %.1fx, cold/warm %.0fx; vs flat e_mu %.3f%% e_sigma %.3f%%\n"
-    edited.Hier.Engine.counters.Hier.Engine.blocks_recomputed nb (cold_s /. edit_s)
-    (cold_s /. warm_s) e_mu e_sigma;
-  emit "retime"
-    ~params:
-      [ ("n_gates", Bench_json.int n_gates);
-        ("quick", J.Bool quick);
-        ("cold_over_edit", J.Num (cold_s /. edit_s));
-        ("cold_over_warm", J.Num (cold_s /. warm_s)) ]
-    ~stages:
-      [ ("prepare_models", prep_s); ("retime_cold", cold_s);
-        ("retime_warm", warm_s); ("retime_edit", edit_s) ]
-    ~counters:
-      (counters_since c0
-      @ [ ("n_blocks", nb);
-          ("blocks_recomputed_cold", cold.Hier.Engine.counters.Hier.Engine.blocks_recomputed);
-          ("blocks_reused_warm", warm.Hier.Engine.counters.Hier.Engine.blocks_reused);
-          ("blocks_recomputed_edit", edited.Hier.Engine.counters.Hier.Engine.blocks_recomputed);
-          ("blocks_reused_edit", edited.Hier.Engine.counters.Hier.Engine.blocks_reused) ])
-    ~r:(Ssta.Algorithm2.r a2)
-    ~wall_s:(prep_s +. cold_s +. warm_s +. edit_s);
-  (try
-     Array.iter (fun f -> Sys.remove (Filename.concat store_dir f)) (Sys.readdir store_dir);
-     Unix.rmdir store_dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  pf "retime OK\n"
+  let r = models.(0).Kle.Model.r in
+  pf "models built in %.2fs (r = %d)\n" models_s r;
+  List.iteri
+    (fun i name ->
+      let netlist = Circuit.Generator.generate_paper name in
+      let edit =
+        match
+          Array.find_map
+            (fun (g : Circuit.Netlist.gate) ->
+              let swap kind = Some { Hier.Edit.gate = g.Circuit.Netlist.id; kind } in
+              match g.Circuit.Netlist.kind with
+              | Circuit.Gate.Nand2 -> swap Circuit.Gate.Nor2
+              | Circuit.Gate.Nor2 -> swap Circuit.Gate.Nand2
+              | _ -> None)
+            netlist.Circuit.Netlist.gates
+        with
+        | Some e -> e
+        | None ->
+            pf "FAIL: %s has no NAND2/NOR2 gate to swap\n" name;
+            exit 1
+      in
+      let kind = Hier.Edit.kind_to_string edit.Hier.Edit.kind in
+      let reply, served_s =
+        Util.Timer.time (fun () ->
+            call
+              (Printf.sprintf
+                 {|{"id":%d,"method":"retime","params":{"circuit":{"name":"%s"},"edit":{"gate":%d,"kind":"%s"}}}|}
+                 (i + 1) name edit.Hier.Edit.gate kind))
+      in
+      let edited =
+        match Hier.Edit.apply netlist edit with
+        | Ok nl -> nl
+        | Error m ->
+            pf "FAIL: edit rejected: %s\n" m;
+            exit 1
+      in
+      let setup, setup_s =
+        Util.Timer.time (fun () ->
+            Ssta.Experiment.setup_circuit ~placement_seed:config.Serve.Server.placement_seed
+              edited)
+      in
+      let flat, flat_s = Util.Timer.time (fun () -> Ssta.Block_ssta.run setup ~models) in
+      let same field want =
+        let got = num reply field in
+        Int64.bits_of_float got = Int64.bits_of_float want
+        || (pf "FAIL: %s %s: served %h, flat %h\n" name field got want;
+            false)
+      in
+      let identical =
+        same "worst_mean" (Ssta.Block_ssta.mean flat)
+        && same "worst_sigma" (Ssta.Block_ssta.sigma flat)
+      in
+      if not identical then check_failed := true;
+      let n_gates = Array.length (Sta.Timing.logic_ids setup.Ssta.Experiment.sta) in
+      pf "%-6s %5d gates, gate %d -> %s: served %7.1f ms (analysis %6.1f ms), flat setup %7.1f ms + run %6.1f ms; mean %h sigma %h\n"
+        name n_gates edit.Hier.Edit.gate kind (1e3 *. served_s)
+        (1e3 *. num reply "analysis_seconds") (1e3 *. setup_s) (1e3 *. flat_s)
+        (Ssta.Block_ssta.mean flat) (Ssta.Block_ssta.sigma flat);
+      emit "retime"
+        ~params:
+          [ ("circuit", J.Str name);
+            ("n_gates", Bench_json.int n_gates);
+            ("edit_gate", Bench_json.int edit.Hier.Edit.gate);
+            ("edit_kind", J.Str kind);
+            ("quick", J.Bool quick);
+            ("nproc", Bench_json.int (Domain.recommended_domain_count ()));
+            ("bit_identical", J.Bool identical) ]
+        ~stages:
+          [ ("served_retime", served_s);
+            ("served_analysis", num reply "analysis_seconds");
+            ("flat_setup", setup_s);
+            ("flat_run", flat_s) ]
+        ~r ~wall_s:(served_s +. setup_s +. flat_s))
+    designs;
+  Serve.Server.drain server;
+  pf "retime %s\n" (if !check_failed then "FAILED" else "OK")
 
 (* fault-injection storm against the serving tier: worker crashes, store
    read errors, torn writes and latency, with the Chaos module's
@@ -1867,4 +1879,5 @@ let () =
   | Some path ->
       Util.Trace.write_chrome_trace path;
       pf "wrote Chrome trace to %s (load in chrome://tracing or Perfetto)\n" path);
-  if opts.metrics then print_string (Util.Trace.summary ())
+  if opts.metrics then print_string (Util.Trace.summary ());
+  if !check_failed then exit 1

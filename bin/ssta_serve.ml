@@ -21,8 +21,9 @@
 
    Maintenance:
      ssta_serve --fsck DIR            # verify the store, report problems
-     ssta_serve --fsck DIR --repair   # also delete corrupt entries, sweep
-                                      # orphaned tmp files, GC to --gc-max-bytes *)
+     ssta_serve --fsck DIR --repair   # also delete corrupt and retired-kind
+                                      # entries, sweep orphaned tmp files,
+                                      # GC to --gc-max-bytes *)
 
 open Cmdliner
 
@@ -403,7 +404,8 @@ let fsck_arg =
 
 let repair_arg =
   let doc =
-    "With --fsck: delete corrupt entries, sweep orphaned tmp files, and apply --gc-max-bytes."
+    "With --fsck: delete corrupt entries and entries of retired kinds, sweep orphaned tmp \
+     files, and apply --gc-max-bytes."
   in
   Arg.(value & flag & info [ "repair" ] ~doc)
 

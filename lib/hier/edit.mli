@@ -1,7 +1,6 @@
-(** One-gate design edits for incremental re-timing: swap a logic gate's
-    kind while keeping the netlist's ids, connectivity and placement
-    stable, so a re-time after the edit dirties exactly the blocks whose
-    content the swap changes. *)
+(** One-gate design edits for re-timing: swap a logic gate's kind while
+    keeping the netlist's ids, connectivity and placement stable, so the
+    edited design differs from the original in that one gate only. *)
 
 type t = { gate : int; kind : Circuit.Gate.kind }
 

@@ -319,42 +319,6 @@ let read_setup r =
 let circuit_setup =
   { kind = "circuit-setup"; version = 1; encode = write_setup; decode = read_setup }
 
-let write_canonical b (c : Ssta.Canonical.t) =
-  Codec.write_float b c.Ssta.Canonical.mean;
-  Codec.write_float_array b c.Ssta.Canonical.sens;
-  Codec.write_float b c.Ssta.Canonical.indep
-
-let read_canonical r =
-  let mean = Codec.read_float r in
-  let sens = Codec.read_float_array r in
-  let indep = Codec.read_float r in
-  if not (Float.is_finite mean && Float.is_finite indep && indep >= 0.0) then
-    corrupt "canonical form with non-finite mean or bad independent sigma";
-  Array.iter
-    (fun s -> if not (Float.is_finite s) then corrupt "non-finite canonical sensitivity")
-    sens;
-  Ssta.Canonical.make ~mean ~sens ~indep
-
-(* reverse dependency edges of one cache entry: the (kind, spec-hash)
-   addresses of the entries that were computed *from* it. Stored under its
-   own kind so [Depgraph] can walk the graph without decoding payloads. *)
-let write_dep_edges b edges =
-  Codec.write_array b
-    (fun b (kind, hash) ->
-      Codec.write_string b kind;
-      Codec.write_string b hash)
-    edges
-
-let read_dep_edges r =
-  Codec.read_array r (fun r ->
-      let kind = Codec.read_string r in
-      let hash = Codec.read_string r in
-      if kind = "" || hash = "" then corrupt "empty dependency-edge address";
-      (kind, hash))
-
-let dep_edges =
-  { kind = "dep-edges"; version = 1; encode = write_dep_edges; decode = read_dep_edges }
-
 (* ---------------------------------------------------------------- *)
 
 let to_string e v =

@@ -56,17 +56,6 @@ val circuit_setup : Ssta.Experiment.circuit_setup t
     prepared timer and the logic-gate index are re-derived exactly as
     [Ssta.Experiment.setup_circuit] derives them. *)
 
-val dep_edges : (string * string) array t
-(** Reverse dependency edges of one store entry: the [(kind, spec-hash)]
-    addresses of entries computed {e from} it, persisted by
-    {!Depgraph} so invalidation can walk downstream without decoding any
-    payload. *)
-
-val write_canonical : Codec.writer -> Ssta.Canonical.t -> unit
-val read_canonical : Codec.reader -> Ssta.Canonical.t
-(** First-order canonical-form codec ([mean], shared-basis sensitivities,
-    independent sigma), shared by the hierarchical macro-model entities. *)
-
 val to_string : 'a t -> 'a -> string
 (** Encode to a standalone payload (no store header). *)
 

@@ -226,10 +226,6 @@ let find_or_add t entity ~spec compute =
 let remove t entity ~spec =
   try Sys.remove (path t entity ~spec) with Sys_error _ -> ()
 
-let remove_addressed t ~kind ~hash =
-  try Sys.remove (Filename.concat t.dir (Printf.sprintf "%s-%s.bin" kind hash))
-  with Sys_error _ -> ()
-
 type stats = {
   hits : int;
   misses : int;
@@ -290,13 +286,12 @@ let current_versions =
     (Entity.sampler.Entity.kind, Entity.sampler.Entity.version);
     (Entity.netlist.Entity.kind, Entity.netlist.Entity.version);
     (Entity.circuit_setup.Entity.kind, Entity.circuit_setup.Entity.version);
-    (Entity.dep_edges.Entity.kind, Entity.dep_edges.Entity.version);
-    (* hierarchical SSTA entities live in [lib/hier] (which depends on this
-       library), so their versions are mirrored here as literals — keep in
-       sync with [Hier.Macro.entity] / [Hier.Engine.stitch_entity] *)
-    ("hier-macro", 1);
-    ("hier-stitch", 1);
   ]
+
+(* kinds earlier builds wrote and this one never reads again (block macros,
+   stitched results and their dependency edges): nothing will look them up,
+   so unlike a stale entry they cannot self-heal and [~repair] removes them *)
+let retired_kinds = [ "hier-macro"; "hier-stitch"; "dep-edges" ]
 
 (* Structural verification without an entity decoder: header fields,
    filename consistency (kind prefix and spec hash), payload checksum.
@@ -330,6 +325,7 @@ let verify_entry ~fname data =
     else if Codec.fnv64_hex spec <> name_hash then
       `Corrupt (Printf.sprintf "spec hash %s does not match filename %s" (Codec.fnv64_hex spec) name_hash)
     else if Codec.fnv64 payload <> checksum then `Corrupt "checksum mismatch"
+    else if List.mem kind retired_kinds then `Retired kind
     else if fmt <> format_version then
       `Stale (Printf.sprintf "format version %d (want %d)" fmt format_version)
     else begin
@@ -399,6 +395,11 @@ let fsck ?diag ?(repair = false) ?max_bytes ~dir () =
                 (* stale entries self-heal on the next access; fsck only reports them *)
                 note Util.Diag.Info (Printf.sprintf "%s: stale (%s)" file msg);
                 bytes_after := !bytes_after + String.length data
+            | `Retired kind ->
+                incr stale;
+                note Util.Diag.Info (Printf.sprintf "%s: stale (retired kind %S)%s" file kind
+                     (if repair then " — removed" else ""));
+                if repair then ( try Sys.remove file with Sys_error _ -> ())
             | `Corrupt msg ->
                 incr corrupt;
                 note Util.Diag.Warning (Printf.sprintf "%s: corrupt (%s)%s" file msg

@@ -53,9 +53,6 @@ val open_ :
 
 val dir : t -> string
 
-val key : spec:string -> string
-(** The content address: FNV-1a 64 of the spec, as 16 hex digits. *)
-
 val path : t -> 'a Entity.t -> spec:string -> string
 (** The file an entry lives at (exposed for tests and corruption
     injection). *)
@@ -82,12 +79,6 @@ val find_or_add : t -> 'a Entity.t -> spec:string -> (unit -> 'a) -> 'a * outcom
 val remove : t -> 'a Entity.t -> spec:string -> unit
 (** Delete an entry if present. *)
 
-val remove_addressed : t -> kind:string -> hash:string -> unit
-(** Delete the entry for [kind] whose spec hashes to [hash] (the 16-hex
-    {!key} form), if present. This is the deletion primitive behind
-    {!Depgraph} invalidation, which tracks entries by address rather than
-    by typed entity + full spec. *)
-
 type stats = {
   hits : int;
   misses : int;
@@ -107,7 +98,9 @@ type fsck_report = {
   scanned : int;  (** [.bin] entries examined *)
   ok : int;  (** entries that passed structural verification *)
   corrupt : int;  (** unreadable / malformed / checksum-failed entries *)
-  stale : int;  (** entries with an outdated format or entity version *)
+  stale : int;
+      (** entries with an outdated format or entity version, or of a
+          retired kind *)
   tmp_files : int;  (** orphaned [*.tmp.*] temporaries found *)
   gc_evicted : int;  (** verified entries evicted by the size-capped GC *)
   bytes_before : int;  (** total bytes of scanned entries *)
@@ -130,8 +123,12 @@ val fsck :
     [*.tmp.*] files from interrupted atomic writes are swept, and — when
     [max_bytes] is given — verified entries are evicted oldest-mtime
     first until the survivors fit under the cap. Stale entries are
-    reported but never deleted: they self-heal on next access through
-    {!find_or_add}. Every action is recorded against [diag]
+    reported but not deleted: they self-heal on next access through
+    {!find_or_add}. The exception is an entry of a retired kind
+    ([hier-macro], [hier-stitch], [dep-edges]: block macros, stitched
+    results and dependency edges that earlier builds wrote and no code
+    reads any more); it is reported as stale and, with [~repair], deleted,
+    since no access will ever replace it. Every action is recorded against [diag]
     ([Warning] for corruption and tmp sweeps, [Info] for stale and GC).
 
     fsck is an {e offline} tool: run it while no server holds the store

@@ -55,10 +55,11 @@ type call =
       n_blocks : int option;
       edit : retime_edit option;
     }
-      (** Incremental hierarchical SSTA: partition into [n_blocks] blocks,
-          recombine cached block macro-models and recompute only the blocks
-          the optional [edit] dirtied. The response reports per-request
-          [blocks_reused]/[blocks_recomputed] counters. *)
+      (** Single-pass block SSTA ({!Ssta.Block_ssta.run}) of the circuit
+          after the optional one-gate [edit], with the cached KLE models.
+          [n_blocks] is validated ([>= 1]) and otherwise ignored: the whole
+          design is analysed flat, so the reply's [n_blocks],
+          [blocks_reused] and [blocks_recomputed] always read 1, 0 and 1. *)
   | Stats  (** server counters + cache and store statistics *)
   | Metrics
       (** telemetry snapshot: per-stage latency histograms + unified

@@ -62,9 +62,6 @@ type t = {
   config : config;
   diag : Util.Diag.sink;
   store : Persist.Store.t option;
-  (* dependency-aware view over [store] for the hierarchical retime cache;
-     None when the server runs without a store (macros recomputed per call) *)
-  depgraph : Persist.Depgraph.t option;
   cache : artifact Lru.t;
   queue : job Queue.t;  (* guarded by [lock] *)
   lock : Mutex.t;
@@ -96,8 +93,6 @@ type t = {
   n_singleflight : int Atomic.t;  (* misses answered by another domain's compute *)
   n_replies_dropped : int Atomic.t;  (* replies that raised mid-write (dead client) *)
   n_requeued : int Atomic.t;  (* jobs re-queued after a worker crash *)
-  n_blocks_reused : int Atomic.t;  (* retime: block macros served from the cache *)
-  n_blocks_recomputed : int Atomic.t;  (* retime: block macros extracted *)
   telemetry : Telemetry.t;
   instance : int;  (* ingress req_id namespace, unique per server *)
   req_seq : int Atomic.t;
@@ -279,18 +274,6 @@ let get_model t kernel ~r =
     (fun () ->
       Ssta.Algorithm2.model ~config:(kle_config t ~r) ~diag:t.diag ?jobs:t.config.jobs kernel)
 
-(* the model set's cache-key contribution for hierarchical macros: every
-   parameter's full model spec, hashed to keep macro specs short. Any
-   change that would alter a model (kernel, truncation, mesh config)
-   changes this key and therefore every macro and stitched entry. *)
-let models_key t process ~r =
-  Persist.Codec.fnv64_hex
-    (String.concat "|"
-       (Array.to_list
-          (Array.map
-             (fun (p : Ssta.Process.parameter) -> model_spec t p.Ssta.Process.kernel ~r)
-             process.Ssta.Process.parameters)))
-
 (* one model per process parameter; same kernel spec -> same model (the
    first parameter computes, the rest hit the memory tier) *)
 let get_models t process ~r =
@@ -415,8 +398,6 @@ let event_counters t =
     ("cache_misses", t.n_misses);
     ("cache_recovered", t.n_recovered);
     ("singleflight_dedup", t.n_singleflight);
-    ("retime_blocks_reused", t.n_blocks_reused);
-    ("retime_blocks_recomputed", t.n_blocks_recomputed);
   ]
 
 let queue_length t = Mutex.protect t.lock (fun () -> Queue.length t.queue)
@@ -559,35 +540,27 @@ let execute t (request : Protocol.request) : Jsonx.t =
                 Jsonx.Num (float_of_int cmp.Ssta.Experiment.excluded_endpoints) );
               ("speedup", Jsonx.Num cmp.Ssta.Experiment.speedup);
             ])
-  | Protocol.Retime { circuit; r; n_blocks; edit } -> (
+  | Protocol.Retime { circuit; r; n_blocks = _; edit } -> (
+      (* one flat single-pass analysis of the (edited) design. [n_blocks]
+         is ignored; the block keys stay in the reply for clients that read
+         them, with the whole design as its one, recomputed block *)
       match get_setup_edited t circuit edit with
       | Error (code, msg) -> raise (Reject (code, msg))
       | Ok (setup, setup_tier) ->
-          let proc = process () in
-          let models, model_tier = get_models t proc ~r in
-          let result =
-            Hier.Engine.retime ?n_blocks ?jobs:t.config.jobs ?cache:t.depgraph setup
-              ~models ~model_key:(models_key t proc ~r)
-          in
-          let counters = result.Hier.Engine.counters in
-          ignore
-            (Atomic.fetch_and_add t.n_blocks_reused counters.Hier.Engine.blocks_reused);
-          ignore
-            (Atomic.fetch_and_add t.n_blocks_recomputed
-               counters.Hier.Engine.blocks_recomputed);
+          let models, model_tier = get_models t (process ()) ~r in
+          let result = Ssta.Block_ssta.run setup ~models in
           Jsonx.Obj
             [
               ("circuit", Jsonx.Str setup.Ssta.Experiment.netlist.Circuit.Netlist.name);
-              ("n_blocks", Jsonx.Num (float_of_int result.Hier.Engine.n_blocks));
-              ("basis_dim", Jsonx.Num (float_of_int result.Hier.Engine.basis_dim));
-              ("worst_mean", Jsonx.Num result.Hier.Engine.worst.Ssta.Canonical.mean);
-              ("worst_sigma", Jsonx.Num (Ssta.Canonical.sigma result.Hier.Engine.worst));
+              ("n_blocks", Jsonx.Num 1.0);
+              ("basis_dim", Jsonx.Num (float_of_int result.Ssta.Block_ssta.basis_dim));
+              ("worst_mean", Jsonx.Num (Ssta.Block_ssta.mean result));
+              ("worst_sigma", Jsonx.Num (Ssta.Block_ssta.sigma result));
               ( "endpoints",
-                Jsonx.Num (float_of_int (Array.length result.Hier.Engine.endpoint_forms)) );
-              ("blocks_reused", Jsonx.Num (float_of_int counters.Hier.Engine.blocks_reused));
-              ( "blocks_recomputed",
-                Jsonx.Num (float_of_int counters.Hier.Engine.blocks_recomputed) );
-              ("analysis_seconds", Jsonx.Num result.Hier.Engine.analysis_seconds);
+                Jsonx.Num (float_of_int (Array.length result.Ssta.Block_ssta.endpoint_forms)) );
+              ("blocks_reused", Jsonx.Num 0.0);
+              ("blocks_recomputed", Jsonx.Num 1.0);
+              ("analysis_seconds", Jsonx.Num result.Ssta.Block_ssta.analysis_seconds);
               ("cache_setup", Jsonx.Str (tier_name setup_tier));
               ("cache_models", Jsonx.Str (tier_name model_tier));
             ])
@@ -870,7 +843,6 @@ let create ?diag config =
       config;
       diag;
       store;
-      depgraph = Option.map Persist.Depgraph.create store;
       cache = Lru.create ~capacity:config.cache_entries;
       queue = Queue.create ();
       lock = Mutex.create ();
@@ -897,8 +869,6 @@ let create ?diag config =
       n_singleflight = Atomic.make 0;
       n_replies_dropped = Atomic.make 0;
       n_requeued = Atomic.make 0;
-      n_blocks_reused = Atomic.make 0;
-      n_blocks_recomputed = Atomic.make 0;
       telemetry;
       instance;
       req_seq = Atomic.make 0;

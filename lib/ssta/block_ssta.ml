@@ -12,90 +12,75 @@ let zeros4 = Array.make Gate.num_parameters 0.0
 
 (* Everything the canonical-form propagation needs that is a pure function
    of (circuit setup, KLE models): per-parameter expansion rows, the basis
-   layout, and the nominal corner. Shared with the hierarchical macro
-   extractor in [lib/hier], which propagates over gate subsets with its own
-   boundary conditions. *)
-module Context = struct
-  type ctx = {
-    setup : Experiment.circuit_setup;
-    expansions : Linalg.Mat.t array;
-    rs : int array;
-    offsets : int array;
-    basis_dim : int;
-    logic_row : int array; (* per gate id; -1 for Input pseudo gates *)
-    nominal_arrival : float array;
-    nominal_slew : float array;
-  }
+   layout, and the nominal corner. *)
+type ctx = {
+  expansions : Linalg.Mat.t array; (* per parameter: N_g x r_k rows *)
+  rs : int array;
+  offsets : int array; (* column offset of parameter k in the basis *)
+  basis_dim : int;
+  logic_row : int array; (* per gate id; -1 for Input pseudo gates *)
+  nominal_arrival : float array;
+  nominal_slew : float array;
+}
 
-  type t = ctx
+let build_ctx (setup : Experiment.circuit_setup) ~models =
+  if Array.length models <> Gate.num_parameters then
+    invalid_arg "Block_ssta.run: need one KLE model per statistical parameter";
+  let prepared = setup.Experiment.sta in
+  let n_gates = Netlist.size setup.Experiment.netlist in
+  let samplers =
+    Array.map (fun m -> Kle.Sampler.create m setup.Experiment.locations) models
+  in
+  let expansions = Array.map Kle.Sampler.expansion samplers in
+  let rs = Array.map Linalg.Mat.cols expansions in
+  let offsets = Array.make Gate.num_parameters 0 in
+  for k = 1 to Gate.num_parameters - 1 do
+    offsets.(k) <- offsets.(k - 1) + rs.(k - 1)
+  done;
+  let basis_dim = offsets.(Gate.num_parameters - 1) + rs.(Gate.num_parameters - 1) in
+  let logic_row = Array.make n_gates (-1) in
+  Array.iteri (fun row id -> logic_row.(id) <- row) setup.Experiment.logic_ids;
+  let nominal_arrival, nominal_slew = Sta.Timing.nominal_arrival_and_slew prepared in
+  { expansions; rs; offsets; basis_dim; logic_row; nominal_arrival; nominal_slew }
 
-  let build (setup : Experiment.circuit_setup) ~models =
-    if Array.length models <> Gate.num_parameters then
-      invalid_arg "Block_ssta.Context.build: need one KLE model per statistical parameter";
-    let prepared = setup.Experiment.sta in
-    let n_gates = Netlist.size setup.Experiment.netlist in
-    let samplers =
-      Array.map (fun m -> Kle.Sampler.create m setup.Experiment.locations) models
-    in
-    let expansions = Array.map Kle.Sampler.expansion samplers in
-    let rs = Array.map Linalg.Mat.cols expansions in
-    let offsets = Array.make Gate.num_parameters 0 in
-    for k = 1 to Gate.num_parameters - 1 do
-      offsets.(k) <- offsets.(k - 1) + rs.(k - 1)
-    done;
-    let basis_dim = offsets.(Gate.num_parameters - 1) + rs.(Gate.num_parameters - 1) in
-    let logic_row = Array.make n_gates (-1) in
-    Array.iteri (fun row id -> logic_row.(id) <- row) setup.Experiment.logic_ids;
-    let nominal_arrival, nominal_slew = Sta.Timing.nominal_arrival_and_slew prepared in
-    { setup; expansions; rs; offsets; basis_dim; logic_row; nominal_arrival; nominal_slew }
-
-  let basis_dim ctx = ctx.basis_dim
-
-  (* canonical form of the statistical part of a gate quantity with linear
-     parameter sensitivities [betas] (per unit sigma at this gate's
-     location), plus — when [quad] is given — the rank-one quadratic's mean
-     shift gamma * s² and its Var = 2 gamma² s⁴ as an independent term.
-     [dim] (>= basis_dim, default basis_dim) pads the sensitivity vector
-     with trailing zeros: extraction passes append pseudo dimensions for
-     boundary-slew gains. *)
-  let statistical_part ?dim ctx g ~betas ~quad =
-    let dim = Option.value dim ~default:ctx.basis_dim in
-    if dim < ctx.basis_dim then
-      invalid_arg "Block_ssta.Context.statistical_part: dim below basis dimension";
-    let sens = Array.make dim 0.0 in
-    let row = ctx.logic_row.(g) in
-    let s2 = ref 0.0 in
-    if row >= 0 then
-      for k = 0 to Gate.num_parameters - 1 do
-        let b = ctx.expansions.(k) in
-        let var_k = ref 0.0 in
-        for j = 0 to ctx.rs.(k) - 1 do
-          let bij = Linalg.Mat.unsafe_get b row j in
-          sens.(ctx.offsets.(k) + j) <- betas.(k) *. bij;
-          var_k := !var_k +. (bij *. bij)
-        done;
-        match quad with
-        | Some (_, w) -> s2 := !s2 +. (w.(k) *. w.(k) *. !var_k)
-        | None -> ()
+(* canonical form of the statistical part of a gate quantity with linear
+   parameter sensitivities [betas] (per unit sigma at this gate's
+   location), plus — when [quad] is given — the rank-one quadratic's mean
+   shift gamma * s² and its Var = 2 gamma² s⁴ as an independent term *)
+let statistical_part ctx g ~betas ~quad =
+  let sens = Array.make ctx.basis_dim 0.0 in
+  let row = ctx.logic_row.(g) in
+  let s2 = ref 0.0 in
+  if row >= 0 then
+    for k = 0 to Gate.num_parameters - 1 do
+      let b = ctx.expansions.(k) in
+      let var_k = ref 0.0 in
+      for j = 0 to ctx.rs.(k) - 1 do
+        let bij = Linalg.Mat.unsafe_get b row j in
+        sens.(ctx.offsets.(k) + j) <- betas.(k) *. bij;
+        var_k := !var_k +. (bij *. bij)
       done;
-    match quad with
-    | None -> Canonical.make ~mean:0.0 ~sens ~indep:0.0
-    | Some (gamma, _) ->
-        let quad_mean = gamma *. !s2 in
-        let quad_indep = sqrt 2.0 *. Float.abs gamma *. !s2 in
-        Canonical.make ~mean:quad_mean ~sens ~indep:quad_indep
-end
+      match quad with
+      | Some (_, w) -> s2 := !s2 +. (w.(k) *. w.(k) *. !var_k)
+      | None -> ()
+    done;
+  match quad with
+  | None -> Canonical.make ~mean:0.0 ~sens ~indep:0.0
+  | Some (gamma, _) ->
+      let quad_mean = gamma *. !s2 in
+      let quad_indep = sqrt 2.0 *. Float.abs gamma *. !s2 in
+      Canonical.make ~mean:quad_mean ~sens ~indep:quad_indep
 
 let run (setup : Experiment.circuit_setup) ~models =
   let timer = Util.Timer.start () in
-  let ctx = Context.build setup ~models in
+  let ctx = build_ctx setup ~models in
   let prepared = setup.Experiment.sta in
   let netlist = setup.Experiment.netlist in
   let n_gates = Netlist.size netlist in
-  let basis_dim = ctx.Context.basis_dim in
-  let nominal_arrival = ctx.Context.nominal_arrival in
-  let nominal_slew = ctx.Context.nominal_slew in
-  let statistical_part g ~betas ~quad = Context.statistical_part ctx g ~betas ~quad in
+  let basis_dim = ctx.basis_dim in
+  let nominal_arrival = ctx.nominal_arrival in
+  let nominal_slew = ctx.nominal_slew in
+  let statistical_part g ~betas ~quad = statistical_part ctx g ~betas ~quad in
   (* topological propagation of arrival AND slew forms: slew variation feeds
      back into delay through the gate's k_slew sensitivity, which matters for
      the sigma of long paths *)

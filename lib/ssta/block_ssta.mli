@@ -19,46 +19,6 @@ type t = {
   analysis_seconds : float;
 }
 
-(** The propagation context: per-parameter expansion rows at the logic
-    gates, the shared-basis layout, and the nominal corner — everything
-    {!run} needs that is a pure function of (setup, models). Exposed so the
-    hierarchical macro extractor ([lib/hier]) can build block-local
-    propagations over the {e same} basis, including extraction passes that
-    append pseudo dimensions for boundary-slew gains. *)
-module Context : sig
-  type ctx = {
-    setup : Experiment.circuit_setup;
-    expansions : Linalg.Mat.t array; (* per parameter: N_g x r_k rows *)
-    rs : int array;
-    offsets : int array; (* column offset of parameter k in the basis *)
-    basis_dim : int;
-    logic_row : int array; (* per gate id; -1 for Input pseudo gates *)
-    nominal_arrival : float array;
-    nominal_slew : float array;
-  }
-
-  type t = ctx
-
-  val build : Experiment.circuit_setup -> models:Kle.Model.t array -> t
-  (** Raises [Invalid_argument] unless exactly 4 models are given. *)
-
-  val basis_dim : t -> int
-
-  val statistical_part :
-    ?dim:int ->
-    t ->
-    int ->
-    betas:float array ->
-    quad:(float * float array) option ->
-    Canonical.t
-  (** Canonical form of the statistical part of a gate quantity: linear
-      sensitivities [betas] projected on the gate's expansion rows, plus —
-      when [quad = Some (gamma, w)] — the rank-one quadratic's mean shift
-      and independent variance remainder. [dim] (default [basis_dim]) pads
-      the sensitivity vector with trailing zero pseudo dimensions; raises
-      [Invalid_argument] below [basis_dim]. *)
-end
-
 val run : Experiment.circuit_setup -> models:Kle.Model.t array -> t
 (** [run setup ~models] performs the single-pass statistical timing using
     the per-parameter truncated KLE models (one per L, W, Vt, tox, as built

@@ -486,6 +486,38 @@ let test_store_fsck_gc_oldest_first () =
   Alcotest.(check int) "dry-run projects eviction" 1 dry.Store.gc_evicted;
   Alcotest.(check bool) "dry run deletes nothing" true (Sys.file_exists (path "a"))
 
+(* entries of kinds no build reads any more (hierarchical block macros,
+   stitched results, dependency edges) never self-heal: fsck reports them
+   as stale and --repair reclaims them *)
+let test_store_fsck_retired_kinds () =
+  with_tmp_dir @@ fun dir ->
+  let store = Store.open_ ~dir () in
+  let nl = small_netlist () in
+  Store.put store Entity.netlist ~spec:"good" nl;
+  let retired kind : string Entity.t =
+    { Entity.kind; version = 1; encode = Codec.write_string; decode = Codec.read_string }
+  in
+  let kinds = [ "hier-macro"; "hier-stitch"; "dep-edges" ] in
+  List.iter (fun kind -> Store.put store (retired kind) ~spec:kind "payload") kinds;
+  let exists kind = Sys.file_exists (Store.path store (retired kind) ~spec:kind) in
+  let good_bytes = (Unix.stat (Store.path store Entity.netlist ~spec:"good")).Unix.st_size in
+  let diag = Util.Diag.create () in
+  let dry = Store.fsck ~diag ~dir () in
+  Alcotest.(check int) "scanned" 4 dry.Store.scanned;
+  Alcotest.(check int) "ok" 1 dry.Store.ok;
+  Alcotest.(check int) "retired kinds are stale" 3 dry.Store.stale;
+  Alcotest.(check int) "not corrupt" 0 dry.Store.corrupt;
+  Alcotest.(check int) "one event per retired entry" 3 (Util.Diag.length diag);
+  Alcotest.(check bool) "dry run deletes nothing" true (List.for_all exists kinds);
+  Alcotest.(check int) "dry run projects the reclaim" good_bytes dry.Store.bytes_after;
+  let r = Store.fsck ~repair:true ~dir () in
+  Alcotest.(check int) "repair: stale" 3 r.Store.stale;
+  Alcotest.(check bool) "retired entries removed" false (List.exists exists kinds);
+  Alcotest.(check bool) "good kept" true
+    (Sys.file_exists (Store.path store Entity.netlist ~spec:"good"));
+  let r2 = Store.fsck ~dir () in
+  Alcotest.(check int) "second pass clean" 0 (r2.Store.stale + r2.Store.corrupt)
+
 (* satellite: two domains racing find_or_add over the same corrupt entry.
    Whichever loses the unlink race sees ENOENT on open — that must be a
    plain miss (recompute), never an error surfaced to the caller. *)
@@ -572,79 +604,6 @@ let test_store_roundtrip_run_mc_bit_identical () =
         fresh.Ssta.Experiment.endpoint_sigma)
     [ 1; 2 ]
 
-(* ---------- dependency graph ---------- *)
-
-module Depgraph = Persist.Depgraph
-
-(* a tiny string-payload entity so edge wiring is cheap to exercise *)
-let note : string Entity.t =
-  {
-    Entity.kind = "test-note";
-    version = 1;
-    encode = Codec.write_string;
-    decode = Codec.read_string;
-  }
-
-let test_depgraph_edges_and_dependents () =
-  with_tmp_dir @@ fun dir ->
-  let dg = Depgraph.create (Store.open_ ~dir ()) in
-  let a = Depgraph.node note ~spec:"a" in
-  let b = Depgraph.node note ~spec:"b" in
-  let va, oa = Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A") in
-  Alcotest.(check string) "a value" "A" va;
-  Alcotest.(check bool) "a miss" true (oa = `Miss);
-  let vs, _ =
-    Depgraph.find_or_add dg note ~spec:"sum" ~deps:[ a; b ] (fun () -> "A+B")
-  in
-  Alcotest.(check string) "sum value" "A+B" vs;
-  let s = Depgraph.node note ~spec:"sum" in
-  Alcotest.(check bool) "a -> sum" true (Depgraph.dependents dg a = [ s ]);
-  Alcotest.(check bool) "b -> sum" true (Depgraph.dependents dg b = [ s ]);
-  Alcotest.(check bool) "sum is a leaf" true (Depgraph.dependents dg s = []);
-  (* edges re-record on hits too (self-healing) *)
-  let _, oh = Depgraph.find_or_add dg note ~spec:"sum" ~deps:[ a; b ] (fun () -> "no") in
-  Alcotest.(check bool) "sum hit" true (oh = `Hit);
-  Alcotest.(check bool) "a -> sum stable" true (Depgraph.dependents dg a = [ s ])
-
-let test_depgraph_invalidate_exact_closure () =
-  with_tmp_dir @@ fun dir ->
-  let store = Store.open_ ~dir () in
-  let dg = Depgraph.create store in
-  (* a -> mid -> top, with `other` unrelated *)
-  let a = Depgraph.node note ~spec:"a" in
-  let mid = Depgraph.node note ~spec:"mid" in
-  let top = Depgraph.node note ~spec:"top" in
-  ignore (Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A"));
-  ignore (Depgraph.find_or_add dg note ~spec:"mid" ~deps:[ a ] (fun () -> "M"));
-  ignore (Depgraph.find_or_add dg note ~spec:"top" ~deps:[ mid ] (fun () -> "T"));
-  ignore (Depgraph.find_or_add dg note ~spec:"other" (fun () -> "O"));
-  let removed = Depgraph.invalidate dg a in
-  (* the node first, then discovery order down the closure *)
-  Alcotest.(check bool) "closure removed" true (removed = [ a; mid; top ]);
-  Alcotest.(check (option string)) "a gone" None (Depgraph.get dg note ~spec:"a");
-  Alcotest.(check (option string)) "mid gone" None (Depgraph.get dg note ~spec:"mid");
-  Alcotest.(check (option string)) "top gone" None (Depgraph.get dg note ~spec:"top");
-  Alcotest.(check (option string)) "unrelated untouched" (Some "O")
-    (Depgraph.get dg note ~spec:"other");
-  (* edge lists of the deleted entries are gone too *)
-  Alcotest.(check bool) "a edges cleared" true (Depgraph.dependents dg a = []);
-  (* rebuild re-files the edges *)
-  ignore (Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A2"));
-  ignore (Depgraph.find_or_add dg note ~spec:"mid" ~deps:[ a ] (fun () -> "M2"));
-  Alcotest.(check bool) "a -> mid restored" true (Depgraph.dependents dg a = [ mid ])
-
-let test_depgraph_edges_survive_reopen () =
-  with_tmp_dir @@ fun dir ->
-  let a = Depgraph.node note ~spec:"a" in
-  (let dg = Depgraph.create (Store.open_ ~dir ()) in
-   ignore (Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A"));
-   ignore (Depgraph.find_or_add dg note ~spec:"out" ~deps:[ a ] (fun () -> "OUT")));
-  (* a fresh wrapper over the same directory sees the persisted edges *)
-  let dg2 = Depgraph.create (Store.open_ ~dir ()) in
-  let removed = Depgraph.invalidate dg2 a in
-  Alcotest.(check int) "both entries removed" 2 (List.length removed);
-  Alcotest.(check (option string)) "out gone" None (Depgraph.get dg2 note ~spec:"out")
-
 let () =
   Alcotest.run "persist"
     [
@@ -685,16 +644,10 @@ let () =
           Alcotest.test_case "fsck classification" `Quick test_store_fsck_classification;
           Alcotest.test_case "fsck repair" `Quick test_store_fsck_repair;
           Alcotest.test_case "fsck GC oldest-first" `Quick test_store_fsck_gc_oldest_first;
+          Alcotest.test_case "fsck retired kinds" `Quick test_store_fsck_retired_kinds;
           Alcotest.test_case "concurrent corrupt-delete race" `Quick
             test_store_concurrent_corrupt_delete_race;
           Alcotest.test_case "run_mc bit-identical after roundtrip" `Quick
             test_store_roundtrip_run_mc_bit_identical;
-        ] );
-      ( "depgraph",
-        [
-          Alcotest.test_case "edges + dependents" `Quick test_depgraph_edges_and_dependents;
-          Alcotest.test_case "invalidate exact closure" `Quick
-            test_depgraph_invalidate_exact_closure;
-          Alcotest.test_case "edges survive reopen" `Quick test_depgraph_edges_survive_reopen;
         ] );
     ]

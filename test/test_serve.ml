@@ -568,56 +568,158 @@ let retime_line ?(id = 1) ?edit () =
     {|{"id":%d,"method":"retime","params":{"circuit":{"bench":"%s"}%s}}|}
     id (escape_bench tiny_bench) edit_field
 
-let test_server_retime_end_to_end () =
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "serve-retime.%d.%d" (Unix.getpid ()) (Random.int 1_000_000))
+(* the server's models under [test_config]: one per process parameter *)
+let retime_models =
+  lazy
+    (Array.map
+       (fun (p : Ssta.Process.parameter) ->
+         Ssta.Algorithm2.model ~config:test_config.Server.kle ?jobs:test_config.Server.jobs
+           p.Ssta.Process.kernel)
+       (Ssta.Process.paper_default ()).Ssta.Process.parameters)
+
+(* what a served retime must equal: a flat single-pass analysis of the same
+   (edited) inline netlist, placed and modelled as the server does *)
+let flat_retime ?edit text =
+  let netlist =
+    match Circuit.Bench_format.parse ~name:"inline" text with
+    | Ok nl -> nl
+    | Error msg -> Alcotest.fail msg
   in
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun f -> Sys.remove (Filename.concat store_dir f))
-           (Sys.readdir store_dir)
-       with Sys_error _ -> ());
-      try Unix.rmdir store_dir with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let config = { test_config with Server.store_dir = Some store_dir } in
-  with_server ~config @@ fun server ->
+  let netlist =
+    match edit with
+    | None -> netlist
+    | Some e -> (
+        match Hier.Edit.apply netlist e with Ok nl -> nl | Error msg -> Alcotest.fail msg)
+  in
+  let setup =
+    Ssta.Experiment.setup_circuit ~placement_seed:test_config.Server.placement_seed netlist
+  in
+  Ssta.Block_ssta.run setup ~models:(Lazy.force retime_models)
+
+(* the reply's analysis fields against the flat run, bit for bit *)
+let retime_matches_flat payload (flat : Ssta.Block_ssta.t) =
+  let num k = Option.bind (Jsonx.member k payload) Jsonx.as_num in
+  let same k v =
+    match num k with
+    | Some x -> Int64.bits_of_float x = Int64.bits_of_float v
+    | None -> false
+  in
+  same "worst_mean" (Ssta.Block_ssta.mean flat)
+  && same "worst_sigma" (Ssta.Block_ssta.sigma flat)
+  && same "basis_dim" (float_of_int flat.Ssta.Block_ssta.basis_dim)
+  && same "endpoints" (float_of_int (Array.length flat.Ssta.Block_ssta.endpoint_forms))
+
+let test_server_retime_end_to_end () =
+  with_server @@ fun server ->
   let int_of payload k = Option.bind (Jsonx.member k payload) Jsonx.as_int in
-  (* cold: every block extracted *)
-  let cold = expect_ok (sync_call server (retime_line ~id:1 ())) in
-  let nb = Option.get (int_of cold "n_blocks") in
-  Alcotest.(check bool) "blocks partitioned" true (nb >= 1);
-  Alcotest.(check (option int)) "cold reused" (Some 0) (int_of cold "blocks_reused");
-  Alcotest.(check (option int)) "cold recomputed" (Some nb)
-    (int_of cold "blocks_recomputed");
-  (* warm: the whole stitched result is served from the dependency cache *)
-  let warm = expect_ok (sync_call server (retime_line ~id:2 ())) in
-  Alcotest.(check (option int)) "warm reused" (Some nb) (int_of warm "blocks_reused");
-  Alcotest.(check (option int)) "warm recomputed" (Some 0)
-    (int_of warm "blocks_recomputed");
-  Alcotest.(check (option float_exact)) "bit-identical worst_mean"
-    (Option.bind (Jsonx.member "worst_mean" cold) Jsonx.as_num)
-    (Option.bind (Jsonx.member "worst_mean" warm) Jsonx.as_num);
-  (* one-gate edit (x = NAND -> NOR, same pin capacitance): exactly the
-     dirty block re-extracts *)
+  let num_of payload k = Option.bind (Jsonx.member k payload) Jsonx.as_num in
+  let check_flat_counters label payload =
+    Alcotest.(check (option int)) (label ^ " n_blocks") (Some 1) (int_of payload "n_blocks");
+    Alcotest.(check (option int)) (label ^ " reused") (Some 0) (int_of payload "blocks_reused");
+    Alcotest.(check (option int)) (label ^ " recomputed") (Some 1)
+      (int_of payload "blocks_recomputed")
+  in
+  let base = expect_ok (sync_call server (retime_line ~id:1 ())) in
+  check_flat_counters "unedited" base;
+  let flat = flat_retime tiny_bench in
+  Alcotest.(check bool) "unedited reply = flat run" true (retime_matches_flat base flat);
+  (* one-gate edit (x = NAND -> NOR): the flat worst delay moves, and the
+     reply moves with it to the edited design's flat run *)
   let edited = expect_ok (sync_call server (retime_line ~id:3 ~edit:(2, "nor2") ())) in
-  Alcotest.(check (option int)) "edit recomputed" (Some 1)
-    (int_of edited "blocks_recomputed");
-  Alcotest.(check (option int)) "edit reused" (Some (nb - 1))
-    (int_of edited "blocks_reused");
-  (* cumulative counters surface in stats *)
-  let stats = expect_ok (sync_call server {|{"id":9,"method":"stats"}|}) in
-  Alcotest.(check (option int)) "stats reused" (Some (nb + (nb - 1)))
-    (int_of stats "retime_blocks_reused");
-  Alcotest.(check (option int)) "stats recomputed" (Some (nb + 1))
-    (int_of stats "retime_blocks_recomputed");
+  check_flat_counters "edited" edited;
+  let flat' =
+    flat_retime ~edit:{ Hier.Edit.gate = 2; kind = Circuit.Gate.Nor2 } tiny_bench
+  in
+  Alcotest.(check bool) "the edit moves the flat worst mean" true
+    (Ssta.Block_ssta.mean flat' <> Ssta.Block_ssta.mean flat);
+  Alcotest.(check bool) "the edit moves the reply" true
+    (num_of edited "worst_mean" <> num_of base "worst_mean");
+  Alcotest.(check bool) "edited reply = flat run" true (retime_matches_flat edited flat');
+  (* n_blocks is accepted and ignored *)
+  let blocks =
+    expect_ok
+      (sync_call server
+         (Printf.sprintf
+            {|{"id":5,"method":"retime","params":{"circuit":{"bench":"%s"},"n_blocks":4}}|}
+            (escape_bench tiny_bench)))
+  in
+  check_flat_counters "n_blocks 4" blocks;
+  Alcotest.(check bool) "n_blocks 4 reply = flat run" true (retime_matches_flat blocks flat);
   (* edit validation surfaces as bad_params: inputs are not editable *)
   ignore
     (expect_error
        (sync_call server (retime_line ~id:4 ~edit:(0, "inv") ()))
        Protocol.Bad_params)
+
+(* a served retime equals a flat Block_ssta.run of the same edited design,
+   bit for bit, on generated netlists (up to 30 % DFFs) sent inline with a
+   random same-arity kind swap, all through one server *)
+let prop_retime_equals_flat server =
+  let logic2 = Circuit.Gate.[ Nand2; Nor2; And2; Or2; Xor2; Xnor2 ] in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((seed, n_gates, n_inputs), (n_outputs, dff_pct, pick), edit) ->
+          ( { Circuit.Generator.name = "prop"; n_gates; n_inputs; n_outputs;
+              dff_fraction = float_of_int dff_pct /. 100.0; seed },
+            pick, edit ))
+        (triple
+           (triple (int_bound 100_000) (int_range 6 60) (int_range 2 8))
+           (triple (int_range 1 4) (int_bound 30) (int_bound 1_000_000))
+           (frequency [ (1, return false); (7, return true) ])))
+  in
+  let print (spec, pick, edit) =
+    Printf.sprintf "seed=%d gates=%d inputs=%d outputs=%d dff=%.2f pick=%d edit=%b"
+      spec.Circuit.Generator.seed spec.n_gates spec.n_inputs spec.n_outputs
+      spec.dff_fraction pick edit
+  in
+  QCheck.Test.make ~name:"served retime equals flat Block_ssta.run" ~count:200
+    (QCheck.make ~print gen)
+    (fun (spec, pick, with_edit) ->
+      let text = Circuit.Bench_format.print (Circuit.Generator.generate spec) in
+      (* gate ids as the server sees them: those of the parsed text *)
+      let parsed = Result.get_ok (Circuit.Bench_format.parse ~name:"inline" text) in
+      let logic =
+        List.filter
+          (fun (g : Circuit.Netlist.gate) ->
+            match g.Circuit.Netlist.kind with
+            | Circuit.Gate.Input | Circuit.Gate.Dff -> false
+            | _ -> true)
+          (Array.to_list parsed.Circuit.Netlist.gates)
+      in
+      let edit =
+        match logic with
+        | [] -> None
+        | _ when not with_edit -> None
+        | _ ->
+            let g = List.nth logic (pick mod List.length logic) in
+            let kinds =
+              List.filter
+                (fun k -> k <> g.Circuit.Netlist.kind)
+                (if Circuit.Gate.arity g.Circuit.Netlist.kind = 1 then Circuit.Gate.[ Inv; Buf ]
+                 else logic2)
+            in
+            let kind = List.nth kinds (pick / 7 mod List.length kinds) in
+            Some { Hier.Edit.gate = g.Circuit.Netlist.id; kind }
+      in
+      let edit_field =
+        match edit with
+        | None -> ""
+        | Some e ->
+            Printf.sprintf {|,"edit":{"gate":%d,"kind":"%s"}|} e.Hier.Edit.gate
+              (Hier.Edit.kind_to_string e.Hier.Edit.kind)
+      in
+      let payload =
+        expect_ok
+          (sync_call server
+             (Printf.sprintf {|{"id":1,"method":"retime","params":{"circuit":{"bench":"%s"}%s}}|}
+                (escape_bench text) edit_field))
+      in
+      retime_matches_flat payload (flat_retime ?edit text))
+
+let test_server_retime_equals_flat () =
+  with_server @@ fun server ->
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 24 |]) (prop_retime_equals_flat server)
 
 let test_server_overload_backpressure () =
   let config = { test_config with Server.workers = 1; Server.queue_capacity = 1 } in
@@ -1796,6 +1898,7 @@ let () =
           Alcotest.test_case "cache tiers" `Quick test_server_cache_tiers;
           Alcotest.test_case "typed errors" `Quick test_server_typed_errors;
           Alcotest.test_case "retime end-to-end" `Quick test_server_retime_end_to_end;
+          Alcotest.test_case "retime equals flat (qcheck)" `Quick test_server_retime_equals_flat;
           Alcotest.test_case "bench errors are typed" `Quick
             test_server_bench_errors_are_typed;
           Alcotest.test_case "overload backpressure" `Quick test_server_overload_backpressure;

@@ -880,8 +880,8 @@ let test_block_ssta_criticalities_traced () =
 
 (* Clark's max_many is a left fold of a non-associative operator: the
    result is order-sensitive in its third moment but must stay stable in
-   mean/sigma under permutation — the property macro stitching relies on
-   when it merges per-block contributions in a fixed canonical order. *)
+   mean/sigma under permutation, so the worst form over endpoints does not
+   hinge on the order the endpoints are listed in. *)
 let test_clark_max_many_permutation_stable () =
   let rng = Prng.Rng.create ~seed:41 in
   let forms =

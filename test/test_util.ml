@@ -794,46 +794,6 @@ let test_lint_domain_spawn_confined_to_supervisor () =
       write sup_file body;
       Alcotest.(check int) "supervisor.ml is the allowed site" 0 (run ())
 
-(* rule 8: lib/hier/ must cache through Persist.Depgraph, never the raw
-   store — a direct store write bypasses the dependency edges that
-   invalidation walks *)
-let test_lint_hier_store_access_forbidden () =
-  match repo_root (Sys.getcwd ()) with
-  | None -> Alcotest.fail "tools/lint.sh not found above the test cwd"
-  | Some root ->
-      let lint = Filename.concat root "tools/lint.sh" in
-      let dir =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "lint8-test.%d" (Unix.getpid ()))
-      in
-      let libdir = Filename.concat dir "lib" in
-      let hierdir = Filename.concat libdir "hier" in
-      Unix.mkdir dir 0o755;
-      Unix.mkdir libdir 0o755;
-      Unix.mkdir hierdir 0o755;
-      let file = Filename.concat hierdir "engine.ml" in
-      let write body =
-        let oc = open_out file in
-        output_string oc body;
-        close_out oc
-      in
-      let run () =
-        Sys.command
-          (Printf.sprintf "sh %s %s >/dev/null 2>&1" (Filename.quote lint)
-             (Filename.quote dir))
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Sys.remove file with Sys_error _ -> ());
-          List.iter
-            (fun d -> try Unix.rmdir d with Unix.Unix_error _ -> ())
-            [ hierdir; libdir; dir ])
-      @@ fun () ->
-      write "let load store = Persist.Store.get store entity ~spec\n";
-      Alcotest.(check bool) "direct store access rejected" true (run () <> 0);
-      write "let load dg = Persist.Depgraph.get dg entity ~spec\n";
-      Alcotest.(check int) "dependency layer accepted" 0 (run ())
-
 let () =
   Alcotest.run "util"
     [
@@ -843,8 +803,6 @@ let () =
             test_lint_scratch_needs_reentrancy_comment;
           Alcotest.test_case "Domain.spawn confined to supervisor" `Quick
             test_lint_domain_spawn_confined_to_supervisor;
-          Alcotest.test_case "hier store access forbidden" `Quick
-            test_lint_hier_store_access_forbidden;
         ] );
       ( "arrayx",
         [

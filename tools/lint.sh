@@ -31,12 +31,6 @@
 #      domains must be started through `Serve.Supervisor.spawn` so every
 #      crash hits the restart/backoff/quarantine policy. A domain spawned
 #      directly dies silently on an uncaught exception and its jobs hang.
-#   8. No `Persist.Store.` in lib/hier/ — hierarchical macro caching must go
-#      through `Persist.Depgraph`, which records the reverse dependency
-#      edges invalidation walks. A direct store write silently produces an
-#      entry that `invalidate` can never find, so a dirty block's stitched
-#      results would survive the very invalidation that was meant to remove
-#      them.
 #
 # Exits non-zero and prints offending lines when a rule is violated.
 #
@@ -119,13 +113,6 @@ if matches=$(grep -rn --include='*.ml' --include='*.mli' 'Domain\.spawn' lib/ser
   | grep -v '^lib/serve/supervisor\.mli\?:' || true); then
   if [ -n "$matches" ]; then
     fail "bare Domain.spawn in lib/serve/ — start worker domains through Serve.Supervisor.spawn so crashes hit the restart/quarantine policy" "$matches"
-  fi
-fi
-
-# Rule 8: lib/hier/ caches only through the dependency layer.
-if [ -d lib/hier ]; then
-  if matches=$(grep -rn --include='*.ml' --include='*.mli' 'Persist\.Store\.' lib/hier/); then
-    fail "Persist.Store in lib/hier/ — go through Persist.Depgraph so invalidation sees the dependency edges" "$matches"
   fi
 fi
 
