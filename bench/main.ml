@@ -865,7 +865,7 @@ let ablate_recon () =
   in
   let _, t_direct =
     Util.Timer.time (fun () ->
-        ignore (Kle.Sampler.sample_matrix_direct sampler (Prng.Rng.create ~seed:1) ~n))
+        ignore (Kle.Sampler.sample_matrix sampler (Prng.Rng.create ~seed:1) ~n))
   in
   pf "samples: %d, gates: %d, mesh n: %d, r: %d\n" n
     (Array.length setup.Ssta.Experiment.locations)
@@ -883,7 +883,7 @@ let ablate_qmc () =
   let r = model.Kle.Model.r in
   (* sampler adapters: one parameter field per block, 4 independent streams *)
   let mc_sampler rng ~n =
-    Array.init 4 (fun _ -> Kle.Sampler.sample_matrix_direct sampler rng ~n)
+    Array.init 4 (fun _ -> Kle.Sampler.sample_matrix sampler rng ~n)
   in
   let qmc_sampler seqs _rng ~n =
     Array.map

@@ -306,11 +306,7 @@ let run_fsck dir repair gc_max_bytes =
   Printf.printf "fsck %s: %s%s\n" dir
     (Persist.Store.fsck_report_to_string report)
     (if repair then "" else " (dry run; use --repair to fix)");
-  let problems =
-    report.Persist.Store.corrupt + report.Persist.Store.tmp_files
-    + report.Persist.Store.gc_evicted
-  in
-  if problems > 0 && not repair then exit 1
+  if Persist.Store.fsck_problems report > 0 && not repair then exit 1
 
 (* one JSON object per executed request on stderr; worker domains share
    the sink, so writes are serialized and flushed per line *)

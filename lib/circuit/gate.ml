@@ -10,8 +10,6 @@ type kind =
   | Xnor2
   | Dff
 
-let all_kinds = [ Input; Inv; Buf; Nand2; Nor2; And2; Or2; Xor2; Xnor2; Dff ]
-
 let kind_name = function
   | Input -> "INPUT"
   | Inv -> "INVX1"

@@ -22,8 +22,6 @@ type kind =
   | Xnor2
   | Dff  (** sequential element: D fanin, Q output *)
 
-val all_kinds : kind list
-
 val kind_name : kind -> string
 (** Library cell name (e.g. "NAND2X1"). *)
 

@@ -49,6 +49,3 @@ val levels : t -> int array
 (** Combinational depth of each gate (sources at level 0). *)
 
 val max_level : t -> int
-
-val validate_dag : gates:gate array -> (unit, string) result
-(** Standalone cycle/arity check, exposed for the generator's tests. *)

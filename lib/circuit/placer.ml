@@ -148,20 +148,6 @@ let hpwl_with fanouts p i =
     !xmax -. !xmin +. (!ymax -. !ymin)
   end
 
-let hpwl p i = hpwl_with (Netlist.fanouts p.netlist) p i
-
 let hpwl_all p =
   let fanouts = Netlist.fanouts p.netlist in
   Array.init (Netlist.size p.netlist) (hpwl_with fanouts p)
-
-let total_hpwl p = Array.fold_left ( +. ) 0.0 (hpwl_all p)
-
-let random_placement ?(die = Geometry.Rect.unit_die) ~seed netlist =
-  let rng = Prng.Rng.create ~seed in
-  let locations =
-    Array.init (Netlist.size netlist) (fun _ ->
-        Geometry.Point.make
-          (Prng.Rng.uniform_range rng ~lo:die.xmin ~hi:die.xmax)
-          (Prng.Rng.uniform_range rng ~lo:die.ymin ~hi:die.ymax))
-  in
-  { netlist; locations; die }

@@ -21,16 +21,7 @@ val place : ?die:Geometry.Rect.t -> ?seed:int -> Netlist.t -> placement
     model pad locations) inside [die] (default {!Geometry.Rect.unit_die}).
     Deterministic for a given [seed] (default 1). *)
 
-val hpwl : placement -> int -> float
-(** [hpwl p i] is the half-perimeter wire length of the net driven by gate
-    [i] (bounding box of the driver and its fanout pins). 0 for unconnected
-    outputs. *)
-
 val hpwl_all : placement -> float array
-(** {!hpwl} for every net at once (shares the fanout computation). *)
-
-val total_hpwl : placement -> float
-(** Sum of {!hpwl} over all nets — the placer's quality objective. *)
-
-val random_placement : ?die:Geometry.Rect.t -> seed:int -> Netlist.t -> placement
-(** Uniform-random placement baseline (for placer-quality comparisons). *)
+(** [(hpwl_all p).(i)] is the half-perimeter wire length of the net driven
+    by gate [i] (bounding box of the driver and its fanout pins); 0 for
+    unconnected outputs. *)

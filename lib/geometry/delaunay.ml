@@ -269,8 +269,3 @@ let triangles t =
   let acc = ref [] in
   iter_triangles t (fun i j k -> acc := (i, j, k) :: !acc);
   Array.of_list (List.rev !acc)
-
-let triangulate rect pts =
-  let t = create rect in
-  Array.iter (fun p -> ignore (insert t p)) pts;
-  triangles t

@@ -32,6 +32,3 @@ val iter_triangles : t -> (int -> int -> int -> unit) -> unit
 val triangles : t -> (int * int * int) array
 (** Current triangles as counter-clockwise index triples into {!points}
     (triangles involving the internal super-triangle are excluded). *)
-
-val triangulate : Rect.t -> Point.t array -> (int * int * int) array
-(** One-shot convenience: triangulate the given points. *)

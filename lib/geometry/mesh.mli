@@ -25,8 +25,6 @@ val h_max : t -> float
 val min_angle_deg : t -> float
 (** Worst (smallest) interior angle over all elements. *)
 
-val total_area : t -> float
-
 val check : t -> (unit, string) result
 (** Structural validation: total element area matches the domain area
     (to 1e-6 relative) and every interior edge is shared by exactly two

@@ -53,7 +53,6 @@ let circumcenter { a; b; c } =
   let uy = ((a2 *. (c.x -. b.x)) +. (b2 *. (a.x -. c.x)) +. (c2 *. (b.x -. a.x))) /. d in
   Point.make ux uy
 
-let circumradius2 t = Point.dist2 (circumcenter t) t.a
 
 let edge_midpoints { a; b; c } =
   [| Point.midpoint a b; Point.midpoint b c; Point.midpoint c a |]

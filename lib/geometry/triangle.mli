@@ -5,9 +5,6 @@ type t = { a : Point.t; b : Point.t; c : Point.t }
 
 val make : Point.t -> Point.t -> Point.t -> t
 
-val signed_area : t -> float
-(** Positive for counter-clockwise orientation. *)
-
 val area : t -> float
 
 val centroid : t -> Point.t
@@ -26,8 +23,6 @@ val min_angle_deg : t -> float
 
 val circumcenter : t -> Point.t
 (** Raises [Invalid_argument] on (near-)degenerate triangles. *)
-
-val circumradius2 : t -> float
 
 val edge_midpoints : t -> Point.t array
 (** The three mid-edge nodes of the degree-2 quadrature rule. *)

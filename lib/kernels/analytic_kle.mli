@@ -35,9 +35,6 @@ val exp_2d : c:float -> rect:Geometry.Rect.t -> count:int -> eigenpair_2d array
     (eigenvalues descending), formed as products of enough 1-D modes per
     axis. *)
 
-val eval_2d : rect:Geometry.Rect.t -> eigenpair_2d -> Geometry.Point.t -> float
-(** Evaluate a 2-D eigenfunction at a die location. *)
-
 val reconstruct_kernel :
   rect:Geometry.Rect.t ->
   eigenpair_2d array ->

@@ -29,15 +29,6 @@ val empirical_correlogram :
     maximum pairwise distance. Raises [Invalid_argument] when dimensions
     disagree or there are fewer than 3 sample rows. *)
 
-val fit_correlogram :
-  correlogram ->
-  family:(float -> Kernel.t) ->
-  lo:float ->
-  hi:float ->
-  Fit.fit
-(** Count-weighted least-squares fit of a one-parameter radial family to the
-    binned correlogram. *)
-
 type extraction = {
   kernel : Kernel.t;
   family_name : string;

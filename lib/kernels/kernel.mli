@@ -51,8 +51,6 @@ val eval_distance : t -> float -> float
     non-isotropic [Separable_exp_l1] and [Radial_exponential] families and
     for negative [v]. *)
 
-val is_isotropic : t -> bool
-
 val smooth_off_diagonal : t -> bool
 (** [true] when [K(x, y)] is analytic wherever [x ≠ y] (Gaussian,
     exponential, Matérn, anisotropic Gaussian): the condition under which

@@ -31,8 +31,6 @@ val build : ?leaf_size:int -> Geometry.Point.t array -> t
 
 val is_leaf : node -> bool
 val size : node -> int
-val diameter : node -> float
-(** Diagonal of the bounding box. *)
 
 val distance : node -> node -> float
 (** Euclidean distance between bounding boxes; 0 when they touch or

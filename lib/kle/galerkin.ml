@@ -228,4 +228,3 @@ let solve ?(quadrature = Centroid) ?(mode = Auto) ?solver ?hier
   else
     solve_assembled ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs mesh kernel
 
-let eigenvalue_sum_bound solution = Util.Arrayx.sum solution.eigenvalues

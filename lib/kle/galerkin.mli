@@ -117,11 +117,6 @@ val solve_with_operator :
     [op] must be the Galerkin operator of [mesh]/[kernel]/[quadrature]
     or the returned solution is meaningless. *)
 
-val eigenvalue_sum_bound : solution -> float
-(** [Σ_j λ_j] over the computed pairs — for a normalized kernel the full sum
-    equals the die area (trace identity), so this reports how much variance
-    the computed pairs capture. *)
-
 val trace : ?quadrature:quadrature -> Geometry.Mesh.t -> Kernels.Kernel.t -> float
 (** The trace of the Galerkin matrix [C], i.e. the sum of all [n] of its
     eigenvalues: [Σ_i K(c_i, c_i) a_i] under the default [Centroid] rule

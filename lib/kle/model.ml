@@ -159,17 +159,6 @@ let reconstruction_error_grid ?(grid = 41) ?fixed t =
       Float.max acc err)
     0.0 pts
 
-let variance_at ?diag t x =
-  let tx = locate ?diag ~stage:"model.variance_at" t x in
-  let coeffs = t.solution.Galerkin.coefficients in
-  let lams = t.solution.Galerkin.eigenvalues in
-  let acc = ref 0.0 in
-  for j = 0 to t.r - 1 do
-    let f = Linalg.Mat.unsafe_get coeffs tx j in
-    acc := !acc +. (lams.(j) *. f *. f)
-  done;
-  !acc
-
 let captured_variance_fraction t =
   let { Galerkin.mesh; kernel; quadrature; _ } = t.solution in
   let total = Galerkin.trace ~quadrature mesh kernel in

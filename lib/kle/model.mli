@@ -60,11 +60,6 @@ val reconstruction_error_pairwise : ?stride:int -> t -> float
     default 7) — the worst case over the whole die, not just from the
     center. *)
 
-val variance_at : ?diag:Util.Diag.sink -> t -> Geometry.Point.t -> float
-(** [Σ_{j<r} λ_j f_j(x)²]: the variance the truncated model retains at [x]
-    (1 would be exact for a normalized kernel). Out-of-domain points clamp
-    to the nearest triangle (recorded in [diag]). *)
-
 val captured_variance_fraction : t -> float
 (** [Σ_{j<r} λ_j / trace]: fraction of total field variance retained. *)
 

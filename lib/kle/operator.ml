@@ -1,14 +1,7 @@
 module Mesh = Geometry.Mesh
 module Kernel = Kernels.Kernel
 
-type t = Linalg.Operator.t =
-  | Dense of Linalg.Mat.t
-  | Matrix_free of { apply : float array -> float array; dim : int }
-
 type quadrature = Centroid | Midedge
-
-let dim = Linalg.Operator.dim
-let apply = Linalg.Operator.apply
 
 (* K̃_ik: quadrature approximation of (1/(a_i a_k)) ∫∫ K — i.e. the mean of K
    over the element pair. Centroid rule: K(c_i, c_k). Mid-edge rule: mean of
@@ -95,7 +88,7 @@ let hmatrix_galerkin ?(quadrature = Centroid) ?hier ?diag ?jobs mesh kernel =
 
 let of_hmatrix ?diag h =
   let n = Hmatrix.dim h in
-  Matrix_free
+  Linalg.Operator.Matrix_free
     {
       apply =
         (fun x ->

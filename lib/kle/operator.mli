@@ -9,10 +9,6 @@
     every [jobs]; the apply holds no mutable state, so it is safe to call
     concurrently from several domains. *)
 
-type t = Linalg.Operator.t =
-  | Dense of Linalg.Mat.t
-  | Matrix_free of { apply : float array -> float array; dim : int }
-
 type quadrature =
   | Centroid  (** paper eq. (21): one-point rule, degree-1 exact *)
   | Midedge  (** three mid-edge points per triangle, degree-2 exact *)
@@ -22,9 +18,6 @@ val mean_kernel_value :
 (** [mean_kernel_value q mesh kernel i k] is K̃_ik, the quadrature
     approximation of the mean of [K] over element pair [(i, k)] — the shared
     entry rule behind {!Galerkin.assemble} and the H-matrix entries. *)
-
-val dim : t -> int
-val apply : t -> float array -> float array
 
 val hmatrix_galerkin :
   ?quadrature:quadrature ->
@@ -41,7 +34,7 @@ val hmatrix_galerkin :
     exactly otherwise; a rejected table is recorded on [diag]. [jobs] has
     {!Util.Pool.with_jobs} semantics; the result does not depend on it. *)
 
-val of_hmatrix : ?diag:Util.Diag.sink -> Hmatrix.t -> t
+val of_hmatrix : ?diag:Util.Diag.sink -> Hmatrix.t -> Linalg.Operator.t
 (** Wrap hierarchical factors as an operator. A non-finite entry in an
     apply result raises [Util.Diag.Failure] with [`Non_finite] (recorded
     on [diag]). *)

@@ -53,11 +53,7 @@ let triangle_of_location t i = t.triangle_index.(i)
 
 let expansion t = t.b
 
-let sample_with_xi t rng =
-  let xi = Prng.Gaussian.vector rng (dim t) in
-  (Linalg.Mat.mul_vec t.b xi, xi)
-
-let sample t rng = fst (sample_with_xi t rng)
+let sample t rng = Linalg.Mat.mul_vec t.b (Prng.Gaussian.vector rng (dim t))
 
 let sample_matrix_with t ~xi =
   if Linalg.Mat.cols xi <> dim t then
@@ -97,8 +93,3 @@ let sample_matrix ?(paper_literal = false) t rng ~n =
     done;
     p
   end
-
-let sample_matrix_direct t rng ~n =
-  let xi = Prng.Gaussian.matrix rng ~rows:n ~cols:(dim t) in
-  (* P = Ξ Bᵀ, expanding only at the precomputed location rows *)
-  Linalg.Mat.mul_nt xi t.b

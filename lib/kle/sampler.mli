@@ -23,8 +23,6 @@ val locations : t -> Geometry.Point.t array
 val dim : t -> int
 (** Number of reduced random variables [r]. *)
 
-val location_count : t -> int
-
 val triangle_of_location : t -> int -> int
 (** Mesh triangle index backing each location (for tests/debugging). *)
 
@@ -36,9 +34,6 @@ val expansion : t -> Linalg.Mat.t
 
 val sample : t -> Prng.Rng.t -> float array
 (** One field realization at all locations. *)
-
-val sample_with_xi : t -> Prng.Rng.t -> float array * float array
-(** [(field, xi)] — also exposes the reduced-space Gaussian sample. *)
 
 val sample_matrix : ?paper_literal:bool -> t -> Prng.Rng.t -> n:int -> Linalg.Mat.t
 (** [n] independent realizations as rows. By default the expansion goes
@@ -61,9 +56,3 @@ val sample_matrix_with : t -> xi:Linalg.Mat.t -> Linalg.Mat.t
 (** Expand externally supplied reduced-space samples (rows of [xi], width
     [r]) to the locations — e.g. quasi-Monte Carlo points from
     [Prng.Lowdisc]. Raises [Invalid_argument] on width mismatch. *)
-
-val sample_matrix_direct : t -> Prng.Rng.t -> n:int -> Linalg.Mat.t
-(** Optimized variant that expands only at the locations' own triangles
-    through the precomputed [N_loc x r] matrix ([O(n · r · N_loc)]); an
-    ablation showing the reconstruction overhead is avoidable when the
-    location set is fixed. Statistically identical to {!sample_matrix}. *)

@@ -6,10 +6,6 @@ let of_mat m =
   if Mat.rows m <> Mat.cols m then invalid_arg "Operator.of_mat: not square";
   Dense m
 
-let matrix_free ~dim apply =
-  if dim < 0 then invalid_arg "Operator.matrix_free: negative dimension";
-  Matrix_free { apply; dim }
-
 let dim = function
   | Dense m -> Mat.rows m
   | Matrix_free { dim; _ } -> dim

@@ -18,9 +18,6 @@ val of_mat : Mat.t -> t
     not square. Symmetry is the caller's contract, as with
     {!Mat.sym_mul_vec}. *)
 
-val matrix_free : dim:int -> (float array -> float array) -> t
-(** [matrix_free ~dim apply] wraps a matvec closure. *)
-
 val dim : t -> int
 
 val apply : t -> float array -> float array

@@ -40,8 +40,6 @@ let of_triplets ~n entries =
 
 let dim t = t.n
 
-let nnz t = t.row_start.(t.n)
-
 let mul_vec t x =
   if Array.length x <> t.n then invalid_arg "Sparse.mul_vec: length mismatch";
   let y = Array.make t.n 0.0 in

@@ -12,8 +12,6 @@ val of_triplets : n:int -> (int * int * float) list -> t
 
 val dim : t -> int
 
-val nnz : t -> int
-
 val mul_vec : t -> float array -> float array
 (** Sparse mat-vec. Raises [Invalid_argument] on length mismatch. *)
 

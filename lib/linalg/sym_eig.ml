@@ -205,11 +205,6 @@ let eig_values a =
   let sorted, _ = Util.Arrayx.sort_desc_with_perm d in
   sorted
 
-let tridiag_ql d e =
-  tql2 d e;
-  Array.sort Float.compare d;
-  d
-
 let tridiag_ql_vectors d e z =
   tql2 ~z d e;
   d

@@ -18,13 +18,10 @@ val eig : Mat.t -> float array * Mat.t
 val eig_values : Mat.t -> float array
 (** Eigenvalues only (descending), skipping eigenvector accumulation. *)
 
-val tridiag_ql : float array -> float array -> float array
-(** [tridiag_ql d e] is the ascending eigenvalue array of the symmetric
-    tridiagonal matrix with diagonal [d] and sub-diagonal [e] ([e.(0)] is
-    unused padding to keep EISPACK indexing). Both arrays are consumed.
-    Exposed for the Lanczos solver. *)
-
 val tridiag_ql_vectors : float array -> float array -> Mat.t -> float array
-(** Like {!tridiag_ql} but also accumulates the rotations into the matrix
-    argument (initialized by the caller, typically to identity), giving the
-    tridiagonal eigenvectors as columns. *)
+(** [tridiag_ql_vectors d e z] computes the eigenvalues of the symmetric
+    tridiagonal matrix with diagonal [d] and sub-diagonal [e] ([e.(0)] is
+    unused padding to keep EISPACK indexing) and accumulates the rotations
+    into [z] (initialized by the caller, typically to identity), giving the
+    tridiagonal eigenvectors as columns. Both arrays are consumed. Exposed
+    for the Lanczos solver. *)

@@ -19,14 +19,7 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
-
 let scale a x = Array.map (fun v -> a *. v) x
-
-let scale_inplace a x =
-  for i = 0 to Array.length x - 1 do
-    Array.unsafe_set x i (a *. Array.unsafe_get x i)
-  done
 
 let add x y =
   check_same_length "add" x y;

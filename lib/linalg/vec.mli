@@ -16,13 +16,9 @@ val dot : t -> t -> float
 val norm2 : t -> float
 (** Euclidean norm. *)
 
-val norm_inf : t -> float
-(** Maximum absolute entry. *)
 
 val scale : float -> t -> t
 (** [scale a x] is a fresh vector [a * x]. *)
-
-val scale_inplace : float -> t -> unit
 
 val add : t -> t -> t
 val sub : t -> t -> t

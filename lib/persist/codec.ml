@@ -38,7 +38,6 @@ let write_int b v =
     end
   in
   loop ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
-let write_bool b v = Buffer.add_char b (if v then '\001' else '\000')
 
 let write_fixed64 b bits =
   for i = 0 to 7 do
@@ -57,12 +56,6 @@ let write_fixed32 b v =
 let write_string b s =
   write_uint b (String.length s);
   Buffer.add_string b s
-
-let write_option b f = function
-  | None -> write_bool b false
-  | Some v ->
-      write_bool b true;
-      f b v
 
 let write_array b f a =
   write_uint b (Array.length a);
@@ -99,12 +92,6 @@ let read_int r =
   let z = read_uint r in
   (z lsr 1) lxor (-(z land 1))
 
-let read_bool r =
-  match read_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | v -> corrupt "invalid bool byte %d at offset %d" v (r.pos - 1)
-
 let read_fixed64 r =
   if remaining r < 8 then corrupt "truncated 64-bit field at byte %d" r.pos;
   let bits = ref 0L in
@@ -135,7 +122,6 @@ let read_string r =
   r.pos <- r.pos + n;
   s
 
-let read_option r f = if read_bool r then Some (f r) else None
 
 let read_array r f =
   let n = read_uint r in

@@ -27,10 +27,6 @@ val write_u8 : writer -> int -> unit
 val write_uint : writer -> int -> unit
 (** Unsigned LEB128 varint; raises [Invalid_argument] on negatives. *)
 
-val write_int : writer -> int -> unit
-(** Zigzag LEB128 varint (any OCaml int). *)
-
-val write_bool : writer -> bool -> unit
 val write_float : writer -> float -> unit
 val write_fixed64 : writer -> int64 -> unit
 
@@ -41,10 +37,10 @@ val write_fixed32 : writer -> int -> unit
 
 val write_string : writer -> string -> unit
 
-val write_option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 val write_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
 val write_float_array : writer -> float array -> unit
 val write_int_array : writer -> int array -> unit
+(** Length-prefixed zigzag LEB128 varints (any OCaml int). *)
 
 (** {1 Reading} *)
 
@@ -58,14 +54,11 @@ val remaining : reader -> int
 
 val read_u8 : reader -> int
 val read_uint : reader -> int
-val read_int : reader -> int
-val read_bool : reader -> bool
 val read_float : reader -> float
 val read_fixed64 : reader -> int64
 val read_fixed32 : reader -> int
 val read_string : reader -> string
 
-val read_option : reader -> (reader -> 'a) -> 'a option
 val read_array : reader -> (reader -> 'a) -> 'a array
 val read_float_array : reader -> float array
 val read_int_array : reader -> int array

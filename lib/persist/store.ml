@@ -1,3 +1,5 @@
+(* bumped when the header layout changes; part of every entry's identity
+   (a mismatch makes the entry stale) *)
 let format_version = 1
 let magic = "KLST"
 
@@ -268,6 +270,7 @@ type fsck_report = {
   ok : int;
   corrupt : int;
   stale : int;
+  retired : int;
   tmp_files : int;
   gc_evicted : int;
   bytes_before : int;
@@ -351,6 +354,7 @@ let fsck ?diag ?(repair = false) ?max_bytes ~dir () =
     Util.Diag.record ?sink:diag severity `Degraded_fallback ~stage:"persist.fsck" msg
   in
   let scanned = ref 0 and ok = ref 0 and corrupt = ref 0 and stale = ref 0 in
+  let retired = ref 0 in
   let tmp_files = ref 0 and gc_evicted = ref 0 in
   let bytes_before = ref 0 and bytes_after = ref 0 in
   (* mtime + size of entries that survive verification, for the GC pass *)
@@ -396,8 +400,8 @@ let fsck ?diag ?(repair = false) ?max_bytes ~dir () =
                 note Util.Diag.Info (Printf.sprintf "%s: stale (%s)" file msg);
                 bytes_after := !bytes_after + String.length data
             | `Retired kind ->
-                incr stale;
-                note Util.Diag.Info (Printf.sprintf "%s: stale (retired kind %S)%s" file kind
+                incr retired;
+                note Util.Diag.Info (Printf.sprintf "%s: retired kind %S%s" file kind
                      (if repair then " — removed" else ""));
                 if repair then ( try Sys.remove file with Sys_error _ -> ())
             | `Corrupt msg ->
@@ -433,15 +437,18 @@ let fsck ?diag ?(repair = false) ?max_bytes ~dir () =
     ok = !ok;
     corrupt = !corrupt;
     stale = !stale;
+    retired = !retired;
     tmp_files = !tmp_files;
     gc_evicted = !gc_evicted;
     bytes_before = !bytes_before;
     bytes_after = !bytes_after;
   }
 
+let fsck_problems r = r.corrupt + r.retired + r.tmp_files + r.gc_evicted
+
 let fsck_report_to_string r =
   Printf.sprintf
-    "scanned %d entries: %d ok, %d corrupt, %d stale, %d tmp file%s, %d GC-evicted; %d -> %d bytes"
-    r.scanned r.ok r.corrupt r.stale r.tmp_files
+    "scanned %d entries: %d ok, %d corrupt, %d stale, %d retired, %d tmp file%s, %d GC-evicted; %d -> %d bytes"
+    r.scanned r.ok r.corrupt r.stale r.retired r.tmp_files
     (if r.tmp_files = 1 then "" else "s")
     r.gc_evicted r.bytes_before r.bytes_after

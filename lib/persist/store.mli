@@ -5,7 +5,7 @@
     description of everything the artifact is a pure function of (kernel
     spec, mesh parameters, retained pairs, …). The file carries a magic
     tag, the store
-    {!format_version}, the entity kind + version, the full spec string
+    format version, the entity kind + version, the full spec string
     (so a 64-bit hash collision is detected, not silently served), the
     payload, and an FNV-1a checksum of the payload.
 
@@ -30,10 +30,6 @@
 
     All operations are safe to call concurrently from multiple domains:
     statistics are atomic and file replacement is atomic-rename. *)
-
-val format_version : int
-(** Bumped when the header layout changes; part of every entry's identity
-    (a mismatch makes the entry stale). *)
 
 type t
 
@@ -98,9 +94,8 @@ type fsck_report = {
   scanned : int;  (** [.bin] entries examined *)
   ok : int;  (** entries that passed structural verification *)
   corrupt : int;  (** unreadable / malformed / checksum-failed entries *)
-  stale : int;
-      (** entries with an outdated format or entity version, or of a
-          retired kind *)
+  stale : int;  (** entries with an outdated format or entity version *)
+  retired : int;  (** entries of a retired kind *)
   tmp_files : int;  (** orphaned [*.tmp.*] temporaries found *)
   gc_evicted : int;  (** verified entries evicted by the size-capped GC *)
   bytes_before : int;  (** total bytes of scanned entries *)
@@ -124,16 +119,22 @@ val fsck :
     [max_bytes] is given — verified entries are evicted oldest-mtime
     first until the survivors fit under the cap. Stale entries are
     reported but not deleted: they self-heal on next access through
-    {!find_or_add}. The exception is an entry of a retired kind
-    ([hier-macro], [hier-stitch], [dep-edges]: block macros, stitched
-    results and dependency edges that earlier builds wrote and no code
-    reads any more); it is reported as stale and, with [~repair], deleted,
-    since no access will ever replace it. Every action is recorded against [diag]
-    ([Warning] for corruption and tmp sweeps, [Info] for stale and GC).
+    {!find_or_add}. An entry of a retired kind ([hier-macro],
+    [hier-stitch], [dep-edges]: block macros, stitched results and
+    dependency edges that earlier builds wrote and no code reads any more)
+    never self-heals, since no access will ever replace it; it is counted
+    as [retired] and, with [~repair], deleted. Every action is recorded
+    against [diag] ([Warning] for corruption and tmp sweeps, [Info] for
+    stale, retired and GC).
 
     fsck is an {e offline} tool: run it while no server holds the store
     open, otherwise a concurrent writer's live temporary file can be
     swept mid-write. *)
+
+val fsck_problems : fsck_report -> int
+(** The findings a repair acts on: corrupt and retired entries, tmp files
+    and GC evictions. Stale entries are not among them, since they
+    self-heal. [ssta_serve --fsck] exits 1 on a dry run that finds any. *)
 
 val fsck_report_to_string : fsck_report -> string
 (** One-line human-readable summary. *)

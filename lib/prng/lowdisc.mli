@@ -22,12 +22,10 @@ val dim : t -> int
 val next_uniform : t -> float array
 (** Next point in [0, 1)^dim (skips the index-0 all-zeros point). *)
 
-val next_normal : t -> float array
-(** Next point mapped through the inverse normal CDF, componentwise. *)
-
 val normal_matrix : t -> rows:int -> Linalg.Mat.t
-(** [rows] successive {!next_normal} points as matrix rows — a drop-in
-    replacement for [Gaussian.matrix] in samplers. *)
+(** [rows] successive points mapped through the inverse normal CDF,
+    componentwise, as matrix rows — a drop-in replacement for
+    [Gaussian.matrix] in samplers. *)
 
 val primes : int -> int array
 (** First [n] primes (exposed for tests). *)

@@ -132,8 +132,3 @@ val stats_payload : t -> Jsonx.t
     client), [requeued] and [singleflight_dedup], queue occupancy, worker
     restart/quarantine counts, LRU and store statistics. *)
 
-val health_payload : t -> Jsonx.t
-(** The same JSON object a [health] request returns: [healthy] (accepting
-    work), worker liveness ([workers], [workers_busy], [worker_restarts],
-    [quarantined]), queue depth, cache entries and store status — the
-    chaos harness's recovery probe. *)

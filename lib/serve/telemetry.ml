@@ -154,8 +154,6 @@ let named_hists t =
   List.map (fun s -> (stage_name s, t.stage_hists.(stage_index s))) all_stages
   @ [ ("total", t.total_hist) ]
 
-let prometheus t ~counters = prometheus_of ~counters (named_hists t)
-
 let metrics_payload t ~counters =
   let named_hists = named_hists t in
   Jsonx.Obj

@@ -25,11 +25,6 @@
 
 type stage = Queue_wait | Batch_wait | Cache_lookup | Compute | Reply_write
 
-val stage_name : stage -> string
-(** Stable wire name, e.g. ["queue_wait"]. *)
-
-val all_stages : stage list
-
 type t
 
 val create : ?slow_ms:float -> ?ring_size:int -> unit -> t
@@ -68,12 +63,10 @@ val metrics_payload : t -> counters:(string * int) list -> Jsonx.t
     {count, p50_ms, p90_ms, p99_ms, p999_ms, max_ms, mean_ms}},
     "histograms": {<stage>: <versioned histogram JSON>}, "prometheus":
     "<text exposition>"}]. [counters] is the unified counter list (server
-    atomics + {!Util.Trace.counters}). *)
-
-val prometheus : t -> counters:(string * int) list -> string
-(** Prometheus text exposition alone: one [ssta_<counter>] counter line
-    per entry plus [ssta_stage_latency_seconds{stage=...,quantile=...}]
-    summaries with [_sum]/[_count]. *)
+    atomics + {!Util.Trace.counters}). The Prometheus text has one
+    [ssta_<counter>] counter line per entry plus
+    [ssta_stage_latency_seconds{stage=...,quantile=...}] summaries with
+    [_sum]/[_count]. *)
 
 val debug_payload : t -> Jsonx.t
 (** The [debug] response: [{"slow_ms": <threshold>, "slow_requests":

@@ -2,20 +2,15 @@ type t = {
   diag : Util.Diag.sink;
   strict_mode : bool;
   jobs : int option;
-  request_id : string option;
 }
 
-let create ?(strict = false) ?diag ?jobs ?request_id () =
+let create ?(strict = false) ?diag ?jobs () =
   let diag = match diag with Some d -> d | None -> Util.Diag.create () in
-  { diag; strict_mode = strict; jobs; request_id }
+  { diag; strict_mode = strict; jobs }
 
 let diagnostics t = t.diag
 
 let strict t = t.strict_mode
-
-let request_id t = t.request_id
-
-let with_request_id t request_id = { t with request_id = Some request_id }
 
 type 'a staged = ('a, Util.Diag.event) result
 
@@ -30,11 +25,7 @@ let guard t ~stage f =
     Util.Diag.record ~sink:t.diag Error code ~stage detail;
     Error { Util.Diag.severity = Error; code; stage; detail }
   in
-  (* the originating request's correlation ID rides on every stage span,
-     so a Chrome trace of a serving run maps pipeline work back to the
-     request that caused it *)
-  let attrs = match t.request_id with Some r -> [ ("req_id", r) ] | None -> [] in
-  match Util.Trace.with_span ~attrs stage f with
+  match Util.Trace.with_span stage f with
   | v ->
       if t.strict_mode then begin
         let fresh = drop before (Util.Diag.events t.diag) in

@@ -40,27 +40,17 @@
 type t
 (** Pipeline context: a diagnostic sink plus policy knobs. *)
 
-val create :
-  ?strict:bool -> ?diag:Util.Diag.sink -> ?jobs:int -> ?request_id:string -> unit -> t
+val create : ?strict:bool -> ?diag:Util.Diag.sink -> ?jobs:int -> unit -> t
 (** [create ()] makes a context with a fresh sink. [strict] (default
     [false]) escalates stage warnings to stage errors. [diag] supplies an
     external sink (shared with other instrumentation); [jobs] is passed to
     the parallel assembly/factorization/MC stages
-    ({!Util.Pool.with_jobs} semantics — results never depend on it).
-    [request_id] is an originating request's correlation ID: every stage
-    span carries it as a [req_id] attribute, so Chrome trace output maps
-    pipeline work back to the serving request that caused it. *)
+    ({!Util.Pool.with_jobs} semantics — results never depend on it). *)
 
 val diagnostics : t -> Util.Diag.sink
 (** The sink every stage records into (shared, thread-safe). *)
 
 val strict : t -> bool
-
-val request_id : t -> string option
-
-val with_request_id : t -> string -> t
-(** A context bound to one request's correlation ID — shares the sink and
-    policy; cheap enough to make per request. *)
 
 type 'a staged = ('a, Util.Diag.event) result
 (** Every stage returns the value or the typed event that failed it.

@@ -107,17 +107,6 @@ let count ?(min_severity = Info) ?code sink =
   locked sink (fun () ->
       List.fold_left (fun acc e -> if matches e then acc + 1 else acc) 0 sink.rev_events)
 
-let max_severity sink =
-  locked sink (fun () ->
-      List.fold_left
-        (fun acc e ->
-          match acc with
-          | None -> Some e.severity
-          | Some s ->
-              if severity_rank e.severity > severity_rank s then Some e.severity
-              else acc)
-        None sink.rev_events)
-
 let clear sink =
   locked sink (fun () ->
       sink.rev_events <- [];

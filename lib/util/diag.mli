@@ -56,16 +56,10 @@ val count : ?min_severity:severity -> ?code:code -> sink -> int
 (** Number of recorded events, optionally filtered by minimum severity
     and/or exact code. *)
 
-val max_severity : sink -> severity option
-(** The worst severity recorded, or [None] when the sink is empty. *)
-
 val clear : sink -> unit
 
 val severity_rank : severity -> int
 (** [Info] = 0, [Warning] = 1, [Error] = 2. *)
-
-val severity_name : severity -> string
-val code_name : code -> string
 
 val to_string : event -> string
 (** ["[warning] mvn.of_covariance (not-psd): ..."] *)

@@ -279,4 +279,3 @@ let as_int = function
 
 let as_bool = function Bool v -> Some v | _ -> None
 let as_obj = function Obj fields -> Some fields | _ -> None
-let as_list = function List items -> Some items | _ -> None

@@ -39,4 +39,3 @@ val as_int : t -> int option
 
 val as_bool : t -> bool option
 val as_obj : t -> (string * t) list option
-val as_list : t -> t list option

@@ -1,10 +1,8 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   columns : (string * align) list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ~columns = { columns; rows = [] }
@@ -12,9 +10,7 @@ let create ~columns = { columns; rows = [] }
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Table.add_row: cell count mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let to_string t =
   let headers = List.map fst t.columns in
@@ -25,9 +21,7 @@ let to_string t =
       List.map2 (fun w c -> max w (String.length c)) ws cells
     in
     let init = List.map String.length headers in
-    List.fold_left
-      (fun ws row -> match row with Cells c -> update ws c | Rule -> ws)
-      init rows
+    List.fold_left update init rows
   in
   let pad align width cell =
     let n = width - String.length cell in
@@ -55,9 +49,7 @@ let to_string t =
   Buffer.add_char buf '\n';
   List.iter
     (fun row ->
-      (match row with
-      | Cells c -> Buffer.add_string buf (render_cells c)
-      | Rule -> Buffer.add_string buf rule);
+      Buffer.add_string buf (render_cells row);
       Buffer.add_char buf '\n')
     rows;
   Buffer.add_string buf rule;

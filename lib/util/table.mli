@@ -14,8 +14,6 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row. Raises [Invalid_argument] if the number
     of cells differs from the number of columns. *)
 
-val add_rule : t -> unit
-(** [add_rule t] appends a horizontal separator line. *)
 
 val to_string : t -> string
 (** [to_string t] renders the table with aligned columns. *)

@@ -9,8 +9,8 @@
     - {b Counters} ({!counter}, {!add}) are atomic integers for work
       metrics: kernel evaluations, matvecs, Lanczos iterations, Cholesky
       jitter retries, Monte Carlo samples/skips, matmul flops, pool
-      wait/run nanoseconds. GC words are tracked as {!gc_deltas} gauges
-      from [Gc.quick_stat] snapshots.
+      wait/run nanoseconds. GC words allocated since {!enable}/{!reset}
+      are tracked as gauges from [Gc.quick_stat] snapshots.
     - {b Exporters}: {!write_chrome_trace} emits Chrome [trace_event] JSON
       (load in [chrome://tracing] or Perfetto; one track per domain) and
       {!summary} / {!summary_json} aggregate the span tree (total/self
@@ -79,9 +79,6 @@ val value : counter -> int
 
 val counters : unit -> (string * int) list
 (** All registered counters with current values, in registration order. *)
-
-val gc_deltas : unit -> (string * float) list
-(** Minor/promoted/major GC words allocated since {!enable}/{!reset}. *)
 
 (** Well-known counters (registered at module load, in this order): *)
 

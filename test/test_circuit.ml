@@ -303,11 +303,21 @@ let test_place_deterministic () =
   Alcotest.(check bool) "same locations" true
     (p1.Circuit.Placer.locations = p2.Circuit.Placer.locations)
 
+let total_hpwl p = Array.fold_left ( +. ) 0.0 (Circuit.Placer.hpwl_all p)
+
 let test_place_beats_random () =
   (* connectivity-driven placement must yield smaller total HPWL than random *)
   let t = Circuit.Generator.generate_paper "c1355" in
-  let placed = Circuit.Placer.total_hpwl (Circuit.Placer.place t) in
-  let random = Circuit.Placer.total_hpwl (Circuit.Placer.random_placement ~seed:2 t) in
+  let placed = total_hpwl (Circuit.Placer.place t) in
+  let rng = Prng.Rng.create ~seed:2 in
+  let die = Geometry.Rect.unit_die in
+  let locations =
+    Array.init (N.size t) (fun _ ->
+        Geometry.Point.make
+          (Prng.Rng.uniform_range rng ~lo:die.xmin ~hi:die.xmax)
+          (Prng.Rng.uniform_range rng ~lo:die.ymin ~hi:die.ymax))
+  in
+  let random = total_hpwl { Circuit.Placer.netlist = t; locations; die } in
   Alcotest.(check bool)
     (Printf.sprintf "placed %.1f < random %.1f" placed random)
     true (placed < random)
@@ -315,13 +325,27 @@ let test_place_beats_random () =
 let test_hpwl_zero_for_sinks () =
   let t = tiny () in
   let p = Circuit.Placer.place t in
-  check_close ~tol:0.0 "unloaded output" 0.0 (Circuit.Placer.hpwl p 3)
+  check_close ~tol:0.0 "unloaded output" 0.0 (Circuit.Placer.hpwl_all p).(3)
 
 let test_hpwl_all_matches_hpwl () =
+  (* each net against its bounding box over the driver and fanout pins *)
   let t = tiny () in
   let p = Circuit.Placer.place t in
-  let all = Circuit.Placer.hpwl_all p in
-  Array.iteri (fun i v -> check_close ~tol:0.0 "same" (Circuit.Placer.hpwl p i) v) all
+  let fanouts = N.fanouts t in
+  Array.iteri
+    (fun i v ->
+      let pins = Array.append [| i |] fanouts.(i) in
+      let coord f g = f p.Circuit.Placer.locations.(g) in
+      let extent f =
+        let cs = Array.map (coord f) pins in
+        Array.fold_left Float.max cs.(0) cs -. Array.fold_left Float.min cs.(0) cs
+      in
+      let bbox =
+        if Array.length fanouts.(i) = 0 then 0.0
+        else extent (fun l -> l.Geometry.Point.x) +. extent (fun l -> l.Geometry.Point.y)
+      in
+      check_close "bounding box" bbox v)
+    (Circuit.Placer.hpwl_all p)
 
 (* ---------- Wireload ---------- *)
 

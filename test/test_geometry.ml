@@ -54,14 +54,14 @@ let unit_right = T.make (P.make 0.0 0.0) (P.make 1.0 0.0) (P.make 0.0 1.0)
 
 let test_triangle_area_centroid () =
   check_close "area" 0.5 (T.area unit_right);
-  check_close "signed (ccw)" 0.5 (T.signed_area unit_right);
+  check_close "signed (ccw)" 1.0 (P.cross unit_right.a unit_right.b unit_right.c);
   let c = T.centroid unit_right in
   check_close "cx" (1.0 /. 3.0) c.x;
   check_close "cy" (1.0 /. 3.0) c.y
 
 let test_triangle_orientation_sign () =
   let cw = T.make (P.make 0.0 0.0) (P.make 0.0 1.0) (P.make 1.0 0.0) in
-  Alcotest.(check bool) "cw negative" true (T.signed_area cw < 0.0);
+  Alcotest.(check bool) "cw negative" true (P.cross cw.a cw.b cw.c < 0.0);
   check_close "abs area" 0.5 (T.area cw)
 
 let test_triangle_contains () =
@@ -82,7 +82,9 @@ let test_triangle_circumcenter () =
   let cc = T.circumcenter unit_right in
   check_close "ccx" 0.5 cc.x;
   check_close "ccy" 0.5 cc.y;
-  check_close "radius²" 0.5 (T.circumradius2 unit_right);
+  Array.iter
+    (fun v -> check_close "radius²" 0.5 (P.dist2 cc v))
+    [| unit_right.a; unit_right.b; unit_right.c |];
   let degenerate = T.make (P.make 0.0 0.0) (P.make 1.0 0.0) (P.make 2.0 0.0) in
   Alcotest.(check bool) "degenerate raises" true
     (match T.circumcenter degenerate with
@@ -130,16 +132,21 @@ let quasi_random_points seed n =
   Kernels.Validity.random_points ~seed ~n
     (R.make ~xmin:(-0.95) ~xmax:0.95 ~ymin:(-0.95) ~ymax:0.95)
 
+let triangulate pts =
+  let dt = Geometry.Delaunay.create R.unit_die in
+  Array.iter (fun p -> ignore (Geometry.Delaunay.insert dt p)) pts;
+  Geometry.Delaunay.triangles dt
+
 let test_delaunay_square () =
   let pts =
     [| P.make (-1.0) (-1.0); P.make 1.0 (-1.0); P.make 1.0 1.0; P.make (-1.0) 1.0 |]
   in
-  let tris = Geometry.Delaunay.triangulate R.unit_die pts in
+  let tris = triangulate pts in
   Alcotest.(check int) "two triangles" 2 (Array.length tris)
 
 let test_delaunay_empty_circumcircle () =
   let pts = quasi_random_points 3 60 in
-  let tris = Geometry.Delaunay.triangulate R.unit_die pts in
+  let tris = triangulate pts in
   Alcotest.(check bool) "delaunay property" true (brute_force_delaunay_check pts tris)
 
 let test_delaunay_area_covers_hull () =
@@ -190,7 +197,7 @@ let test_delaunay_collinear_boundary () =
 let test_mesh_uniform_structure () =
   let m = Geometry.Mesh.uniform R.unit_die ~divisions:4 in
   Alcotest.(check int) "4 tris per cell" (4 * 4 * 4) (Geometry.Mesh.size m);
-  check_close ~tol:1e-9 "area" 4.0 (Geometry.Mesh.total_area m);
+  check_close ~tol:1e-9 "area" 4.0 (Util.Arrayx.sum m.Geometry.Mesh.areas);
   check_close ~tol:1e-9 "min angle 45" 45.0 (Geometry.Mesh.min_angle_deg m);
   Alcotest.(check bool) "check passes" true (Geometry.Mesh.check m = Ok ())
 
@@ -258,7 +265,7 @@ let test_refine_non_square_domain () =
   let rect = R.make ~xmin:0.0 ~xmax:4.0 ~ymin:0.0 ~ymax:1.0 in
   let r = Geometry.Refine.mesh rect ~max_area_fraction:0.01 ~min_angle_deg:26.0 in
   let m = r.Geometry.Geometry_intf.mesh in
-  check_close ~tol:1e-6 "area covered" 4.0 (Geometry.Mesh.total_area m);
+  check_close ~tol:1e-6 "area covered" 4.0 (Util.Arrayx.sum m.Geometry.Mesh.areas);
   Alcotest.(check bool) "structure" true (Geometry.Mesh.check m = Ok ())
 
 (* points as %h, then triangles: equal digests mean byte-identical meshes *)

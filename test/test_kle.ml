@@ -34,7 +34,7 @@ let test_eigenvalues_nonnegative_descending () =
 let test_eigenvalue_sum_equals_trace () =
   (* dense solve computes all n pairs; their sum equals the matrix trace *)
   let s = Lazy.force solve_coarse in
-  check_close ~tol:1e-8 "sum = trace" 4.0 (Kle.Galerkin.eigenvalue_sum_bound s)
+  check_close ~tol:1e-8 "sum = trace" 4.0 (Util.Arrayx.sum s.Kle.Galerkin.eigenvalues)
 
 let test_eigenfunctions_l2_orthonormal () =
   let s = Lazy.force solve_coarse in
@@ -196,18 +196,17 @@ let test_out_of_domain_point_clamps () =
   let inside = { P.x = 0.999; P.y = 0.4 } in
   let v_in = Kle.Model.eval_eigenfunction model 0 inside in
   check_close ~tol:1e-12 "clamps to nearest triangle" v_in v;
-  (* the other clamped entry points stay total too *)
+  (* the clamped kernel reconstruction stays total too *)
   let kv = Kle.Model.reconstruct_kernel ~diag model outside outside in
-  Alcotest.(check bool) "reconstruct finite" true (Float.is_finite kv);
-  let var = Kle.Model.variance_at ~diag model outside in
-  Alcotest.(check bool) "variance finite" true (Float.is_finite var)
+  Alcotest.(check bool) "reconstruct finite" true (Float.is_finite kv)
 
 let test_sampler_out_of_domain_location_clamps () =
   let model = Kle.Model.create ~r:4 (Lazy.force solve_coarse) in
   let diag = Util.Diag.create () in
   let locations = [| { P.x = 0.25; P.y = 0.25 }; { P.x = -0.5; P.y = 3.0 } |] in
   let s = Kle.Sampler.create ~diag model locations in
-  Alcotest.(check int) "all locations resolved" 2 (Kle.Sampler.location_count s);
+  Alcotest.(check int) "all locations resolved" 2
+    (Linalg.Mat.rows (Kle.Sampler.expansion s));
   Alcotest.(check int) "one aggregate clamp warning" 1
     (Util.Diag.count ~code:`Out_of_domain diag);
   let rng = Prng.Rng.create ~seed:5 in
@@ -286,7 +285,8 @@ let test_variance_at_close_to_one () =
   let model = Kle.Model.create ~r:40 s in
   List.iter
     (fun p ->
-      let v = Kle.Model.variance_at model p in
+      (* the variance the truncated model retains: Σ_{j<r} λ_j f_j(x)² *)
+      let v = Kle.Model.reconstruct_kernel model p p in
       Alcotest.(check bool) (Printf.sprintf "var %.3f in (0.5, 1.01]" v) true
         (v > 0.5 && v <= 1.01))
     [ P.make 0.0 0.0; P.make 0.5 (-0.5); P.make (-0.9) 0.9 ]
@@ -343,7 +343,8 @@ let sampler_fixture =
 let test_sampler_dims () =
   let model, locations, sampler = Lazy.force sampler_fixture in
   Alcotest.(check int) "r" model.Kle.Model.r (Kle.Sampler.dim sampler);
-  Alcotest.(check int) "locations" (Array.length locations) (Kle.Sampler.location_count sampler)
+  Alcotest.(check int) "locations" (Array.length locations)
+    (Linalg.Mat.rows (Kle.Sampler.expansion sampler))
 
 let test_sampler_triangles_contain_locations () =
   let model, locations, sampler = Lazy.force sampler_fixture in
@@ -396,14 +397,16 @@ let test_sample_matrix_variants_agree_statistically () =
   let _, _, sampler = Lazy.force sampler_fixture in
   let n = 20_000 in
   let m1 = Kle.Sampler.sample_matrix sampler (Prng.Rng.create ~seed:1) ~n in
-  let m2 = Kle.Sampler.sample_matrix_direct sampler (Prng.Rng.create ~seed:2) ~n in
+  let m2 = Kle.Sampler.sample_matrix sampler (Prng.Rng.create ~seed:2) ~n in
   let c1 = Stats.Correlation.column_covariance m1 in
   let c2 = Stats.Correlation.column_covariance m2 in
   Alcotest.(check bool) "same covariance" true (Linalg.Mat.max_abs_diff c1 c2 < 0.1)
 
 let test_sample_with_xi_consistent () =
   let model, _, sampler = Lazy.force sampler_fixture in
-  let field, xi = Kle.Sampler.sample_with_xi sampler (Prng.Rng.create ~seed:3) in
+  let field = Kle.Sampler.sample sampler (Prng.Rng.create ~seed:3) in
+  (* [sample] draws its reduced-space xi first from the stream it is given *)
+  let xi = Prng.Gaussian.vector (Prng.Rng.create ~seed:3) (Kle.Sampler.dim sampler) in
   Alcotest.(check int) "xi dim" model.Kle.Model.r (Array.length xi);
   (* field must equal B xi, i.e. reconstruct from xi manually *)
   let d = Kle.Model.d_lambda model in
@@ -422,7 +425,7 @@ let test_sample_matrix_with_gaussian_equivalence () =
   let xi = Prng.Gaussian.matrix (Prng.Rng.create ~seed:8) ~rows:n ~cols:(Kle.Sampler.dim sampler) in
   let m = Kle.Sampler.sample_matrix_with sampler ~xi in
   let c1 = Stats.Correlation.column_covariance m in
-  let m2 = Kle.Sampler.sample_matrix_direct sampler (Prng.Rng.create ~seed:9) ~n in
+  let m2 = Kle.Sampler.sample_matrix sampler (Prng.Rng.create ~seed:9) ~n in
   let c2 = Stats.Correlation.column_covariance m2 in
   Alcotest.(check bool) "same covariance" true (Linalg.Mat.max_abs_diff c1 c2 < 0.12)
 
@@ -475,7 +478,7 @@ let galerkin_op ?quadrature ?(hier = hier_params) ?diag ?jobs mesh kernel =
    relative to the largest assembled row *)
 let apply_rel_error c op x =
   let y_dense = Linalg.Mat.mul_vec c x in
-  let y = Kle.Operator.apply op x in
+  let y = Linalg.Operator.apply op x in
   let scale = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 1e-300 y_dense in
   let worst = ref 0.0 in
   Array.iteri (fun i v -> worst := Float.max !worst (Float.abs (v -. y_dense.(i)) /. scale)) y;
@@ -507,11 +510,11 @@ let test_operator_exact_apply_matches_assembled () =
       Alcotest.(check int) "no far-field block" 0 stats.Kle.Hmatrix.far_blocks;
       Alcotest.(check bool) "off-diagonal near blocks" true (stats.Kle.Hmatrix.near_blocks > 1);
       let op = Kle.Operator.of_hmatrix hm in
-      Alcotest.(check int) "dim" n (Kle.Operator.dim op);
+      Alcotest.(check int) "dim" n (Linalg.Operator.dim op);
       for trial = 0 to 2 do
         let x = random_vec ((31 * trial) + 7) n in
         let y_dense = Linalg.Mat.mul_vec c x in
-        let y = Kle.Operator.apply op x in
+        let y = Linalg.Operator.apply op x in
         Array.iteri
           (fun i v ->
             check_close ~tol:1e-12
@@ -537,7 +540,7 @@ let test_operator_table_apply_close_to_assembled () =
       let op = galerkin_op mesh kernel in
       let x = random_vec 11 n in
       let y_dense = Linalg.Mat.mul_vec c x in
-      let y = Kle.Operator.apply op x in
+      let y = Linalg.Operator.apply op x in
       Array.iteri
         (fun i v ->
           check_close ~tol:1e-7
@@ -551,8 +554,8 @@ let test_operator_apply_jobs_independent () =
   let mesh = Lazy.force mesh_fine in
   let n = Geometry.Mesh.size mesh in
   let x = random_vec 3 n in
-  let y1 = Kle.Operator.apply (galerkin_op ~jobs:1 mesh gaussian) x in
-  let y2 = Kle.Operator.apply (galerkin_op ~jobs:2 mesh gaussian) x in
+  let y1 = Linalg.Operator.apply (galerkin_op ~jobs:1 mesh gaussian) x in
+  let y2 = Linalg.Operator.apply (galerkin_op ~jobs:2 mesh gaussian) x in
   Alcotest.(check (array (float 0.0))) "bit-identical across jobs" y1 y2
 
 let test_operator_midedge_quadrature () =
@@ -645,10 +648,10 @@ let test_operator_concurrent_applies_bit_identical () =
   let n = Geometry.Mesh.size mesh in
   let op = galerkin_op ~jobs:2 mesh gaussian in
   let xs = Array.init 2 (fun i -> random_vec (100 + i) n) in
-  let seq = Array.map (Kle.Operator.apply op) xs in
+  let seq = Array.map (Linalg.Operator.apply op) xs in
   let domains =
     Array.map
-      (fun x -> Domain.spawn (fun () -> Array.init 8 (fun _ -> Kle.Operator.apply op x)))
+      (fun x -> Domain.spawn (fun () -> Array.init 8 (fun _ -> Linalg.Operator.apply op x)))
       xs
   in
   Array.iteri
@@ -730,7 +733,7 @@ let test_hmatrix_apply_matches_exact () =
       Alcotest.(check bool) "some far-field compression happened" true
         (hm.Kle.Hmatrix.stats.Kle.Hmatrix.far_blocks > 0);
       let op = Kle.Operator.of_hmatrix hm in
-      Alcotest.(check int) "dim" n (Kle.Operator.dim op);
+      Alcotest.(check int) "dim" n (Linalg.Operator.dim op);
       for trial = 0 to 2 do
         check_apply_close ~tol:1e-6
           (Printf.sprintf "%s trial %d" (K.name kernel) trial)

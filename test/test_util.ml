@@ -67,7 +67,6 @@ let test_timer_time () =
 let test_table_renders () =
   let t = Util.Table.create ~columns:[ ("name", Util.Table.Left); ("x", Util.Table.Right) ] in
   Util.Table.add_row t [ "alpha"; "1.5" ];
-  Util.Table.add_rule t;
   Util.Table.add_row t [ "b"; "10.25" ];
   let s = Util.Table.to_string t in
   Alcotest.(check bool) "contains header" true (contains_substring s "name");
@@ -177,7 +176,6 @@ let test_fmt_float () =
 let test_diag_record_and_query () =
   let sink = Util.Diag.create () in
   Alcotest.(check int) "empty" 0 (Util.Diag.length sink);
-  Alcotest.(check bool) "no max severity" true (Util.Diag.max_severity sink = None);
   Util.Diag.record ~sink Util.Diag.Info `Fault_injected ~stage:"t" "a";
   Util.Diag.record ~sink Util.Diag.Warning `Degraded_fallback ~stage:"t" "b";
   Util.Diag.record ~sink Util.Diag.Warning `Not_psd ~stage:"t" "c";
@@ -185,8 +183,6 @@ let test_diag_record_and_query () =
   Alcotest.(check int) "warnings" 2
     (Util.Diag.count ~min_severity:Util.Diag.Warning sink);
   Alcotest.(check int) "by code" 1 (Util.Diag.count ~code:`Not_psd sink);
-  Alcotest.(check bool) "max severity" true
-    (Util.Diag.max_severity sink = Some Util.Diag.Warning);
   (match Util.Diag.events sink with
   | [ a; b; c ] ->
       Alcotest.(check string) "oldest first" "a" a.Util.Diag.detail;
@@ -794,6 +790,59 @@ let test_lint_domain_spawn_confined_to_supervisor () =
       write sup_file body;
       Alcotest.(check int) "supervisor.ml is the allowed site" 0 (run ())
 
+(* rule 8: an export whose name occurs in no source file but its own .ml
+   fails the lint until it gets a caller, or an allowlist entry naming the
+   test that uses it; an entry whose value has a caller fails again (the
+   allowlist only shrinks) *)
+let test_lint_uncalled_export () =
+  match repo_root (Sys.getcwd ()) with
+  | None -> Alcotest.fail "tools/lint.sh not found above the test cwd"
+  | Some root ->
+      let lint = Filename.concat root "tools/lint.sh" in
+      let dir =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "lint8-test.%d" (Unix.getpid ()))
+      in
+      let rec remove path =
+        if Sys.is_directory path then begin
+          Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+          Unix.rmdir path
+        end
+        else Sys.remove path
+      in
+      let write rel body =
+        let path = Filename.concat dir rel in
+        let rec mkdirs d =
+          if not (Sys.file_exists d) then begin
+            mkdirs (Filename.dirname d);
+            Unix.mkdir d 0o755
+          end
+        in
+        mkdirs (Filename.dirname path);
+        let oc = open_out path in
+        output_string oc body;
+        close_out oc
+      in
+      let run () =
+        Sys.command
+          (Printf.sprintf "sh %s %s >/dev/null 2>&1" (Filename.quote lint)
+             (Filename.quote dir))
+      in
+      Fun.protect ~finally:(fun () -> if Sys.file_exists dir then remove dir)
+      @@ fun () ->
+      write "lib/probe/probe.mli" "val used : int\nval spare : int\n";
+      write "lib/probe/probe.ml" "let used = 1\nlet spare = used + 1\n";
+      write "bin/main.ml" "let () = print_int Probe.used\n";
+      Alcotest.(check bool) "uncalled export rejected" true (run () <> 0);
+      write "test/test_probe.ml" "let () = assert (Probe.spare = 2)\n";
+      write "tools/exports.allow"
+        "lib/probe/probe.mli spare test/test_probe.ml  the fixture's oracle\n";
+      Alcotest.(check int) "allowlisted with its test" 0 (run ());
+      write "bin/main.ml" "let () = print_int (Probe.used + Probe.spare)\n";
+      Alcotest.(check bool) "stale allowlist entry rejected" true (run () <> 0);
+      write "tools/exports.allow" "";
+      Alcotest.(check int) "a caller alone passes" 0 (run ())
+
 let () =
   Alcotest.run "util"
     [
@@ -803,6 +852,7 @@ let () =
             test_lint_scratch_needs_reentrancy_comment;
           Alcotest.test_case "Domain.spawn confined to supervisor" `Quick
             test_lint_domain_spawn_confined_to_supervisor;
+          Alcotest.test_case "no uncalled export" `Quick test_lint_uncalled_export;
         ] );
       ( "arrayx",
         [

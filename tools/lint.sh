@@ -31,6 +31,14 @@
 #      domains must be started through `Serve.Supervisor.spawn` so every
 #      crash hits the restart/backoff/quarantine policy. A domain spawned
 #      directly dies silently on an uncaught exception and its jobs hang.
+#   8. No uncalled export: every `val` in lib/*/*.mli must have its name
+#      occur (as a word) in some .ml of lib/, bin/, bench/, perfbench/ or
+#      examples/ other than its own implementation. The exceptions are
+#      listed in tools/exports.allow, one `<mli> <name> <test file> <why>`
+#      line each: values that the named test uses as an oracle or fixture.
+#      The list only shrinks: an entry whose value gained a caller or was
+#      deleted fails the rule, and so does one whose test file no longer
+#      mentions the name.
 #
 # Exits non-zero and prints offending lines when a rule is violated.
 #
@@ -114,6 +122,56 @@ if matches=$(grep -rn --include='*.ml' --include='*.mli' 'Domain\.spawn' lib/ser
   if [ -n "$matches" ]; then
     fail "bare Domain.spawn in lib/serve/ — start worker domains through Serve.Supervisor.spawn so crashes hit the restart/quarantine policy" "$matches"
   fi
+fi
+
+# Rule 8: every export has a caller outside its own module, or an entry in
+# tools/exports.allow that names the test using it.
+allow=tools/exports.allow
+[ -f "$allow" ] || allow=/dev/null
+vals=$(for mli in lib/*/*.mli; do
+  [ -f "$mli" ] || continue
+  sed -n 's/^[[:space:]]*val[[:space:]][[:space:]]*\([a-z_][A-Za-z0-9_]*\).*/\1/p' "$mli" \
+    | sed "s|^|$mli |"
+done)
+srcs=$(find lib bin bench perfbench examples -name '*.ml' 2>/dev/null | sort)
+# One pass over the sources counts, per word, the files it occurs in. A val
+# is uncalled when its name occurs in no file or only in its own .ml; it must
+# then be on the allowlist, and an allowlist entry must name an uncalled val.
+if matches=$(printf '%s\n' "$vals" | awk -v allow="$allow" '
+  FILENAME == "-" { if (NF == 2) { nv++; mli[nv] = $1; name[nv] = $2 }; next }
+  FILENAME == allow {
+    if ($0 !~ /^[[:space:]]*(#|$)/) listed[$1 " " $2] = 1
+    next
+  }
+  FNR == 1 { split("", seen) }
+  {
+    n = split($0, w, /[^A-Za-z0-9_]+/)
+    for (i = 1; i <= n; i++)
+      if (w[i] != "" && !(w[i] in seen)) {
+        seen[w[i]] = 1
+        if (count[w[i]]++ == 0) first[w[i]] = FILENAME
+      }
+  }
+  END {
+    for (i = 1; i <= nv; i++) {
+      own = mli[i]; sub(/\.mli$/, ".ml", own)
+      v = name[i]; key = mli[i] " " v
+      if (count[v] == 0 || (count[v] == 1 && first[v] == own)) {
+        uncalled[key] = 1
+        if (!(key in listed)) print key ": no caller outside its own module"
+      }
+    }
+    for (key in listed)
+      if (!(key in uncalled))
+        print key ": allowlisted but has a caller now (or is gone) - remove the entry"
+  }' - "$allow" $srcs | sort); [ -n "$matches" ]; then
+  fail "uncalled export in lib/ — delete it, drop it from the .mli, or, for a test oracle or fixture, list it in tools/exports.allow with the test that uses it" "$matches"
+fi
+# Each allowlist entry names a test file that uses the value.
+if matches=$(grep -v '^[[:space:]]*\(#\|$\)' "$allow" | while read -r mli name test _; do
+  grep -qw -- "$name" "$test" 2>/dev/null || echo "$mli $name: $test does not use it"
+done); [ -n "$matches" ]; then
+  fail "tools/exports.allow entry whose test does not use the value" "$matches"
 fi
 
 if [ "$status" -eq 0 ]; then
