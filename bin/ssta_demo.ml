@@ -20,7 +20,7 @@ let run circuit_name bench_file samples sampler_kind grid r seed jobs
   if trace_file <> None || metrics then begin
     Util.Trace.enable ();
     (* at_exit so the trace/summary survive the early `exit 1` paths
-       (pipeline errors, strict mode); the exporter flushes spans still
+       (typed failures, strict mode); the exporter flushes spans still
        open on this domain *)
     at_exit (fun () ->
         (match trace_file with
@@ -50,8 +50,7 @@ let run circuit_name bench_file samples sampler_kind grid r seed jobs
               (String.concat ", " (List.map fst Circuit.Generator.paper_suite));
             exit 1)
   in
-  let pipeline = Ssta.Pipeline.create ~strict ?jobs () in
-  let diag = Ssta.Pipeline.diagnostics pipeline in
+  let diag = Util.Diag.create () in
   let print_diag () =
     let events = Util.Diag.events diag in
     let shown =
@@ -67,194 +66,154 @@ let run circuit_name bench_file samples sampler_kind grid r seed jobs
       List.iter (fun e -> Format.printf "  %a@." Util.Diag.pp_event e) shown
     end
   in
-  let ok = function
-    | Ok v -> v
-    | Error e ->
-        Printf.eprintf "pipeline error: %s\n" (Util.Diag.to_string e);
-        print_diag ();
-        exit 1
-  in
-  let setup = ok (Ssta.Pipeline.setup_circuit pipeline netlist) in
-  Printf.printf "%s: %d logic gates, %d endpoints\n" netlist.Circuit.Netlist.name
-    (Circuit.Netlist.logic_gate_count netlist)
-    (Array.length setup.Ssta.Experiment.sta.Sta.Timing.endpoints);
-  let nominal = Sta.Timing.run_nominal setup.Ssta.Experiment.sta in
-  Printf.printf "nominal worst delay: %.1f ps\n" nominal.Sta.Timing.worst_delay;
-  let slack = Sta.Timing.slack_report setup.Ssta.Experiment.sta in
-  Printf.printf "nominal critical path: %d stages (%s -> %s)\n"
-    (Array.length slack.Sta.Timing.critical_path)
-    netlist.Circuit.Netlist.gates.(slack.Sta.Timing.critical_path.(0)).Circuit.Netlist.name
-    netlist.Circuit.Netlist.gates.(
-      slack.Sta.Timing.critical_path.(Array.length slack.Sta.Timing.critical_path - 1)).Circuit.Netlist.name;
-  (* validate the pristine process first, then (optionally) decorate its
-     kernels with the fault plan so the injected NaN hits the numeric
-     stages — assembly / factorization — rather than the spot check *)
-  let process = ok (Ssta.Pipeline.validate_process pipeline (Ssta.Process.paper_default ())) in
-  let process =
-    match fault with
-    | `Kernel_nan ->
-        Printf.printf "fault injection: NaN at the first kernel evaluation\n";
-        let parameters =
-          Array.map
-            (fun (p : Ssta.Process.parameter) ->
-              { p with kernel = Ssta.Fault_inject.kernel (Util.Fault.plan Util.Fault.Nan) p.kernel })
-            process.Ssta.Process.parameters
-        in
-        { Ssta.Process.parameters }
-    | _ -> process
-  in
-  let prepare_cholesky () =
-    let prepared = ok (Ssta.Pipeline.prepare pipeline Ssta.Pipeline.Cholesky process setup) in
-    (match prepared with
-    | Ssta.Pipeline.Cholesky_prepared a1 ->
-        Printf.printf "Algorithm 1 setup: %.2fs\n" (Ssta.Algorithm1.setup_seconds a1)
-    | _ -> ());
-    prepared
-  in
-  let sampler, setup_seconds, label, kle_models =
-    match sampler_kind with
-    | `Cholesky ->
-        let prepared = prepare_cholesky () in
-        ( Ssta.Pipeline.sampler_of prepared,
-          Ssta.Pipeline.setup_seconds_of prepared,
-          "cholesky (Algorithm 1)",
-          None )
-    | (`Kle | `Kle_qmc) as kind ->
-        let config =
-          { Ssta.Algorithm2.paper_config with r = (if r > 0 then Some r else None) }
-        in
-        let prepared =
-          ok (Ssta.Pipeline.prepare pipeline (Ssta.Pipeline.Kle config) process setup)
-        in
-        let models =
-          match prepared with
-          | Ssta.Pipeline.Kle_prepared a2 ->
-              Printf.printf "Algorithm 2 setup: %.2fs (mesh n = %d, r = %d)\n"
-                (Ssta.Algorithm2.setup_seconds a2)
-                (Ssta.Algorithm2.mesh_size a2) (Ssta.Algorithm2.r a2);
-              Some (Ssta.Algorithm2.models a2)
-          | _ -> None
-        in
-        let sampler =
-          match kind with
-          | `Kle_qmc ->
-              (* quasi-Monte Carlo in the reduced KLE space: one stateful
-                 randomized-Halton sequence per parameter, consumed batch by
-                 batch (run_mc generates batches in order, so this stays
-                 deterministic in the seed) *)
-              let samplers =
-                Array.map
-                  (fun m -> Kle.Sampler.create ~diag m setup.Ssta.Experiment.locations)
-                  (Option.get models)
-              in
-              let seqs =
-                Array.mapi
-                  (fun i s ->
-                    Prng.Lowdisc.create
-                      ~shift_rng:(Prng.Rng.substream ~seed ~stream:(0x51C0 + i))
-                      ~dim:(Kle.Sampler.dim s) ())
-                  samplers
-              in
-              fun _rng ~n ->
-                Array.mapi
-                  (fun i s ->
-                    Kle.Sampler.sample_matrix_with s
-                      ~xi:(Prng.Lowdisc.normal_matrix seqs.(i) ~rows:n))
-                  samplers
-          | `Kle -> Ssta.Pipeline.sampler_of prepared
-        in
-        ( sampler,
-          Ssta.Pipeline.setup_seconds_of prepared,
-          (match kind with
-          | `Kle -> "covariance-kernel KLE (Algorithm 2)"
-          | `Kle_qmc -> "covariance-kernel KLE + randomized-Halton QMC"),
-          models )
-    | `Grid ->
-        let g =
-          Ssta.Grid_pca.prepare ~grid
-            ?r:(if r > 0 then Some r else None)
-            process setup.Ssta.Experiment.locations
-        in
-        Printf.printf "grid+PCA setup: %dx%d grid, r = %d, %.1f%% variance\n" grid grid
-          (Ssta.Grid_pca.r g)
-          (100.0 *. Ssta.Grid_pca.explained_variance_fraction g);
-        (Ssta.Grid_pca.sample_block g, 0.0, "grid + PCA baseline", None)
-  in
-  let sampler =
-    match fault with
-    | `Sampler_nan ->
-        Printf.printf "fault injection: NaN in the first sampler batch\n";
-        let faulty, _fired =
-          Ssta.Fault_inject.sampler ~kind:Util.Fault.Nan ~diag ~seed sampler
-        in
-        faulty
-    | _ -> sampler
-  in
-  let run_mc sampler =
-    match Ssta.Experiment.run_mc ?jobs ~policy ~diag setup ~sampler ~seed ~n:samples with
-    | mc -> mc
-    | exception Util.Diag.Failure e ->
-        Printf.eprintf "pipeline error: %s\n" (Util.Diag.to_string e);
-        print_diag ();
-        exit 1
-  in
-  let mc = run_mc sampler in
-  Printf.printf "\n%s, %d samples:\n" label samples;
-  if mc.Ssta.Experiment.n_skipped > 0 then
-    Printf.printf "  skipped %d samples with non-finite parameters\n"
-      mc.Ssta.Experiment.n_skipped;
-  Printf.printf "  worst delay: mu = %.1f ps, sigma = %.2f ps\n"
-    mc.Ssta.Experiment.worst_mean mc.Ssta.Experiment.worst_sigma;
-  Printf.printf "  3-sigma corner: %.1f ps\n"
-    (mc.Ssta.Experiment.worst_mean +. (3.0 *. mc.Ssta.Experiment.worst_sigma));
-  Printf.printf "  time: %.2fs sampling + %.2fs STA\n" mc.Ssta.Experiment.sample_seconds
-    mc.Ssta.Experiment.sta_seconds;
-  (if do_compare then
-     match sampler_kind with
-     | `Cholesky ->
-         Printf.printf "\n--compare: the candidate already is the reference sampler\n"
-     | `Kle | `Kle_qmc | `Grid ->
-         let reference_prepared = prepare_cholesky () in
-         let reference = run_mc (Ssta.Pipeline.sampler_of reference_prepared) in
-         let cmp =
-           Ssta.Experiment.compare ~reference
-             ~reference_setup_seconds:(Ssta.Pipeline.setup_seconds_of reference_prepared)
-             ~candidate:mc ~candidate_setup_seconds:setup_seconds
-         in
-         Printf.printf "\nvs. cholesky reference (%d samples):\n"
-           reference.Ssta.Experiment.n_samples;
-         Printf.printf "  e_mu = %.3f%%, e_sigma = %.2f%%\n" cmp.Ssta.Experiment.e_mu_pct
-           cmp.Ssta.Experiment.e_sigma_pct;
-         (let v = cmp.Ssta.Experiment.sigma_err_avg_outputs_pct in
-          let excl = cmp.Ssta.Experiment.excluded_endpoints in
-          if Float.is_nan v then
-            Printf.printf "  per-endpoint sigma error: n/a (%d endpoints excluded)\n" excl
-          else if excl > 0 then
-            Printf.printf "  per-endpoint sigma error: %.2f%% avg (%d endpoints excluded)\n"
-              v excl
-          else Printf.printf "  per-endpoint sigma error: %.2f%% avg\n" v);
-         Printf.printf "  speedup: %.1fx\n" cmp.Ssta.Experiment.speedup);
-  (* with the KLE sampler we can also run the single-pass block engine *)
-  (match kle_models with
-  | Some models ->
-      let blk = Ssta.Block_ssta.run setup ~models in
-      Printf.printf
-        "\nblock-based SSTA (single pass, %.1f ms): mu = %.1f ps, sigma = %.2f ps\n"
-        (1000.0 *. blk.Ssta.Block_ssta.analysis_seconds)
-        (Ssta.Block_ssta.mean blk) (Ssta.Block_ssta.sigma blk);
-      let crit = Ssta.Block_ssta.criticalities ~samples:5000 ~seed blk in
-      let order = Array.init (Array.length crit) (fun i -> i) in
-      Array.sort (fun a b -> Float.compare crit.(b) crit.(a)) order;
-      Printf.printf "most critical endpoints (gate: probability):\n";
-      Array.iteri
-        (fun rank e ->
-          if rank < 3 && crit.(e) > 0.005 then
-            Printf.printf "  %s: %.1f%%\n"
-              netlist.Circuit.Netlist.gates.(
-                setup.Ssta.Experiment.sta.Sta.Timing.endpoints.(e)).Circuit.Netlist.name
-              (100.0 *. crit.(e)))
-        order
-  | None -> ());
+  (* every check on the path raises Util.Diag.Failure: one handler *)
+  (try
+     let setup = Ssta.Experiment.setup_circuit netlist in
+     Printf.printf "%s: %d logic gates, %d endpoints\n" netlist.Circuit.Netlist.name
+       (Circuit.Netlist.logic_gate_count netlist)
+       (Array.length setup.Ssta.Experiment.sta.Sta.Timing.endpoints);
+     let nominal = Sta.Timing.run_nominal setup.Ssta.Experiment.sta in
+     Printf.printf "nominal worst delay: %.1f ps\n" nominal.Sta.Timing.worst_delay;
+     let slack = Sta.Timing.slack_report setup.Ssta.Experiment.sta in
+     Printf.printf "nominal critical path: %d stages (%s -> %s)\n"
+       (Array.length slack.Sta.Timing.critical_path)
+       netlist.Circuit.Netlist.gates.(slack.Sta.Timing.critical_path.(0)).Circuit.Netlist.name
+       netlist.Circuit.Netlist.gates.(
+         slack.Sta.Timing.critical_path.(Array.length slack.Sta.Timing.critical_path - 1)).Circuit.Netlist.name;
+     (* validate the pristine process first, then (optionally) decorate its
+        kernels with the fault plan so the injected NaN hits the numeric
+        stages — assembly / factorization — rather than the spot check *)
+     let process = Ssta.Process.paper_default () in
+     Ssta.Process.validate process;
+     let process =
+       match fault with
+       | `Kernel_nan ->
+           Printf.printf "fault injection: NaN at the first kernel evaluation\n";
+           let parameters =
+             Array.map
+               (fun (p : Ssta.Process.parameter) ->
+                 { p with kernel = Ssta.Fault_inject.kernel (Util.Fault.plan Util.Fault.Nan) p.kernel })
+               process.Ssta.Process.parameters
+           in
+           { Ssta.Process.parameters }
+       | _ -> process
+     in
+     let prepare_cholesky () =
+       let a1 = Ssta.Algorithm1.prepare ~diag ?jobs process setup.Ssta.Experiment.locations in
+       Printf.printf "Algorithm 1 setup: %.2fs\n" (Ssta.Algorithm1.setup_seconds a1);
+       a1
+     in
+     let sampler, setup_seconds, label, kle_models =
+       match sampler_kind with
+       | `Cholesky ->
+           let a1 = prepare_cholesky () in
+           ( Ssta.Algorithm1.sample_block a1,
+             Ssta.Algorithm1.setup_seconds a1,
+             "cholesky (Algorithm 1)",
+             None )
+       | (`Kle | `Kle_qmc) as kind ->
+           let config =
+             { Ssta.Algorithm2.paper_config with r = (if r > 0 then Some r else None) }
+           in
+           let a2 =
+             Ssta.Algorithm2.prepare ~config ~diag ?jobs process setup.Ssta.Experiment.locations
+           in
+           Printf.printf "Algorithm 2 setup: %.2fs (mesh n = %d, r = %d)\n"
+             (Ssta.Algorithm2.setup_seconds a2)
+             (Ssta.Algorithm2.mesh_size a2) (Ssta.Algorithm2.r a2);
+           let sampler, label =
+             match kind with
+             | `Kle -> (Ssta.Algorithm2.sample_block a2, "covariance-kernel KLE (Algorithm 2)")
+             | `Kle_qmc ->
+                 ( Ssta.Algorithm2.qmc_sampler a2 ~seed,
+                   "covariance-kernel KLE + randomized-Halton QMC" )
+           in
+           (sampler, Ssta.Algorithm2.setup_seconds a2, label, Some (Ssta.Algorithm2.models a2))
+       | `Grid ->
+           let g =
+             Ssta.Grid_pca.prepare ~grid
+               ?r:(if r > 0 then Some r else None)
+               process setup.Ssta.Experiment.locations
+           in
+           Printf.printf "grid+PCA setup: %dx%d grid, r = %d, %.1f%% variance\n" grid grid
+             (Ssta.Grid_pca.r g)
+             (100.0 *. Ssta.Grid_pca.explained_variance_fraction g);
+           (Ssta.Grid_pca.sample_block g, 0.0, "grid + PCA baseline", None)
+     in
+     let sampler =
+       match fault with
+       | `Sampler_nan ->
+           Printf.printf "fault injection: NaN in the first sampler batch\n";
+           let faulty, _fired =
+             Ssta.Fault_inject.sampler ~kind:Util.Fault.Nan ~diag ~seed sampler
+           in
+           faulty
+       | _ -> sampler
+     in
+     let run_mc sampler =
+       Ssta.Experiment.run_mc ?jobs ~policy ~diag setup ~sampler ~seed ~n:samples
+     in
+     let mc = run_mc sampler in
+     Printf.printf "\n%s, %d samples:\n" label samples;
+     if mc.Ssta.Experiment.n_skipped > 0 then
+       Printf.printf "  skipped %d samples with non-finite parameters\n"
+         mc.Ssta.Experiment.n_skipped;
+     Printf.printf "  worst delay: mu = %.1f ps, sigma = %.2f ps\n"
+       mc.Ssta.Experiment.worst_mean mc.Ssta.Experiment.worst_sigma;
+     Printf.printf "  3-sigma corner: %.1f ps\n"
+       (mc.Ssta.Experiment.worst_mean +. (3.0 *. mc.Ssta.Experiment.worst_sigma));
+     Printf.printf "  time: %.2fs sampling + %.2fs STA\n" mc.Ssta.Experiment.sample_seconds
+       mc.Ssta.Experiment.sta_seconds;
+     (if do_compare then
+        match sampler_kind with
+        | `Cholesky ->
+            Printf.printf "\n--compare: the candidate already is the reference sampler\n"
+        | `Kle | `Kle_qmc | `Grid ->
+            let a1 = prepare_cholesky () in
+            let reference = run_mc (Ssta.Algorithm1.sample_block a1) in
+            let cmp =
+              Ssta.Experiment.compare ~reference
+                ~reference_setup_seconds:(Ssta.Algorithm1.setup_seconds a1)
+                ~candidate:mc ~candidate_setup_seconds:setup_seconds
+            in
+            Printf.printf "\nvs. cholesky reference (%d samples):\n"
+              reference.Ssta.Experiment.n_samples;
+            Printf.printf "  e_mu = %.3f%%, e_sigma = %.2f%%\n" cmp.Ssta.Experiment.e_mu_pct
+              cmp.Ssta.Experiment.e_sigma_pct;
+            (let v = cmp.Ssta.Experiment.sigma_err_avg_outputs_pct in
+             let excl = cmp.Ssta.Experiment.excluded_endpoints in
+             if Float.is_nan v then
+               Printf.printf "  per-endpoint sigma error: n/a (%d endpoints excluded)\n" excl
+             else if excl > 0 then
+               Printf.printf "  per-endpoint sigma error: %.2f%% avg (%d endpoints excluded)\n"
+                 v excl
+             else Printf.printf "  per-endpoint sigma error: %.2f%% avg\n" v);
+            Printf.printf "  speedup: %.1fx\n" cmp.Ssta.Experiment.speedup);
+     (* with the KLE sampler we can also run the single-pass block engine *)
+     (match kle_models with
+     | Some models ->
+         let blk = Ssta.Block_ssta.run setup ~models in
+         Printf.printf
+           "\nblock-based SSTA (single pass, %.1f ms): mu = %.1f ps, sigma = %.2f ps\n"
+           (1000.0 *. blk.Ssta.Block_ssta.analysis_seconds)
+           (Ssta.Block_ssta.mean blk) (Ssta.Block_ssta.sigma blk);
+         let crit = Ssta.Block_ssta.criticalities ~samples:5000 ~seed blk in
+         let order = Array.init (Array.length crit) (fun i -> i) in
+         Array.sort (fun a b -> Float.compare crit.(b) crit.(a)) order;
+         Printf.printf "most critical endpoints (gate: probability):\n";
+         Array.iteri
+           (fun rank e ->
+             if rank < 3 && crit.(e) > 0.005 then
+               Printf.printf "  %s: %.1f%%\n"
+                 netlist.Circuit.Netlist.gates.(
+                   setup.Ssta.Experiment.sta.Sta.Timing.endpoints.(e)).Circuit.Netlist.name
+                 (100.0 *. crit.(e)))
+           order
+     | None -> ())
+   with Util.Diag.Failure e ->
+     Printf.eprintf "error: %s\n" (Util.Diag.to_string e);
+     print_diag ();
+     exit 1);
   print_diag ();
   if strict && Util.Diag.count ~min_severity:Util.Diag.Warning diag > 0 then begin
     Printf.eprintf "strict mode: the run degraded; offending events:\n";
@@ -313,8 +272,8 @@ let strict_arg =
     & info [ "strict" ]
         ~doc:
           "Treat degraded numerics (jittered/repaired factorizations, solver \
-           fallbacks, skipped samples) as errors: fail the pipeline stage, or exit \
-           non-zero if the run only degraded later.")
+           fallbacks, skipped samples) as errors: a run that degraded exits \
+           non-zero at its end.")
 
 let fault_arg =
   Arg.(

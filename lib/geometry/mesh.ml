@@ -50,6 +50,10 @@ let on_boundary domain (p : Point.t) =
   || Float.abs (p.y -. domain.Rect.ymin) < tol
   || Float.abs (p.y -. domain.Rect.ymax) < tol
 
+(* well below the mesher's 28° target: the floor catches broken meshes,
+   not merely suboptimal ones *)
+let min_angle_floor_deg = 10.0
+
 let check t =
   let area_err =
     Float.abs (total_area t -. Rect.area t.domain) /. Rect.area t.domain
@@ -83,7 +87,15 @@ let check t =
                   (Printf.sprintf "interior edge (%d, %d) used only once" u v)
         | c -> bad := Some (Printf.sprintf "edge (%d, %d) used %d times" u v c))
       edges;
-    match !bad with None -> Ok () | Some msg -> Error msg
+    match !bad with
+    | Some msg -> Error msg
+    | None ->
+        let angle = min_angle_deg t in
+        if angle < min_angle_floor_deg then
+          Error
+            (Printf.sprintf "minimum interior angle %.2f deg is below the %.0f deg floor"
+               angle min_angle_floor_deg)
+        else Ok ()
   end
 
 let uniform domain ~divisions =

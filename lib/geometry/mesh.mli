@@ -27,8 +27,10 @@ val min_angle_deg : t -> float
 
 val check : t -> (unit, string) result
 (** Structural validation: total element area matches the domain area
-    (to 1e-6 relative) and every interior edge is shared by exactly two
-    triangles while boundary edges lie on the domain boundary. *)
+    (to 1e-6 relative), every interior edge is shared by exactly two
+    triangles while boundary edges lie on the domain boundary, and no
+    interior angle is below 10° (well below the mesher's 28° target, so
+    it catches broken meshes, not merely suboptimal ones). *)
 
 val uniform : Rect.t -> divisions:int -> t
 (** A structured fallback mesh: [divisions x divisions] squares split into

@@ -65,11 +65,20 @@ let dense_max = 600
 
 let default_solver n = if n <= dense_max then Dense else Lanczos { count = min n 200 }
 
-(* PSD validity check + eigenvector rescale shared by every solve path.
-   [raw_vectors_cols j] must return the j-th unit-norm eigenvector of C. *)
+(* Finiteness and PSD validity checks + eigenvector rescale shared by every
+   solve path. [raw_vectors_cols j] must return the j-th unit-norm
+   eigenvector of C. *)
 let finalize ?diag mesh kernel quadrature raw_values raw_vectors_cols =
   let n = Mesh.size mesh in
   let k = Array.length raw_values in
+  (* the clamp below would pass a NaN through: fail on it here *)
+  Array.iteri
+    (fun j v ->
+      if not (Float.is_finite v) then
+        Util.Diag.fail ?sink:diag `Non_finite ~stage:"galerkin.solve"
+          (Printf.sprintf "kernel %s: eigenvalue %d is non-finite (%g)" (Kernel.name kernel)
+             j v))
+    raw_values;
   (* validity check: a correct kernel's Galerkin matrix is PSD up to
      rounding. Tolerate only tiny negative values. *)
   let scale = Float.max 1e-300 (Float.abs raw_values.(0)) in

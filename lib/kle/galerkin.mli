@@ -97,6 +97,8 @@ val solve :
     - a radial profile table that fails its accuracy guard falls back to
       exact evaluation of the H-matrix entries ([`Degraded_fallback]
       recorded by {!Kernels.Kernel.radial_profile});
+    - a non-finite eigenvalue (e.g. an overflowing eigensolve) raises
+      [Util.Diag.Failure] with [`Non_finite];
     - a genuinely indefinite kernel raises [Util.Diag.Failure] with
       [`Not_psd]. *)
 

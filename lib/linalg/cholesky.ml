@@ -30,8 +30,6 @@ let factor_lower a =
   done;
   l
 
-let factor_upper a = Mat.transpose (factor_lower a)
-
 let factor_jittered ?(max_tries = 12) a =
   let n = Mat.rows a in
   Util.Trace.with_span
@@ -90,11 +88,3 @@ let solve l b =
     x.(i) <- !s /. Mat.unsafe_get l i i
   done;
   x
-
-let log_det l =
-  let n = Mat.rows l in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. log (Mat.unsafe_get l i i)
-  done;
-  2.0 *. !acc

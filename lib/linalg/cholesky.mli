@@ -12,10 +12,6 @@ val factor_lower : Mat.t -> Mat.t
     lower triangle of [a] is read. Raises [Not_positive_definite] when a
     pivot fails, and [Invalid_argument] when [a] is not square. *)
 
-val factor_upper : Mat.t -> Mat.t
-(** [factor_upper a] is the upper-triangular [u = lᵀ] with [uᵀ * u = a],
-    matching the [CholeskyUpperFactor] of the paper's Algorithm 1. *)
-
 val factor_jittered : ?max_tries:int -> Mat.t -> Mat.t * float
 (** [factor_jittered a] factors [a], adding an exponentially growing diagonal
     jitter when [a] is positive semi-definite only up to rounding (correlation
@@ -25,7 +21,3 @@ val factor_jittered : ?max_tries:int -> Mat.t -> Mat.t * float
 
 val solve : Mat.t -> float array -> float array
 (** [solve l b] solves [l * lᵀ * x = b] given the lower factor [l]. *)
-
-val log_det : Mat.t -> float
-(** [log_det l] is the log-determinant of the factored matrix, i.e.
-    [2 * sum(log(diag l))]. *)

@@ -234,23 +234,6 @@ let mul_vec m x =
   else rows 0 m.rows;
   y
 
-let mul_vec_transposed m x =
-  if Array.length x <> m.rows then
-    invalid_arg "Mat.mul_vec_transposed: length mismatch";
-  let y = Array.make m.cols 0.0 in
-  for i = 0 to m.rows - 1 do
-    let xi = Array.unsafe_get x i in
-    if xi <> 0.0 then begin
-      let base = i * m.cols in
-      for j = 0 to m.cols - 1 do
-        Array.unsafe_set y j
-          (Array.unsafe_get y j
-          +. (xi *. Bigarray.Array1.unsafe_get m.data (base + j)))
-      done
-    end
-  done;
-  y
-
 let sym_mul_vec = mul_vec
 
 let trace m =

@@ -56,9 +56,6 @@ val mul_nt : t -> t -> t
 val mul_vec : t -> float array -> float array
 (** [mul_vec m x] is [m * x]. *)
 
-val mul_vec_transposed : t -> float array -> float array
-(** [mul_vec_transposed m x] is [mᵀ * x], without forming the transpose. *)
-
 val sym_mul_vec : t -> float array -> float array
 (** [sym_mul_vec m x] is [m * x] assuming [m] symmetric; same as [mul_vec]
     but documents intent at Lanczos call sites. *)

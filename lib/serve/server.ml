@@ -295,11 +295,6 @@ exception Reject of Protocol.error_code * string
 
 let process () = Ssta.Process.paper_default ()
 
-let kle_samplers t models (setup : Ssta.Experiment.circuit_setup) =
-  Array.map
-    (fun m -> Kle.Sampler.create ~diag:t.diag m setup.Ssta.Experiment.locations)
-    models
-
 (* The sampler a [run_mc] draws from, the seconds spent building its
    shared resources (Cholesky factor / KLE samplers) and the coldest cache
    tier those touched. *)
@@ -309,35 +304,17 @@ let mc_sampler_of t (setup : Ssta.Experiment.circuit_setup) kind ~r ~seed :
   match (kind : Protocol.sampler_kind) with
   | Protocol.Cholesky ->
       let a1 = Ssta.Algorithm1.prepare ~diag:t.diag ?jobs:t.config.jobs (process ()) setup.Ssta.Experiment.locations in
-      ((fun rng ~n -> Ssta.Algorithm1.sample_block a1 rng ~n), Util.Timer.elapsed_s timer, Miss)
-  | Protocol.Kle ->
+      (Ssta.Algorithm1.sample_block a1, Util.Timer.elapsed_s timer, Miss)
+  | Protocol.Kle | Protocol.Kle_qmc ->
       let models, tier = get_models t (process ()) ~r in
-      let samplers = kle_samplers t models setup in
-      ( (fun rng ~n -> Array.map (fun s -> Kle.Sampler.sample_matrix s rng ~n) samplers),
-        Util.Timer.elapsed_s timer,
-        tier )
-  | Protocol.Kle_qmc ->
-      let models, tier = get_models t (process ()) ~r in
-      let samplers = kle_samplers t models setup in
+      let a2 = Ssta.Algorithm2.of_models ~diag:t.diag models setup.Ssta.Experiment.locations in
       let seconds = Util.Timer.elapsed_s timer in
-      (* stateful randomized-Halton sequences, one per parameter; run_mc
-         calls the sampler batch by batch in order on one domain, so the
-         sequence position advances deterministically *)
-      let seqs =
-        Array.mapi
-          (fun i s ->
-            Prng.Lowdisc.create
-              ~shift_rng:(Prng.Rng.substream ~seed ~stream:(0x51C0 + i))
-              ~dim:(Kle.Sampler.dim s) ())
-          samplers
+      let sampler =
+        match kind with
+        | Protocol.Kle_qmc -> Ssta.Algorithm2.qmc_sampler a2 ~seed
+        | _ -> Ssta.Algorithm2.sample_block a2
       in
-      ( (fun _rng ~n ->
-          Array.mapi
-            (fun i s ->
-              Kle.Sampler.sample_matrix_with s ~xi:(Prng.Lowdisc.normal_matrix seqs.(i) ~rows:n))
-            samplers),
-        seconds,
-        tier )
+      (sampler, seconds, tier)
 
 let float_list a = Jsonx.List (Array.to_list (Array.map (fun v -> Jsonx.Num v) a))
 

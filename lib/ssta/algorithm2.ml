@@ -20,9 +20,15 @@ type t = {
 }
 
 let mesh config =
-  (Geometry.Refine.mesh Geometry.Rect.unit_die ~max_area_fraction:config.max_area_fraction
-     ~min_angle_deg:config.min_angle_deg)
-    .Geometry.Geometry_intf.mesh
+  let mesh =
+    (Geometry.Refine.mesh Geometry.Rect.unit_die ~max_area_fraction:config.max_area_fraction
+       ~min_angle_deg:config.min_angle_deg)
+      .Geometry.Geometry_intf.mesh
+  in
+  match Geometry.Mesh.check mesh with
+  | Ok () -> mesh
+  | Error msg ->
+      Util.Diag.fail `Invalid_input ~stage:"algorithm2.mesh" ("mesh check failed: " ^ msg)
 
 (* the pair ladder's first rung; each further rung doubles it *)
 let first_rung = 32
@@ -55,6 +61,11 @@ let model ?(config = paper_config) ?mesh:m ?diag ?jobs kernel =
       in
       climb (min first_rung cap)
 
+let of_models ?diag models locations =
+  let timer = Util.Timer.start () in
+  let samplers = Array.map (fun m -> Kle.Sampler.create ?diag m locations) models in
+  { samplers; models; setup_seconds = Util.Timer.elapsed_s timer }
+
 let prepare ?(config = paper_config) ?mesh:m ?diag ?jobs (process : Process.t) locations =
   Util.Trace.with_span
     ~attrs:[ ("locations", string_of_int (Array.length locations)) ]
@@ -79,8 +90,7 @@ let prepare ?(config = paper_config) ?mesh:m ?diag ?jobs (process : Process.t) l
   let models =
     Array.map (fun p -> model_for p.Process.kernel) process.Process.parameters
   in
-  let samplers = Array.map (fun m -> Kle.Sampler.create ?diag m locations) models in
-  { samplers; models; setup_seconds = Util.Timer.elapsed_s timer }
+  { (of_models ?diag models locations) with setup_seconds = Util.Timer.elapsed_s timer }
 
 let setup_seconds t = t.setup_seconds
 
@@ -93,3 +103,17 @@ let models t = t.models
 
 let sample_block t rng ~n =
   Array.map (fun s -> Kle.Sampler.sample_matrix s rng ~n) t.samplers
+
+let qmc_sampler t ~seed =
+  let seqs =
+    Array.mapi
+      (fun i s ->
+        Prng.Lowdisc.create
+          ~shift_rng:(Prng.Rng.substream ~seed ~stream:(0x51C0 + i))
+          ~dim:(Kle.Sampler.dim s) ())
+      t.samplers
+  in
+  fun _rng ~n ->
+    Array.mapi
+      (fun i s -> Kle.Sampler.sample_matrix_with s ~xi:(Prng.Lowdisc.normal_matrix seqs.(i) ~rows:n))
+      t.samplers

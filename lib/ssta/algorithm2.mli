@@ -21,7 +21,9 @@ val paper_config : config
     r = None (automatic rule; picks 25 on the paper kernel). *)
 
 val mesh : config -> Geometry.Mesh.t
-(** The unit-die mesh at [config]'s area fraction and minimum angle. *)
+(** The unit-die mesh at [config]'s area fraction and minimum angle, after
+    {!Geometry.Mesh.check}; a mesh that fails it raises
+    [Util.Diag.Failure] with [`Invalid_input]. *)
 
 val model :
   ?config:config ->
@@ -56,14 +58,21 @@ val prepare :
   Geometry.Point.t array ->
   t
 (** [prepare process locations] meshes the die (unless [mesh] is given),
-    builds a {!model} for each distinct kernel, and builds the
-    per-location expansion matrices. [jobs] controls the domain fan-out of
+    builds a {!model} for each distinct kernel, and ends with
+    {!of_models}. [jobs] controls the domain fan-out of
     the Galerkin assembly or H-matrix build ({!Util.Pool.with_jobs}
     semantics); results do not depend on it. Solver fallbacks (Lanczos → dense) and boundary
     clamps in the expansion setup are reported into [diag]. *)
 
+val of_models : ?diag:Util.Diag.sink -> Kle.Model.t array -> Geometry.Point.t array -> t
+(** [of_models models locations] builds the per-location expansion
+    matrices of models already built (one per parameter, as {!models}
+    returns them) — the one sampler builder behind {!prepare} and the
+    server's cached models. Boundary clamps go to [diag]. *)
+
 val setup_seconds : t -> float
-(** Wall time for meshing + eigensolution + expansion setup. *)
+(** Wall time for meshing + eigensolution + expansion setup ({!of_models}:
+    the expansion setup alone). *)
 
 val r : t -> int
 (** Retained eigenpairs of the first parameter's model. *)
@@ -76,3 +85,13 @@ val models : t -> Kle.Model.t array
 val sample_block : t -> Prng.Rng.t -> n:int -> Linalg.Mat.t array
 (** Same contract as {!Algorithm1.sample_block}: one [N x N_g] matrix per
     parameter, mutually independent. *)
+
+val qmc_sampler : t -> seed:int -> Prng.Rng.t -> n:int -> Linalg.Mat.t array
+(** [qmc_sampler t ~seed] is {!sample_block}'s quasi-Monte Carlo twin:
+    parameter [i] draws its reduced KLE coordinates from a randomized-Halton
+    sequence ({!Prng.Lowdisc}) shifted by
+    [Prng.Rng.substream ~seed ~stream:(0x51C0 + i)]. The sequences are
+    stateful and ignore the [Prng.Rng.t] argument: each call continues
+    where the last one stopped, so the output is deterministic in [seed]
+    for a caller that draws batches in order on one domain, as
+    {!Experiment.run_mc} does. *)

@@ -72,6 +72,7 @@ let statistical_part ctx g ~betas ~quad =
       Canonical.make ~mean:quad_mean ~sens ~indep:quad_indep
 
 let run (setup : Experiment.circuit_setup) ~models =
+  Util.Trace.with_span "block_ssta.run" @@ fun () ->
   let timer = Util.Timer.start () in
   let ctx = build_ctx setup ~models in
   let prepared = setup.Experiment.sta in

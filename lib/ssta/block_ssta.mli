@@ -22,8 +22,8 @@ type t = {
 val run : Experiment.circuit_setup -> models:Kle.Model.t array -> t
 (** [run setup ~models] performs the single-pass statistical timing using
     the per-parameter truncated KLE models (one per L, W, Vt, tox, as built
-    by {!Algorithm2.prepare}). Raises [Invalid_argument] unless exactly 4
-    models are given. *)
+    by {!Algorithm2.prepare}), under the span [block_ssta.run]. Raises
+    [Invalid_argument] unless exactly 4 models are given. *)
 
 val mean : t -> float
 val sigma : t -> float

@@ -9,6 +9,7 @@ type circuit_setup = {
 }
 
 let setup_circuit ?(placement_seed = 1) netlist =
+  Util.Trace.with_span "experiment.setup_circuit" @@ fun () ->
   let placement = Circuit.Placer.place ~seed:placement_seed netlist in
   let wireload = Circuit.Wireload.build placement in
   let sta = Sta.Timing.prepare wireload in

@@ -13,7 +13,8 @@ type circuit_setup = {
 
 val setup_circuit : ?placement_seed:int -> Circuit.Netlist.t -> circuit_setup
 (** Place the netlist, build wire loads, prepare the timer, and collect the
-    logic-gate locations that the spatial samplers operate on. *)
+    logic-gate locations that the spatial samplers operate on, under the
+    span [experiment.setup_circuit]. *)
 
 type sampler = Prng.Rng.t -> n:int -> Linalg.Mat.t array
 (** Produces, for a batch of [n] Monte Carlo samples, one [n x N_g] matrix
@@ -53,10 +54,10 @@ val run_mc :
     pure function of [(setup, sampler, seed, n, batch, policy)] —
     bit-identical for every [jobs] value, including sequential.
 
-    The sampler must return exactly four [b x N_g] blocks (l, w, vt, tox)
-    for a batch of [b]; both dimensions are validated.
-
-    Every batch is scanned for non-finite parameter values before the
+    This is every caller's guard on the sampler's output; no caller
+    probes a sampler beforehand. The sampler must return exactly four
+    [b x N_g] blocks (l, w, vt, tox) for a batch of [b]; the count and
+    both dimensions are validated on every batch. Every batch is scanned for non-finite parameter values before the
     timing fan-out. Under [policy = Fail] (default) the first offending
     entry raises [Util.Diag.Failure] with [`Non_finite], naming the batch,
     sample, parameter block and gate column. Under [Skip], offending

@@ -26,18 +26,28 @@ let distinct_kernels () =
 let num_parameters t = Array.length t.parameters
 
 let validate t =
+  let stage = "process.validate" in
   if num_parameters t <> Circuit.Gate.num_parameters then
-    Error
+    Util.Diag.fail `Invalid_input ~stage
       (Printf.sprintf "expected %d parameters, got %d" Circuit.Gate.num_parameters
-         (num_parameters t))
-  else begin
-    let rec check i =
-      if i >= num_parameters t then Ok ()
-      else begin
-        match Kernels.Kernel.validate t.parameters.(i).kernel with
-        | Ok () -> check (i + 1)
-        | Error e -> Error (t.parameters.(i).name ^ ": " ^ e)
-      end
-    in
-    check 0
-  end
+         (num_parameters t));
+  Array.iter
+    (fun p ->
+      match Kernels.Kernel.validate p.kernel with
+      | Ok () -> ()
+      | Error e -> Util.Diag.fail `Invalid_input ~stage (p.name ^ ": " ^ e))
+    t.parameters;
+  (* empirical non-negative-definiteness spot check (paper eq. (2)) of every
+     distinct kernel on a deterministic point set *)
+  let pts = Kernels.Validity.random_points ~seed:7 ~n:40 Geometry.Rect.unit_die in
+  let seen = ref [] in
+  Array.iter
+    (fun p ->
+      if not (List.memq p.kernel !seen) then begin
+        seen := p.kernel :: !seen;
+        if not (Kernels.Validity.is_psd_on p.kernel pts) then
+          Util.Diag.fail `Not_psd ~stage
+            (Printf.sprintf "kernel %s (parameter %s) failed the PSD spot check on %d points"
+               (Kernels.Kernel.name p.kernel) p.name (Array.length pts))
+      end)
+    t.parameters

@@ -21,6 +21,11 @@ val distinct_kernels : unit -> t
 
 val num_parameters : t -> int
 
-val validate : t -> (unit, string) result
-(** All kernels must pass {!Kernels.Kernel.validate} and the parameter count
-    must match {!Circuit.Gate.num_parameters}. *)
+val validate : t -> unit
+(** The parameter count must match {!Circuit.Gate.num_parameters} and every
+    kernel must pass {!Kernels.Kernel.validate}, else [Util.Diag.Failure]
+    with [`Invalid_input]. Then each distinct kernel (by physical equality,
+    since a kernel may carry closures) must have a positive semi-definite
+    Gram matrix on a fixed 40-point set of the unit die
+    ({!Kernels.Validity.is_psd_on}), else [Util.Diag.Failure] with
+    [`Not_psd]. *)

@@ -12,11 +12,8 @@ let arg_extremum better a =
   !best
 
 let argmax a = arg_extremum (fun x y -> x > y) a
-let argmin a = arg_extremum (fun x y -> x < y) a
 
 let sum a = Array.fold_left ( +. ) 0.0 a
-
-let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 a
 
 let mean a =
   if Array.length a = 0 then invalid_arg "Arrayx.mean: empty array";

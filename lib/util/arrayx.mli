@@ -8,15 +8,8 @@ val argmax : float array -> int
 (** Index of the (first) maximum element. Raises [Invalid_argument] on an
     empty array. *)
 
-val argmin : float array -> int
-(** Index of the (first) minimum element. Raises [Invalid_argument] on an
-    empty array. *)
-
 val sum : float array -> float
 (** Sum of all elements (0 on empty). *)
-
-val max_abs : float array -> float
-(** Maximum absolute value (0 on empty). *)
 
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty array. *)

@@ -22,10 +22,9 @@ exception Failure of event
 type sink = {
   mutex : Mutex.t;
   mutable rev_events : event list; (* newest first *)
-  mutable n : int;
 }
 
-let create () = { mutex = Mutex.create (); rev_events = []; n = 0 }
+let create () = { mutex = Mutex.create (); rev_events = [] }
 
 let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
 
@@ -78,9 +77,7 @@ let locked s f =
   Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
 
 let add sink e =
-  locked sink (fun () ->
-      sink.rev_events <- e :: sink.rev_events;
-      sink.n <- sink.n + 1)
+  locked sink (fun () -> sink.rev_events <- e :: sink.rev_events)
 
 let record ?sink severity code ~stage detail =
   if Trace.enabled () || sink <> None then begin
@@ -97,8 +94,6 @@ let fail ?sink code ~stage detail =
 
 let events sink = locked sink (fun () -> List.rev sink.rev_events)
 
-let length sink = locked sink (fun () -> sink.n)
-
 let count ?(min_severity = Info) ?code sink =
   let matches e =
     severity_rank e.severity >= severity_rank min_severity
@@ -108,6 +103,4 @@ let count ?(min_severity = Info) ?code sink =
       List.fold_left (fun acc e -> if matches e then acc + 1 else acc) 0 sink.rev_events)
 
 let clear sink =
-  locked sink (fun () ->
-      sink.rev_events <- [];
-      sink.n <- 0)
+  locked sink (fun () -> sink.rev_events <- [])

@@ -50,8 +50,6 @@ val fail : ?sink:sink -> code -> stage:string -> string -> 'a
 val events : sink -> event list
 (** All recorded events, oldest first. *)
 
-val length : sink -> int
-
 val count : ?min_severity:severity -> ?code:code -> sink -> int
 (** Number of recorded events, optionally filtered by minimum severity
     and/or exact code. *)

@@ -379,41 +379,6 @@ let summary () =
   Buffer.contents b
 
 (* ---------------------------------------------------------------- *)
-(* JSON                                                              *)
-(* ---------------------------------------------------------------- *)
-
-let summary_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"spans\": [";
-  let first = ref true in
-  let rec pr n =
-    if !first then first := false else Buffer.add_string b ", ";
-    Buffer.add_string b "{\"path\": ";
-    Jsonx.escape_into b n.path;
-    Buffer.add_string b
-      (Printf.sprintf ", \"count\": %d, \"total_s\": %.9f, \"self_s\": %.9f}"
-         n.count (s_of_ns n.total_ns) (s_of_ns n.self_ns));
-    List.iter pr n.children
-  in
-  List.iter pr (span_tree ());
-  Buffer.add_string b "], \"counters\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Jsonx.escape_into b k;
-      Buffer.add_string b (Printf.sprintf ": %d" v))
-    (counters ());
-  Buffer.add_string b "}, \"gc\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Jsonx.escape_into b k;
-      Buffer.add_string b (Printf.sprintf ": %.0f" v))
-    (gc_deltas ());
-  Buffer.add_string b "}}";
-  Buffer.contents b
-
-(* ---------------------------------------------------------------- *)
 (* Chrome trace_event exporter                                       *)
 (* ---------------------------------------------------------------- *)
 

@@ -13,7 +13,7 @@
       are tracked as gauges from [Gc.quick_stat] snapshots.
     - {b Exporters}: {!write_chrome_trace} emits Chrome [trace_event] JSON
       (load in [chrome://tracing] or Perfetto; one track per domain) and
-      {!summary} / {!summary_json} aggregate the span tree (total/self
+      {!summary} aggregates the span tree (total/self
       time, call counts) plus counter totals.
 
     The tracer is {b off by default}: every entry point is a single load
@@ -148,10 +148,6 @@ val structure : unit -> (string * int) list
 val summary : unit -> string
 (** Pretty text: span tree with total/self seconds and call counts,
     non-zero counters, GC deltas. *)
-
-val summary_json : unit -> string
-(** The same aggregate as compact JSON:
-    [{"spans": [...], "counters": {...}, "gc": {...}}]. *)
 
 val write_chrome_trace : string -> unit
 (** Write all recorded events as Chrome [trace_event] JSON ("X" complete

@@ -151,6 +151,29 @@ let test_nan_kernel_caught_at_assembly () =
   Alcotest.(check bool) "fault actually fired" true (Util.Fault.fired plan >= 1);
   Alcotest.(check bool) "error recorded" true (Util.Diag.count ~code:`Non_finite diag > 0)
 
+let test_nan_eigenvalue_rejected () =
+  (* a one-element Lanczos run over an operator that returns NaN counts the
+     NaN residual as converged and hands back a NaN eigenvalue; the
+     finiteness check must name it before the clamp at 0 lets it through *)
+  let pt = Geometry.Point.make in
+  let mesh =
+    Geometry.Mesh.make Geometry.Rect.unit_die [| pt 0.0 0.0; pt 1.0 0.0; pt 0.0 1.0 |]
+      [| (0, 1, 2) |]
+  in
+  let op = Linalg.Operator.Matrix_free { apply = (fun _ -> [| Float.nan |]); dim = 1 } in
+  let diag = Util.Diag.create () in
+  let raised =
+    match
+      Kle.Galerkin.solve_with_operator ~solver:(Kle.Galerkin.Lanczos { count = 1 }) ~diag ~op
+        mesh gaussian
+    with
+    | _ -> false
+    | exception Util.Diag.Failure e ->
+        e.Util.Diag.code = `Non_finite && e.Util.Diag.stage = "galerkin.solve"
+  in
+  Alcotest.(check bool) "NaN eigenvalue raised `Non_finite" true raised;
+  Alcotest.(check bool) "error recorded" true (Util.Diag.count ~code:`Non_finite diag > 0)
+
 let test_lanczos_no_convergence_falls_back_to_dense () =
   (* cap the Krylov budget so Lanczos genuinely fails, then check the dense
      fallback returns the same leading eigenvalues it would have computed.
@@ -993,6 +1016,7 @@ let () =
           Alcotest.test_case "indefinite kernel rejected" `Quick test_indefinite_kernel_rejected;
           Alcotest.test_case "NaN kernel caught at assembly" `Quick
             test_nan_kernel_caught_at_assembly;
+          Alcotest.test_case "NaN eigenvalue rejected" `Quick test_nan_eigenvalue_rejected;
           Alcotest.test_case "lanczos no-convergence falls back to dense" `Quick
             test_lanczos_no_convergence_falls_back_to_dense;
         ] );

@@ -100,13 +100,6 @@ let test_mat_mul_vec_consistency () =
   let y2 = Mat.mul a xm in
   Array.iteri (fun i v -> check_close "mul_vec vs mul" (Mat.get y2 i 0) v) y1
 
-let test_mat_mul_vec_transposed () =
-  let a = random_mat 13 4 6 in
-  let x = Array.init 4 (fun i -> float_of_int i -. 1.5) in
-  let y1 = Mat.mul_vec_transposed a x in
-  let y2 = Mat.mul_vec (Mat.transpose a) x in
-  Array.iteri (fun i v -> check_close "matches explicit transpose" y2.(i) v) y1
-
 let test_mat_trace () =
   check_close "trace" 5.0 (Mat.trace (Mat.of_arrays [| [| 1.0; 9.0 |]; [| 0.0; 4.0 |] |]))
 
@@ -176,12 +169,6 @@ let test_cholesky_lower_triangular () =
   done;
   Alcotest.(check bool) "strictly lower" true !ok
 
-let test_cholesky_upper_matches () =
-  let a = random_spd 23 8 in
-  let u = Linalg.Cholesky.factor_upper a in
-  let rec_a = Mat.mul (Mat.transpose u) u in
-  Alcotest.(check bool) "UtU = A" true (Mat.max_abs_diff a rec_a < 1e-9)
-
 let test_cholesky_indefinite_raises () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
   (* eigenvalues 3, -1 *)
@@ -223,12 +210,6 @@ let test_cholesky_solve () =
   let l = Linalg.Cholesky.factor_lower a in
   let x = Linalg.Cholesky.solve l b in
   Alcotest.(check bool) "solve" true (Vec.dist_inf x x0 < 1e-8)
-
-let test_cholesky_log_det () =
-  (* diag(4, 9): det = 36 *)
-  let a = Mat.of_arrays [| [| 4.0; 0.0 |]; [| 0.0; 9.0 |] |] in
-  let l = Linalg.Cholesky.factor_lower a in
-  check_close ~tol:1e-10 "log det" (log 36.0) (Linalg.Cholesky.log_det l)
 
 (* ---------- Sym_eig ---------- *)
 
@@ -556,7 +537,6 @@ let () =
           Alcotest.test_case "mul associativity" `Quick test_mat_mul_associative;
           Alcotest.test_case "transpose involution" `Quick test_mat_transpose_involution;
           Alcotest.test_case "mul_vec vs mul" `Quick test_mat_mul_vec_consistency;
-          Alcotest.test_case "mul_vec_transposed" `Quick test_mat_mul_vec_transposed;
           Alcotest.test_case "trace" `Quick test_mat_trace;
           Alcotest.test_case "ragged of_arrays raises" `Quick test_mat_of_arrays_ragged;
           Alcotest.test_case "to/of arrays roundtrip" `Quick test_mat_rows_cols_roundtrip;
@@ -573,7 +553,6 @@ let () =
         [
           Alcotest.test_case "reconstructs A" `Quick test_cholesky_reconstructs;
           Alcotest.test_case "factor is lower triangular" `Quick test_cholesky_lower_triangular;
-          Alcotest.test_case "upper factor" `Quick test_cholesky_upper_matches;
           Alcotest.test_case "indefinite raises" `Quick test_cholesky_indefinite_raises;
           Alcotest.test_case "jitter on semidefinite" `Quick test_cholesky_jitter_on_semidefinite;
           Alcotest.test_case "jitter on rank-deficient" `Quick
@@ -581,7 +560,6 @@ let () =
           Alcotest.test_case "jittered indefinite raises" `Quick
             test_cholesky_jittered_indefinite_raises;
           Alcotest.test_case "solve" `Quick test_cholesky_solve;
-          Alcotest.test_case "log_det" `Quick test_cholesky_log_det;
         ] );
       ( "sym_eig",
         [

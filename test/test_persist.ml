@@ -220,7 +220,7 @@ let test_store_roundtrip_and_outcomes () =
   let stats = Store.stats store in
   Alcotest.(check int) "one write" 1 stats.Store.writes;
   Alcotest.(check int) "one entry" 1 stats.Store.entries;
-  Alcotest.(check int) "no diagnostics" 0 (Util.Diag.length diag)
+  Alcotest.(check int) "no diagnostics" 0 (Util.Diag.count diag)
 
 let flip_byte path offset =
   let ic = open_in_bin path in
@@ -425,7 +425,7 @@ let test_store_fsck_classification () =
   Alcotest.(check int) "nothing GC'd without a cap" 0 r.Store.gc_evicted;
   (* dry run: nothing was deleted *)
   Alcotest.(check int) "dry run leaves all files" 4 (Array.length (Sys.readdir dir));
-  Alcotest.(check bool) "events recorded" true (Util.Diag.length diag >= 3)
+  Alcotest.(check bool) "events recorded" true (Util.Diag.count diag >= 3)
 
 let test_store_fsck_repair () =
   with_tmp_dir @@ fun dir ->
@@ -505,7 +505,7 @@ let test_store_fsck_retired_kinds () =
   Alcotest.(check int) "retired kinds are not stale" 0 dry.Store.stale;
   Alcotest.(check int) "not corrupt" 0 dry.Store.corrupt;
   Alcotest.(check int) "dry run finds problems" 3 (Store.fsck_problems dry);
-  Alcotest.(check int) "one event per retired entry" 3 (Util.Diag.length diag);
+  Alcotest.(check int) "one event per retired entry" 3 (Util.Diag.count diag);
   Alcotest.(check bool) "dry run deletes nothing" true (List.for_all exists kinds);
   Alcotest.(check int) "dry run projects the reclaim" good_bytes dry.Store.bytes_after;
   let r = Store.fsck ~repair:true ~dir () in

@@ -242,7 +242,7 @@ let test_mvn_fallback_chain () =
   let exact = Prng.Mvn.of_covariance ~diag (Linalg.Mat.identity 4) in
   Alcotest.(check bool) "exact repair" true (Prng.Mvn.repair_used exact = Prng.Mvn.Exact);
   Alcotest.(check bool) "exact not degraded" false (Prng.Mvn.degraded exact);
-  Alcotest.(check int) "no events for exact" 0 (Util.Diag.length diag);
+  Alcotest.(check int) "no events for exact" 0 (Util.Diag.count diag);
   (* rank-1 positive semidefinite: plain Cholesky fails, jitter rescues *)
   let ones = Linalg.Mat.init 5 5 (fun _ _ -> 1.0) in
   let jit = Prng.Mvn.of_covariance ~diag ones in

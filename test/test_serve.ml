@@ -892,7 +892,8 @@ let test_server_prepare_reports_pairs () =
 
 (* above 600 triangles the served model comes from the H-matrix eigensolve:
    it must be bit-identical to the uncached Algorithm2.prepare model, so a
-   served run_mc equals the direct one *)
+   served run_mc equals the direct one. The served kle-qmc and cholesky
+   samplers are pinned to fixed bits. *)
 let test_server_model_matches_prepare () =
   let kle =
     {
@@ -902,10 +903,24 @@ let test_server_model_matches_prepare () =
     }
   in
   let config = { test_config with Server.kle } in
-  let served =
+  let served, served_qmc, served_cholesky =
     with_server ~config @@ fun server ->
-    expect_ok (sync_call server (run_mc_line ~sampler:"kle" ()))
+    let run sampler = expect_ok (sync_call server (run_mc_line ~sampler ())) in
+    let kle = run "kle" in
+    let qmc = run "kle-qmc" in
+    (kle, qmc, run "cholesky")
   in
+  let field payload name =
+    Printf.sprintf "%h" (Option.get (Option.bind (Jsonx.member name payload) Jsonx.as_num))
+  in
+  List.iter
+    (fun (what, payload, mean, sigma) ->
+      Alcotest.(check string) (what ^ " worst_mean") mean (field payload "worst_mean");
+      Alcotest.(check string) (what ^ " worst_sigma") sigma (field payload "worst_sigma"))
+    [
+      ("kle-qmc", served_qmc, "0x1.c06a871cc3961p+9", "0x1.9bd606dfe8f39p+1");
+      ("cholesky", served_cholesky, "0x1.c02be059d2866p+9", "0x1.258fc55459ef8p+2");
+    ];
   let netlist =
     match Circuit.Bench_format.parse ~name:"inline" tiny_bench with
     | Ok nl -> nl

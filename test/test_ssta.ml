@@ -28,11 +28,11 @@ let fast_config =
 let test_process_default_valid () =
   let p = Lazy.force process in
   Alcotest.(check int) "4 parameters" 4 (Ssta.Process.num_parameters p);
-  Alcotest.(check bool) "valid" true (Ssta.Process.validate p = Ok ())
+  Ssta.Process.validate p
 
 let test_process_distinct_valid () =
   let p = Ssta.Process.distinct_kernels () in
-  Alcotest.(check bool) "valid" true (Ssta.Process.validate p = Ok ());
+  Ssta.Process.validate p;
   (* kernels actually differ *)
   let k0 = p.Ssta.Process.parameters.(0).Ssta.Process.kernel in
   let k1 = p.Ssta.Process.parameters.(1).Ssta.Process.kernel in
@@ -47,7 +47,10 @@ let test_process_invalid_kernel_detected () =
           Circuit.Gate.parameter_names;
     }
   in
-  Alcotest.(check bool) "invalid" true (Result.is_error (Ssta.Process.validate p))
+  Alcotest.(check bool) "invalid" true
+    (match Ssta.Process.validate p with
+    | () -> false
+    | exception Util.Diag.Failure _ -> true)
 
 (* ---------- Experiment setup ---------- *)
 
@@ -191,11 +194,11 @@ let test_a2_prepare_closure_kernels () =
           Circuit.Gate.parameter_names;
     }
   in
-  (* the pipeline's distinct-kernel scan walks the same closure-carrying
+  (* Process.validate's distinct-kernel scan walks the same closure-carrying
      values and must not fall back to structural membership either *)
-  (match Ssta.Pipeline.validate_process (Ssta.Pipeline.create ()) p with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "validate_process failed: %s" e.Util.Diag.detail);
+  (match Ssta.Process.validate p with
+  | () -> ()
+  | exception Util.Diag.Failure e -> Alcotest.failf "validate failed: %s" e.Util.Diag.detail);
   let s = Lazy.force setup in
   let a2 = Ssta.Algorithm2.prepare ~config:fast_config p s.Ssta.Experiment.locations in
   let models = Ssta.Algorithm2.models a2 in
@@ -282,14 +285,25 @@ let test_grid_pca_r_out_of_range () =
 
 let test_run_mc_deterministic () =
   let s = Lazy.force setup in
-  let a2 = Lazy.force a2_fixture in
-  (* same seed and batch size: bit-identical statistics *)
-  let run () =
-    Ssta.Experiment.run_mc ~batch:16 s ~sampler:(Ssta.Algorithm2.sample_block a2) ~seed:9 ~n:64
-  in
-  let r1 = run () and r2 = run () in
-  check_close ~tol:0.0 "same mean" r1.Ssta.Experiment.worst_mean r2.Ssta.Experiment.worst_mean;
-  check_close ~tol:0.0 "same sigma" r1.Ssta.Experiment.worst_sigma r2.Ssta.Experiment.worst_sigma
+  let a1 = Ssta.Algorithm1.prepare (Lazy.force process) s.Ssta.Experiment.locations in
+  Alcotest.(check bool) "Algorithm 1 setup timed" true (Ssta.Algorithm1.setup_seconds a1 >= 0.0);
+  (* same seed and batch size: bit-identical statistics, for both samplers *)
+  List.iter
+    (fun (name, sampler) ->
+      let run () = Ssta.Experiment.run_mc ~batch:16 s ~sampler ~seed:9 ~n:64 in
+      let r1 = run () and r2 = run () in
+      Alcotest.(check int) (name ^ " n samples") 64 r1.Ssta.Experiment.n_samples;
+      Alcotest.(check int) (name ^ " no skips") 0 r1.Ssta.Experiment.n_skipped;
+      Alcotest.(check bool) (name ^ " finite mean") true
+        (Float.is_finite r1.Ssta.Experiment.worst_mean);
+      check_close ~tol:0.0 (name ^ " same mean") r1.Ssta.Experiment.worst_mean
+        r2.Ssta.Experiment.worst_mean;
+      check_close ~tol:0.0 (name ^ " same sigma") r1.Ssta.Experiment.worst_sigma
+        r2.Ssta.Experiment.worst_sigma)
+    [
+      ("kle", Ssta.Algorithm2.sample_block (Lazy.force a2_fixture));
+      ("cholesky", Ssta.Algorithm1.sample_block a1);
+    ]
 
 let test_run_mc_batching_consistent () =
   (* different batch sizes reshuffle the RNG stream across parameters, so
@@ -619,91 +633,58 @@ let test_run_mc_c880_golden () =
         (Printf.sprintf "%h" r.Ssta.Experiment.worst_sigma))
     [ 1; 2 ]
 
-(* ---------- Pipeline ---------- *)
-
-let test_pipeline_cholesky_end_to_end () =
-  let p = Ssta.Pipeline.create () in
-  match
-    Ssta.Pipeline.run p Ssta.Pipeline.Cholesky (Lazy.force process)
-      (Lazy.force small_netlist) ~seed:3 ~n:40
-  with
-  | Error e -> Alcotest.fail (Util.Diag.to_string e)
-  | Ok (prepared, mc) ->
-      Alcotest.(check int) "n samples" 40 mc.Ssta.Experiment.n_samples;
-      Alcotest.(check int) "no skips" 0 mc.Ssta.Experiment.n_skipped;
-      Alcotest.(check bool) "finite mean" true (Float.is_finite mc.Ssta.Experiment.worst_mean);
-      Alcotest.(check bool) "setup timed" true
-        (Ssta.Pipeline.setup_seconds_of prepared >= 0.0)
-
-let test_pipeline_kle_stages () =
-  let s = Lazy.force setup in
-  let p = Ssta.Pipeline.create () in
-  let proc =
-    match Ssta.Pipeline.validate_process p (Lazy.force process) with
-    | Ok proc -> proc
-    | Error e -> Alcotest.fail (Util.Diag.to_string e)
-  in
-  match Ssta.Pipeline.prepare p (Ssta.Pipeline.Kle fast_config) proc s with
-  | Error e -> Alcotest.fail (Util.Diag.to_string e)
-  | Ok prepared -> (
-      match Ssta.Pipeline.run_mc p s prepared ~seed:11 ~n:32 with
-      | Error e -> Alcotest.fail (Util.Diag.to_string e)
-      | Ok mc ->
-          Alcotest.(check int) "n samples" 32 mc.Ssta.Experiment.n_samples;
-          Alcotest.(check bool) "finite sigma" true
-            (Float.is_finite mc.Ssta.Experiment.worst_sigma))
+(* ---------- Checks along the analysis path ---------- *)
 
 let test_pipeline_rejects_invalid_kernel () =
-  let p = Ssta.Pipeline.create () in
-  let bad =
+  let process_of kernel =
     {
       Ssta.Process.parameters =
-        Array.map
-          (fun name -> { Ssta.Process.name; kernel = K.Gaussian { c = -1.0 } })
-          Circuit.Gate.parameter_names;
+        Array.map (fun name -> { Ssta.Process.name; kernel }) Circuit.Gate.parameter_names;
     }
   in
-  match Ssta.Pipeline.validate_process p bad with
-  | Ok _ -> Alcotest.fail "invalid kernel accepted"
-  | Error e ->
-      Alcotest.(check bool) "typed invalid-input" true (e.Util.Diag.code = `Invalid_input);
-      Alcotest.(check bool) "recorded" true
-        (Util.Diag.count ~min_severity:Util.Diag.Error (Ssta.Pipeline.diagnostics p) > 0)
+  let rejects what code p =
+    match Ssta.Process.validate p with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Util.Diag.Failure e ->
+        Alcotest.(check bool) (what ^ ": typed code") true (e.Util.Diag.code = code)
+  in
+  (* static parameter check *)
+  rejects "negative correlation length" `Invalid_input (process_of (K.Gaussian { c = -1.0 }));
+  (* the PSD spot check: statically valid, but every value negated *)
+  rejects "negated kernel" `Not_psd
+    (process_of
+       (K.Faulty
+          { base = K.Gaussian { c = 2.8 }; plan = Util.Fault.plan ~period:1 (Util.Fault.Scale (-1.0)) }))
 
 let test_pipeline_mesh_angle_floor () =
-  let p = Ssta.Pipeline.create () in
-  let mesh = Geometry.Mesh.uniform Geometry.Rect.unit_die ~divisions:4 in
-  (match Ssta.Pipeline.validate_mesh p mesh with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (Util.Diag.to_string e));
-  match Ssta.Pipeline.validate_mesh ~min_angle_deg:60.0 p mesh with
-  | Ok _ -> Alcotest.fail "45-degree mesh passed a 60-degree floor"
-  | Error e -> Alcotest.(check bool) "typed" true (e.Util.Diag.code = `Invalid_input)
+  let uniform = Geometry.Mesh.uniform Geometry.Rect.unit_die ~divisions:4 in
+  Alcotest.(check bool) "45-degree mesh passes" true (Geometry.Mesh.check uniform = Ok ());
+  (* a structurally sound fan around an interior point just above the bottom
+     edge: the bottom triangle is a 1.1-degree sliver *)
+  let pt = Geometry.Point.make in
+  let sliver =
+    Geometry.Mesh.make Geometry.Rect.unit_die
+      [| pt (-1.0) (-1.0); pt 1.0 (-1.0); pt 1.0 1.0; pt (-1.0) 1.0; pt 0.0 (-0.98) |]
+      [| (0, 1, 4); (1, 2, 4); (2, 3, 4); (3, 0, 4) |]
+  in
+  match Geometry.Mesh.check sliver with
+  | Ok () -> Alcotest.fail "sliver mesh passed the angle floor"
+  | Error msg ->
+      Alcotest.(check bool) ("names the angle: " ^ msg) true
+        (String.starts_with ~prefix:"minimum interior angle" msg)
 
-let test_pipeline_strict_escalates_degraded_factorization () =
+let test_pipeline_degraded_factorization_recorded () =
   (* duplicate gate locations make the Algorithm 1 covariance exactly
-     singular: the jitter fallback rescues it, and strict mode turns the
-     recorded degradation into a stage failure *)
+     singular: the jitter fallback rescues it and records the degradation,
+     which ssta_demo --strict turns into a failing exit at the end of the
+     run *)
   let s = Lazy.force setup in
   let locations = Array.copy s.Ssta.Experiment.locations in
   locations.(1) <- locations.(0);
-  let s = { s with Ssta.Experiment.locations } in
-  let proc = Lazy.force process in
-  (* lax pipeline: degraded but Ok, with the fallback on record *)
-  let lax = Ssta.Pipeline.create () in
-  (match Ssta.Pipeline.prepare lax Ssta.Pipeline.Cholesky proc s with
-  | Error e -> Alcotest.fail (Util.Diag.to_string e)
-  | Ok _ ->
-      Alcotest.(check bool) "degradation recorded" true
-        (Util.Diag.count ~code:`Degraded_fallback (Ssta.Pipeline.diagnostics lax) > 0));
-  (* strict pipeline: the same degradation fails the stage *)
-  let strict = Ssta.Pipeline.create ~strict:true () in
-  match Ssta.Pipeline.prepare strict Ssta.Pipeline.Cholesky proc s with
-  | Ok _ -> Alcotest.fail "strict mode accepted a degraded factorization"
-  | Error e ->
-      Alcotest.(check bool) "escalated to error" true
-        (e.Util.Diag.severity = Util.Diag.Error);
-      Alcotest.(check bool) "fallback code" true (e.Util.Diag.code = `Degraded_fallback)
+  let diag = Util.Diag.create () in
+  ignore (Ssta.Algorithm1.prepare ~diag (Lazy.force process) locations);
+  Alcotest.(check bool) "degradation recorded" true
+    (Util.Diag.count ~code:`Degraded_fallback diag > 0)
 
 (* ---------- Canonical forms ---------- *)
 
@@ -1030,12 +1011,10 @@ let () =
         ] );
       ( "pipeline",
         [
-          Alcotest.test_case "cholesky end to end" `Quick test_pipeline_cholesky_end_to_end;
-          Alcotest.test_case "kle staged flow" `Quick test_pipeline_kle_stages;
           Alcotest.test_case "invalid kernel rejected" `Quick
             test_pipeline_rejects_invalid_kernel;
           Alcotest.test_case "mesh angle floor" `Quick test_pipeline_mesh_angle_floor;
-          Alcotest.test_case "strict escalates degraded factorization" `Quick
-            test_pipeline_strict_escalates_degraded_factorization;
+          Alcotest.test_case "degraded factorization recorded" `Quick
+            test_pipeline_degraded_factorization_recorded;
         ] );
     ]

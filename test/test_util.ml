@@ -24,9 +24,6 @@ let test_argmax () =
   Alcotest.(check int) "argmax" 2 (Util.Arrayx.argmax [| 1.0; 3.0; 7.0; 2.0 |]);
   Alcotest.(check int) "first max wins" 1 (Util.Arrayx.argmax [| 1.0; 7.0; 7.0 |])
 
-let test_argmin () =
-  Alcotest.(check int) "argmin" 0 (Util.Arrayx.argmin [| -1.0; 3.0; 7.0 |])
-
 let test_arg_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Arrayx: empty array") (fun () ->
       ignore (Util.Arrayx.argmax [||]))
@@ -35,10 +32,6 @@ let test_sum_mean () =
   check_float "sum" 6.0 (Util.Arrayx.sum [| 1.0; 2.0; 3.0 |]);
   check_float "sum empty" 0.0 (Util.Arrayx.sum [||]);
   check_float "mean" 2.0 (Util.Arrayx.mean [| 1.0; 2.0; 3.0 |])
-
-let test_max_abs () =
-  check_float "max_abs" 5.0 (Util.Arrayx.max_abs [| -5.0; 3.0 |]);
-  check_float "max_abs empty" 0.0 (Util.Arrayx.max_abs [||])
 
 let test_sort_desc_with_perm () =
   let sorted, perm = Util.Arrayx.sort_desc_with_perm [| 1.0; 3.0; 2.0 |] in
@@ -175,11 +168,11 @@ let test_fmt_float () =
 
 let test_diag_record_and_query () =
   let sink = Util.Diag.create () in
-  Alcotest.(check int) "empty" 0 (Util.Diag.length sink);
+  Alcotest.(check int) "empty" 0 (Util.Diag.count sink);
   Util.Diag.record ~sink Util.Diag.Info `Fault_injected ~stage:"t" "a";
   Util.Diag.record ~sink Util.Diag.Warning `Degraded_fallback ~stage:"t" "b";
   Util.Diag.record ~sink Util.Diag.Warning `Not_psd ~stage:"t" "c";
-  Alcotest.(check int) "length" 3 (Util.Diag.length sink);
+  Alcotest.(check int) "count" 3 (Util.Diag.count sink);
   Alcotest.(check int) "warnings" 2
     (Util.Diag.count ~min_severity:Util.Diag.Warning sink);
   Alcotest.(check int) "by code" 1 (Util.Diag.count ~code:`Not_psd sink);
@@ -190,7 +183,7 @@ let test_diag_record_and_query () =
       Alcotest.(check string) "newest last" "c" c.Util.Diag.detail
   | _ -> Alcotest.fail "expected 3 events");
   Util.Diag.clear sink;
-  Alcotest.(check int) "cleared" 0 (Util.Diag.length sink)
+  Alcotest.(check int) "cleared" 0 (Util.Diag.count sink)
 
 let test_diag_no_sink_is_noop () =
   (* library code records unconditionally; without a sink nothing happens *)
@@ -226,7 +219,7 @@ let test_diag_thread_safety () =
             done))
   in
   List.iter Domain.join domains;
-  Alcotest.(check int) "all events kept" 1000 (Util.Diag.length sink)
+  Alcotest.(check int) "all events kept" 1000 (Util.Diag.count sink)
 
 (* ---------- Fault ---------- *)
 
@@ -647,20 +640,6 @@ let test_trace_chrome_export_wellformed () =
   Alcotest.(check string) "counter total travels with trace" "11"
     (get_string (obj_field "test.export" (obj_field "args" counters_evt)))
 
-let test_trace_summary_json_parses () =
-  with_tracer @@ fun () ->
-  Util.Trace.with_span "s" (fun () -> Util.Trace.incr Util.Trace.matvecs);
-  let json = Json.parse (Util.Trace.summary_json ()) in
-  (match get_list (obj_field "spans" json) with
-  | [ span ] ->
-      Alcotest.(check string) "span path" "s" (get_string (obj_field "path" span));
-      Alcotest.(check bool) "count" true
-        (get_num (obj_field "count" span) = 1.0)
-  | _ -> Alcotest.fail "expected exactly one span");
-  Alcotest.(check bool) "matvecs counted" true
-    (get_num (obj_field "matvecs" (obj_field "counters" json)) = 1.0);
-  ignore (obj_field "gc_minor_words" (obj_field "gc" json))
-
 let noop () = ()
 
 let test_trace_disabled_overhead () =
@@ -860,10 +839,8 @@ let () =
           Alcotest.test_case "float_range negative span" `Quick test_float_range_negative;
           Alcotest.test_case "float_range rejects count<2" `Quick test_float_range_invalid;
           Alcotest.test_case "argmax" `Quick test_argmax;
-          Alcotest.test_case "argmin" `Quick test_argmin;
           Alcotest.test_case "argmax empty raises" `Quick test_arg_empty;
           Alcotest.test_case "sum and mean" `Quick test_sum_mean;
-          Alcotest.test_case "max_abs" `Quick test_max_abs;
           Alcotest.test_case "sort_desc_with_perm" `Quick test_sort_desc_with_perm;
           Alcotest.test_case "sort perm roundtrip" `Quick test_sort_perm_roundtrip;
         ] );
@@ -910,8 +887,6 @@ let () =
             test_trace_counter_atomicity;
           Alcotest.test_case "chrome exporter well-formed" `Quick
             test_trace_chrome_export_wellformed;
-          Alcotest.test_case "summary_json parses" `Quick
-            test_trace_summary_json_parses;
           Alcotest.test_case "disabled tracer allocates nothing" `Quick
             test_trace_disabled_overhead;
         ] );
