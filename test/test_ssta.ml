@@ -286,16 +286,11 @@ let test_grid_pca_r_out_of_range () =
 let test_run_mc_deterministic () =
   let s = Lazy.force setup in
   let a1 = Ssta.Algorithm1.prepare (Lazy.force process) s.Ssta.Experiment.locations in
-  Alcotest.(check bool) "Algorithm 1 setup timed" true (Ssta.Algorithm1.setup_seconds a1 >= 0.0);
   (* same seed and batch size: bit-identical statistics, for both samplers *)
   List.iter
     (fun (name, sampler) ->
       let run () = Ssta.Experiment.run_mc ~batch:16 s ~sampler ~seed:9 ~n:64 in
       let r1 = run () and r2 = run () in
-      Alcotest.(check int) (name ^ " n samples") 64 r1.Ssta.Experiment.n_samples;
-      Alcotest.(check int) (name ^ " no skips") 0 r1.Ssta.Experiment.n_skipped;
-      Alcotest.(check bool) (name ^ " finite mean") true
-        (Float.is_finite r1.Ssta.Experiment.worst_mean);
       check_close ~tol:0.0 (name ^ " same mean") r1.Ssta.Experiment.worst_mean
         r2.Ssta.Experiment.worst_mean;
       check_close ~tol:0.0 (name ^ " same sigma") r1.Ssta.Experiment.worst_sigma
@@ -632,6 +627,28 @@ let test_run_mc_c880_golden () =
       Alcotest.(check string) (label "worst_sigma") "0x1.e9d33e133c5e4p+5"
         (Printf.sprintf "%h" r.Ssta.Experiment.worst_sigma))
     [ 1; 2 ]
+
+(* ---------- The analysis path, end to end ---------- *)
+
+let test_pipeline_cholesky_end_to_end () =
+  let proc = Lazy.force process in
+  Ssta.Process.validate proc;
+  let s = Ssta.Experiment.setup_circuit (Lazy.force small_netlist) in
+  let a1 = Ssta.Algorithm1.prepare proc s.Ssta.Experiment.locations in
+  let mc = Ssta.Experiment.run_mc s ~sampler:(Ssta.Algorithm1.sample_block a1) ~seed:3 ~n:40 in
+  Alcotest.(check int) "n samples" 40 mc.Ssta.Experiment.n_samples;
+  Alcotest.(check int) "no skips" 0 mc.Ssta.Experiment.n_skipped;
+  Alcotest.(check bool) "finite mean" true (Float.is_finite mc.Ssta.Experiment.worst_mean);
+  Alcotest.(check bool) "setup timed" true (Ssta.Algorithm1.setup_seconds a1 >= 0.0)
+
+let test_pipeline_kle_stages () =
+  let s = Lazy.force setup in
+  let proc = Lazy.force process in
+  Ssta.Process.validate proc;
+  let a2 = Ssta.Algorithm2.prepare ~config:fast_config proc s.Ssta.Experiment.locations in
+  let mc = Ssta.Experiment.run_mc s ~sampler:(Ssta.Algorithm2.sample_block a2) ~seed:11 ~n:32 in
+  Alcotest.(check int) "n samples" 32 mc.Ssta.Experiment.n_samples;
+  Alcotest.(check bool) "finite sigma" true (Float.is_finite mc.Ssta.Experiment.worst_sigma)
 
 (* ---------- Checks along the analysis path ---------- *)
 
@@ -1011,6 +1028,8 @@ let () =
         ] );
       ( "pipeline",
         [
+          Alcotest.test_case "cholesky end to end" `Quick test_pipeline_cholesky_end_to_end;
+          Alcotest.test_case "kle staged flow" `Quick test_pipeline_kle_stages;
           Alcotest.test_case "invalid kernel rejected" `Quick
             test_pipeline_rejects_invalid_kernel;
           Alcotest.test_case "mesh angle floor" `Quick test_pipeline_mesh_angle_floor;
