@@ -61,18 +61,19 @@ let model ?(config = paper_config) ?mesh:m ?diag ?jobs kernel =
       in
       climb (min first_rung cap)
 
-let of_models ?diag models locations =
-  let timer = Util.Timer.start () in
-  let samplers = Array.map (fun m -> Kle.Sampler.create ?diag m locations) models in
-  { samplers; models; setup_seconds = Util.Timer.elapsed_s timer }
+let samplers_of ?diag models locations =
+  Array.map (fun m -> Kle.Sampler.create ?diag m locations) models
 
-let prepare ?(config = paper_config) ?mesh:m ?diag ?jobs (process : Process.t) locations =
+let of_models ?diag models locations =
+  { samplers = samplers_of ?diag models locations; models; setup_seconds = 0.0 }
+
+let prepare ?(config = paper_config) ?diag ?jobs (process : Process.t) locations =
   Util.Trace.with_span
     ~attrs:[ ("locations", string_of_int (Array.length locations)) ]
     "algorithm2.prepare"
   @@ fun () ->
   let timer = Util.Timer.start () in
-  let mesh = match m with Some m -> m | None -> mesh config in
+  let mesh = mesh config in
   let cache : (Kernels.Kernel.t * Kle.Model.t) list ref = ref [] in
   (* cache key by PHYSICAL equality: [Kernel.t] can carry closures (a
      [Faulty] plan with a [Transform] corruption), on which
@@ -90,7 +91,8 @@ let prepare ?(config = paper_config) ?mesh:m ?diag ?jobs (process : Process.t) l
   let models =
     Array.map (fun p -> model_for p.Process.kernel) process.Process.parameters
   in
-  { (of_models ?diag models locations) with setup_seconds = Util.Timer.elapsed_s timer }
+  let samplers = samplers_of ?diag models locations in
+  { samplers; models; setup_seconds = Util.Timer.elapsed_s timer }
 
 let setup_seconds t = t.setup_seconds
 

@@ -51,15 +51,14 @@ type t
 
 val prepare :
   ?config:config ->
-  ?mesh:Geometry.Mesh.t ->
   ?diag:Util.Diag.sink ->
   ?jobs:int ->
   Process.t ->
   Geometry.Point.t array ->
   t
-(** [prepare process locations] meshes the die (unless [mesh] is given),
-    builds a {!model} for each distinct kernel, and ends with
-    {!of_models}. [jobs] controls the domain fan-out of
+(** [prepare process locations] meshes the die ({!mesh}), builds a
+    {!model} for each distinct kernel, and builds the samplers as
+    {!of_models} does. [jobs] controls the domain fan-out of
     the Galerkin assembly or H-matrix build ({!Util.Pool.with_jobs}
     semantics); results do not depend on it. Solver fallbacks (Lanczos → dense) and boundary
     clamps in the expansion setup are reported into [diag]. *)
@@ -67,12 +66,12 @@ val prepare :
 val of_models : ?diag:Util.Diag.sink -> Kle.Model.t array -> Geometry.Point.t array -> t
 (** [of_models models locations] builds the per-location expansion
     matrices of models already built (one per parameter, as {!models}
-    returns them) — the one sampler builder behind {!prepare} and the
-    server's cached models. Boundary clamps go to [diag]. *)
+    returns them), as {!prepare} does — the server's cached models feed
+    it. Boundary clamps go to [diag]. *)
 
 val setup_seconds : t -> float
-(** Wall time for meshing + eigensolution + expansion setup ({!of_models}:
-    the expansion setup alone). *)
+(** Wall time {!prepare} spent on meshing + eigensolution + expansion
+    setup; 0 for a value from {!of_models}. *)
 
 val r : t -> int
 (** Retained eigenpairs of the first parameter's model. *)
