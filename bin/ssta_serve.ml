@@ -1,13 +1,11 @@
 (* SSTA analysis server over stdin/stdout or a Unix-domain socket, backed
-   by the persistent KLE model store. Speaks two wires on the same port:
-   JSON lines, and the length-prefixed binary protocol (Serve.Wire) —
-   detected per connection from the first byte (0xB5 never starts JSON).
+   by the persistent KLE model store. Every connection speaks JSON lines:
+   one request object per line in, one response object per line out.
 
    Examples:
      ssta_serve --store /tmp/kle-store            # serve stdin/stdout
      ssta_serve --socket /tmp/ssta.sock &         # daemon on a socket
      ssta_serve --client /tmp/ssta.sock           # pipe stdin lines to it
-     ssta_serve --client /tmp/ssta.sock --binary  # same, binary wire
      echo '{"id":1,"method":"stats"}' | ssta_serve
 
    JSON protocol (one object per line, responses correlated by "id"):
@@ -32,65 +30,27 @@ open Cmdliner
    to a disconnected client raises (Sys_error on EPIPE/EBADF, with SIGPIPE
    ignored at startup) — the lock must be released on that path or every
    other worker replying on the connection deadlocks. *)
-let message_writer wire oc =
-  (* a JSON message ends at its newline; a binary frame carries its length *)
-  let terminator = match wire with `Json -> "\n" | `Binary -> "" in
+let line_writer oc =
   let lock = Mutex.create () in
-  fun message ->
+  fun line ->
     Mutex.lock lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock lock)
       (fun () ->
-        output_string oc message;
-        output_string oc terminator;
+        output_string oc line;
+        output_char oc '\n';
         flush oc)
 
-(* one connection, either wire: sniff the first byte. 0xB5 (Wire.magic0)
-   never begins a JSON-lines request, so it commits the connection to the
-   binary wire; anything else starts the first JSON line. *)
+(* one connection: submit each non-blank line until end of input or a
+   shutdown request *)
 let serve_stream server ic oc =
-  match input_char ic with
-  | exception (End_of_file | Sys_error _) -> ()
-  | first when first = Serve.Wire.magic0 ->
-      let reply = message_writer `Binary oc in
-      let magic_consumed = ref true in
-      (try
-         while not (Serve.Server.shutdown_requested server) do
-           match Serve.Wire.read_frame ~magic_consumed:!magic_consumed ic with
-           | Error `Eof -> raise End_of_file
-           | Error (`Corrupt msg) ->
-               (* framing is lost and cannot be resynchronised: answer once,
-                  then drop the connection *)
-               reply
-                 (Serve.Wire.encode `Binary
-                    (Serve.Protocol.error_response ~id:Serve.Jsonx.Null
-                       Serve.Protocol.Parse_error msg));
-               raise End_of_file
-           | Ok payload ->
-               magic_consumed := false;
-               Serve.Server.submit_wire server ~wire:`Binary payload ~reply
-         done
-       with End_of_file | Sys_error _ -> ())
-  | first ->
-      let reply = message_writer `Json oc in
-      let pending_first = ref (Some first) in
-      let next_line () =
-        match !pending_first with
-        | Some '\n' ->
-            pending_first := None;
-            ""
-        | Some c ->
-            pending_first := None;
-            String.make 1 c ^ input_line ic
-        | None -> input_line ic
-      in
-      (try
-         while not (Serve.Server.shutdown_requested server) do
-           let line = next_line () in
-           if String.trim line <> "" then
-             Serve.Server.submit_wire server ~wire:`Json line ~reply
-         done
-       with End_of_file | Sys_error _ -> ())
+  let reply = line_writer oc in
+  try
+    while not (Serve.Server.shutdown_requested server) do
+      let line = input_line ic in
+      if String.trim line <> "" then Serve.Server.submit server line ~reply
+    done
+  with End_of_file | Sys_error _ -> ()
 
 let serve_channels server ic oc =
   let reader_done = Atomic.make false in
@@ -175,13 +135,11 @@ let serve_socket server path =
 (* client mode: connect to a serving socket, forward stdin lines through
    the retrying Serve.Client (per-request timeout, bounded retries with
    backoff, circuit breaker), print one JSON response line per request in
-   request order. Each line travels as its JSON tree, over the binary wire
-   with --binary (the stdin/stdout side stays JSON either way), and only
-   the server validates it; a line that is not JSON at all is answered
-   here with the parse_error the server would send. A typed error prints
-   with the offending params key the server named in its [field]. *)
-let run_client path timeout_s binary =
-  let wire = if binary then `Binary else `Json in
+   request order. Only the server validates a request; a line that is not
+   JSON at all is answered here with the parse_error the server would
+   send. A typed error prints with the offending params key the server
+   named in its [field]. *)
+let run_client path timeout_s =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect sock (Unix.ADDR_UNIX path)
    with Unix.Unix_error (e, _, _) ->
@@ -214,30 +172,18 @@ let run_client path timeout_s binary =
       (fun () ->
         try
           while true do
-            (* the body to decode, and the whole message the client expects *)
-            let body, message =
-              match wire with
-              | `Json ->
-                  let line = input_line ic in
-                  (line, line)
-              | `Binary -> (
-                  match Serve.Wire.read_frame ic with
-                  | Ok payload -> (payload, Serve.Wire.frame payload)
-                  | Error (`Eof | `Corrupt _) -> raise End_of_file)
-            in
-            let tree =
-              Result.value (Serve.Wire.decode wire body) ~default:Serve.Jsonx.Null
-            in
+            let line = input_line ic in
+            let tree = Result.value (Serve.Jsonx.parse line) ~default:Serve.Jsonx.Null in
             match take (Serve.Jsonx.to_string (id_of tree)) with
             | Some cb ->
                 Atomic.set last_reply tree;
-                cb message
+                cb line
             | None -> ()
           done
         with End_of_file | Sys_error _ -> ())
       ()
   in
-  let write = message_writer wire oc in
+  let write = line_writer oc in
   (* stdin lines are sent one at a time (each call returns before the next
      line is read), so every attempt belongs to the current line's id *)
   let current_key = ref "null" in
@@ -248,7 +194,7 @@ let run_client path timeout_s binary =
   let client =
     Serve.Client.create
       ~policy:{ Serve.Client.default_policy with Serve.Client.timeout_s = Some timeout_s }
-      ~wire transport
+      transport
   in
   let failures = ref 0 in
   let print json =
@@ -288,7 +234,7 @@ let run_client path timeout_s binary =
              current_key := Serve.Jsonx.to_string id;
              print_result id
                ?req_id:(Option.bind (Serve.Jsonx.member "req_id" json) Serve.Jsonx.as_str)
-               (Serve.Client.call client (Serve.Wire.encode wire json))
+               (Serve.Client.call client (Serve.Jsonx.to_string json))
      done
    with End_of_file -> ());
   (try Unix.shutdown sock Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
@@ -318,15 +264,15 @@ let json_log_sink () =
         output_char stderr '\n';
         flush stderr)
 
-let run store_dir socket client fsck repair gc_max_bytes timeout_s binary
-    cache_entries queue_capacity workers jobs seed max_area_fraction drain_timeout
-    trace_file stats_file slow_ms log_json =
+let run store_dir socket client fsck repair gc_max_bytes timeout_s cache_entries
+    queue_capacity workers jobs seed max_area_fraction drain_timeout trace_file
+    stats_file slow_ms log_json =
   (* a client that disconnects mid-reply must surface as a write error on
      that connection, not kill the process with SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match (fsck, client) with
   | Some dir, _ -> run_fsck dir repair gc_max_bytes
-  | None, Some path -> run_client path timeout_s binary
+  | None, Some path -> run_client path timeout_s
   | None, None ->
       if trace_file <> None then Util.Trace.enable ();
       let config =
@@ -382,13 +328,6 @@ let client_arg =
      and jitter, circuit breaker); responses print in request order."
   in
   Arg.(value & opt (some string) None & info [ "client" ] ~docv:"PATH" ~doc)
-
-let binary_arg =
-  let doc =
-    "With --client: ship requests over the length-prefixed binary wire instead of JSON lines \
-     (stdin/stdout stay JSON). The server detects the wire per connection automatically."
-  in
-  Arg.(value & flag & info [ "binary" ] ~doc)
 
 let fsck_arg =
   let doc =
@@ -475,7 +414,7 @@ let cmd =
     (Cmd.info "ssta_serve" ~doc)
     Term.(
       const run $ store_arg $ socket_arg $ client_arg $ fsck_arg $ repair_arg $ gc_arg
-      $ timeout_arg $ binary_arg $ cache_arg $ queue_arg $ workers_arg $ jobs_arg
+      $ timeout_arg $ cache_arg $ queue_arg $ workers_arg $ jobs_arg
       $ seed_arg $ mesh_area_arg $ drain_timeout_arg $ trace_arg $ stats_arg
       $ slow_ms_arg $ log_json_arg)
 

@@ -47,12 +47,6 @@ let write_fixed64 b bits =
 
 let write_float b v = write_fixed64 b (Int64.bits_of_float v)
 
-let write_fixed32 b v =
-  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Codec.write_fixed32: out of range";
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
 let write_string b s =
   write_uint b (String.length s);
   Buffer.add_string b s
@@ -70,7 +64,6 @@ let write_int_array b a = write_array b write_int a
 type reader = { data : string; mutable pos : int }
 
 let reader data = { data; pos = 0 }
-let pos r = r.pos
 let remaining r = String.length r.data - r.pos
 
 let read_u8 r =
@@ -105,15 +98,6 @@ let read_fixed64 r =
   !bits
 
 let read_float r = Int64.float_of_bits (read_fixed64 r)
-
-let read_fixed32 r =
-  if remaining r < 4 then corrupt "truncated 32-bit field at byte %d" r.pos;
-  let v = ref 0 in
-  for i = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code r.data.[r.pos + i]
-  done;
-  r.pos <- r.pos + 4;
-  !v
 
 let read_string r =
   let n = read_uint r in

@@ -30,11 +30,6 @@ val write_uint : writer -> int -> unit
 val write_float : writer -> float -> unit
 val write_fixed64 : writer -> int64 -> unit
 
-val write_fixed32 : writer -> int -> unit
-(** Fixed-width unsigned 32-bit little-endian — the wire framing's length
-    field, where a self-delimiting varint would complicate header reads;
-    raises [Invalid_argument] outside [0, 2^32). *)
-
 val write_string : writer -> string -> unit
 
 val write_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
@@ -49,14 +44,12 @@ type reader
 val reader : string -> reader
 (** A cursor over the whole string, starting at offset 0. *)
 
-val pos : reader -> int
 val remaining : reader -> int
 
 val read_u8 : reader -> int
 val read_uint : reader -> int
 val read_float : reader -> float
 val read_fixed64 : reader -> int64
-val read_fixed32 : reader -> int
 val read_string : reader -> string
 
 val read_array : reader -> (reader -> 'a) -> 'a array

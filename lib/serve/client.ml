@@ -49,7 +49,6 @@ type breaker_state = Closed | Open of int (* reopen probe deadline, now_ns *) | 
 type t = {
   transport : transport;
   policy : policy;
-  wire : [ `Json | `Binary ];
   diag : Util.Diag.sink option;
   seed : int;  (* also namespaces generated correlation IDs *)
   req_seq : int Atomic.t;
@@ -64,12 +63,11 @@ type t = {
   n_breaker_opens : int Atomic.t;
 }
 
-let create ?diag ?(policy = default_policy) ?(seed = 1) ?(wire = `Json) transport =
+let create ?diag ?(policy = default_policy) ?(seed = 1) transport =
   if policy.max_attempts < 1 then invalid_arg "Client.create: max_attempts < 1";
   {
     transport;
     policy;
-    wire;
     diag;
     seed;
     req_seq = Atomic.make 0;
@@ -115,19 +113,9 @@ let retryable = function
   | Protocol_error _ | Circuit_open -> false
 
 (* classification also surfaces the reply's echoed correlation ID so
-   [call] can pin each reply to the attempt that asked for it. A binary
-   reply arrives as a whole frame, header included. *)
-let classify t reply =
-  let body =
-    match t.wire with
-    | `Json -> Ok reply
-    | `Binary -> (
-        match Wire.unframe reply with
-        | Ok body -> Ok body
-        | Error `Eof -> Error "empty reply frame"
-        | Error (`Corrupt msg) -> Error ("corrupt reply frame: " ^ msg))
-  in
-  match Result.bind body (Wire.decode t.wire) with
+   [call] can pin each reply to the attempt that asked for it *)
+let classify reply =
+  match Jsonx.parse reply with
   | Error msg -> (None, Error (Transport_failed ("unparseable reply: " ^ msg)))
   | Ok json -> (
       match Protocol.decode_response json with
@@ -162,7 +150,7 @@ let attempt t line =
       in
       let rec await () =
         match Atomic.get cell with
-        | Some reply -> classify t reply
+        | Some reply -> classify reply
         | None -> (
             match deadline_ns with
             | Some d when Util.Trace.now_ns () > d ->
@@ -249,8 +237,6 @@ let call ?expect t line =
     go 1 t.policy.backoff_s
   end
 
-let wire t = t.wire
-
 let call_request t request =
   (* every client call carries a correlation ID: the caller's if it set
      one, else a generated [cli-<seed>-<n>]; the echo is verified either
@@ -264,4 +250,4 @@ let call_request t request =
         in
         ({ request with Protocol.req_id = Some r }, r)
   in
-  call ~expect t (Wire.encode t.wire (Protocol.encode_request request))
+  call ~expect t (Jsonx.to_string (Protocol.encode_request request))

@@ -1,4 +1,4 @@
-(** Retrying client for the serving protocol.
+(** Retrying client for the serving protocol (JSON lines, {!Protocol}).
 
     Wraps any line-in/line-out transport (the in-process {!Server.submit},
     or a socket/pipe writer) with the retry discipline a production caller
@@ -24,10 +24,9 @@
     thread-safe. *)
 
 type transport = string -> reply:(string -> unit) -> unit
-(** Send one wire message; [reply] is invoked (possibly on another thread)
-    with the response message. On the [`Json] wire a message is one
-    request/response line ([Server.submit server] is a transport); on
-    [`Binary] it is one whole {!Wire} frame, header included. *)
+(** Send one JSON request line; [reply] is invoked (possibly on another
+    thread) with the response line. [Server.submit server] is a
+    transport. *)
 
 type policy = {
   timeout_s : float option;  (** per-attempt reply timeout; [None] waits forever *)
@@ -67,31 +66,24 @@ val create :
   ?diag:Util.Diag.sink ->
   ?policy:policy ->
   ?seed:int ->
-  ?wire:[ `Json | `Binary ] ->
   transport ->
   t
 (** [diag] receives [serve.client] events: [Info] per retry, [Warning]
-    when the breaker opens. [seed] fixes the jitter schedule. [wire]
-    (default [`Json]) selects how requests are encoded and replies decoded;
-    the transport must speak the same wire. *)
-
-val wire : t -> [ `Json | `Binary ]
+    when the breaker opens. [seed] fixes the jitter schedule. *)
 
 val call : ?expect:string -> t -> string -> (Jsonx.t, failure) result
-(** Send one pre-encoded request (a JSON line, or a whole binary frame on
-    the [`Binary] wire) and block for the final outcome: the [ok] payload,
-    or the failure that exhausted the policy. [expect] is the request's
-    correlation ID: a reply echoing a {e different} [req_id] is a crossed
-    wire, classified as a retryable [Transport_failed] (a reply with no
-    echo — an old server, or an error minted before request decode — is
-    accepted). *)
+(** Send one pre-encoded request line and block for the final outcome:
+    the [ok] payload, or the failure that exhausted the policy. [expect] is
+    the request's correlation ID: a reply echoing a {e different} [req_id]
+    is a crossed wire, classified as a retryable [Transport_failed] (a
+    reply with no echo — an old server, or an error minted before request
+    decode — is accepted). *)
 
 val call_request : t -> Protocol.request -> (Jsonx.t, failure) result
-(** Encode the request tree ({!Protocol.encode_request}) on this client's
-    wire ({!Wire.encode}) and {!call} it — the wire-agnostic entry point;
-    the payload for a given request is bit-identical on both wires. Raises
-    [Invalid_argument] for a request {!Protocol.encode_request} refuses. When
-    the request carries no [req_id], one is generated ([cli-<seed>-<n>])
-    and its echo verified, so every call is traceable end-to-end. *)
+(** Encode the request ({!Protocol.encode_request}) as one JSON line and
+    {!call} it. Raises [Invalid_argument] for a request
+    {!Protocol.encode_request} refuses. When the request carries no
+    [req_id], one is generated ([cli-<seed>-<n>]) and its echo verified,
+    so every call is traceable end-to-end. *)
 
 val stats : t -> stats

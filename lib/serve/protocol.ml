@@ -44,7 +44,7 @@ type error_code =
   | Shutting_down
   | Internal_error
 
-(* the one table of wire names; both wires carry these strings *)
+(* the one table of wire names *)
 let error_codes =
   [
     (Parse_error, "parse_error");

@@ -1,8 +1,10 @@
 (** The [ssta_serve] message schema: requests, responses and typed error
     codes, as {!Jsonx.t} trees.
 
-    This module is the only place that knows what a message says; {!Wire}
-    only carries trees, as a JSON line or a binary frame. A request:
+    This module is the only schema and the only validator. Every message
+    travels as one compact JSON line ({!Jsonx.to_string}); the transports
+    read a line with {!Jsonx.parse} and hand the result to
+    {!request_of_message}. A request:
     {v
     {"id": <any>, "req_id": "<str>"?, "deadline_ms": <num>?,
      "method": "<name>", "params": {...}?}
@@ -44,8 +46,7 @@ type call =
       n : int;
       batch : int option;
       full : bool;
-          (** also return per-endpoint mean/sigma arrays — the payload-heavy
-              shape the binary wire exists for *)
+          (** also return per-endpoint mean/sigma arrays *)
     }
   | Compare of { circuit : circuit; r : int option; seed : int; n : int }
       (** Reference Cholesky MC vs. KLE MC, paper accuracy metrics. *)
@@ -124,9 +125,9 @@ val error_response :
 (** [?field] names the offending params key inside the error object. *)
 
 val request_of_message : (Jsonx.t, string) result -> (request, Jsonx.t) result
-(** Validate what [Wire.decode] read: the request, or the error response
-    to send back — [parse_error] with id [null] when the message was not a
-    tree, else {!decode_request}'s reject. *)
+(** Validate what {!Jsonx.parse} read from one request line: the request,
+    or the error response to send back — [parse_error] with id [null] when
+    the line was not JSON, else {!decode_request}'s reject. *)
 
 val decode_response :
   Jsonx.t ->

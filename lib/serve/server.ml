@@ -40,7 +40,6 @@ type artifact =
 type job = {
   request : Protocol.request;
   reply : string -> unit;
-  wire : [ `Json | `Binary ];  (* the job answers on the wire it arrived on *)
   deadline_ns : int option;  (* absolute, on the Util.Trace.now_ns clock *)
   replied : bool Atomic.t;  (* exactly-once reply guard *)
   attempts : int Atomic.t;  (* worker crashes this job has caused *)
@@ -52,11 +51,11 @@ type job = {
 
 let ok_message job payload =
   let { Protocol.id; req_id; _ } = job.request in
-  Wire.encode job.wire (Protocol.ok_response ~id ?req_id payload)
+  Jsonx.to_string (Protocol.ok_response ~id ?req_id payload)
 
 let error_message job code msg =
   let { Protocol.id; req_id; _ } = job.request in
-  Wire.encode job.wire (Protocol.error_response ~id ?req_id code msg)
+  Jsonx.to_string (Protocol.error_response ~id ?req_id code msg)
 
 type t = {
   config : config;
@@ -859,13 +858,13 @@ let create ?diag config =
 
 let shutdown_requested t = Atomic.get t.shutdown_flag
 
-let submit_wire t ~wire payload ~reply =
-  match Protocol.request_of_message (Wire.decode wire payload) with
+let submit t line ~reply =
+  match Protocol.request_of_message (Jsonx.parse line) with
   | Error response ->
       (* a decode reject carries the best-effort id, the echoed req_id
          (parsed before any other validation) and the offending field *)
       Atomic.incr t.n_errors;
-      reply (Wire.encode wire response)
+      reply (Jsonx.to_string response)
   | Ok request ->
       let submitted_ns = Util.Trace.now_ns () in
       (* a deadline whose nanosecond offset does not fit in an int is one
@@ -889,7 +888,6 @@ let submit_wire t ~wire payload ~reply =
         {
           request;
           reply;
-          wire;
           deadline_ns;
           replied = Atomic.make false;
           attempts = Atomic.make 0;
@@ -900,8 +898,6 @@ let submit_wire t ~wire payload ~reply =
         }
       in
       enqueue t job
-
-let submit t line ~reply = submit_wire t ~wire:`Json line ~reply
 
 let begin_drain t = enter_draining t
 

@@ -1,8 +1,9 @@
 (** Concurrent SSTA analysis server: the engine behind [ssta_serve] and
     [bench serve].
 
-    Requests (decoded by {!Protocol}) are executed on a fixed pool of
-    worker domains fed by a {e bounded} job queue:
+    Requests arrive as JSON lines ({!submit}), are validated by
+    {!Protocol}, and are executed on a fixed pool of worker domains fed by
+    a {e bounded} job queue:
 
     - {b Backpressure}: when the queue is full, {!submit} replies
       immediately with a typed [overloaded] error instead of buffering
@@ -92,17 +93,9 @@ val telemetry : t -> Telemetry.t
 
 val submit : t -> string -> reply:(string -> unit) -> unit
 (** Decode one JSON request line and enqueue it. [reply] is called exactly
-    once per submission — possibly synchronously (decode errors,
-    backpressure, draining) or later from a worker domain. [reply] must be
-    thread-safe. Equivalent to [submit_wire ~wire:`Json]. *)
-
-val submit_wire :
-  t -> wire:[ `Json | `Binary ] -> string -> reply:(string -> unit) -> unit
-(** Like {!submit}, but the payload is decoded — and the response encoded —
-    on the given wire: [`Json] takes a request line, [`Binary] takes one
-    {!Wire} frame {e payload} (header already stripped by the transport)
-    and replies with full binary frames. A connection's wire is sniffed
-    once from its first byte ({!Wire.magic0}) by the transport layer. *)
+    once per submission, with one JSON response line (no newline) —
+    possibly synchronously (decode errors, backpressure, draining) or later
+    from a worker domain. [reply] must be thread-safe. *)
 
 val shutdown_requested : t -> bool
 (** True once a [shutdown] request has been executed (the transport loop
