@@ -1290,7 +1290,7 @@ let serve_bench () =
   let server = Serve.Server.create config in
   let client = client_for server in
   let _, warm_s = Util.Timer.time (fun () -> must_ok client prepare_line) in
-  pf "prepare c880: cold %.2fs, warm (store hit) %.4fs -> %.0fx faster\n" cold_s warm_s
+  pf "prepare c880: cold %.2fs, warm (models from store) %.4fs -> %.0fx faster\n" cold_s warm_s
     (cold_s /. warm_s);
   Serve.Server.drain server;
   emit "serve"

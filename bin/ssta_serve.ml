@@ -1,6 +1,8 @@
 (* SSTA analysis server over stdin/stdout or a Unix-domain socket, backed
-   by the persistent KLE model store. Every connection speaks JSON lines:
-   one request object per line in, one response object per line out.
+   by the persistent KLE model store: solved KLE models survive a restart,
+   circuit setups are rebuilt (they take milliseconds). Every connection
+   speaks JSON lines: one request object per line in, one response object
+   per line out.
 
    Examples:
      ssta_serve --store /tmp/kle-store            # serve stdin/stdout
@@ -314,7 +316,10 @@ let run store_dir socket client fsck repair gc_max_bytes timeout_s cache_entries
       end
 
 let store_arg =
-  let doc = "Persist prepared artifacts (circuit setups, KLE models) under $(docv)." in
+  let doc =
+    "Persist solved KLE models under $(docv), so a restarted server skips the eigensolve. \
+     Circuit setups stay in memory and are rebuilt after a restart."
+  in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
 let socket_arg =

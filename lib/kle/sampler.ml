@@ -1,6 +1,5 @@
 type t = {
   model : Model.t;
-  locations : Geometry.Point.t array; (* the fixed query points, as given *)
   triangle_index : int array; (* location -> containing triangle *)
   b : Linalg.Mat.t; (* N_loc x r *)
 }
@@ -39,11 +38,9 @@ let create ?diag model locations =
     Linalg.Mat.init (Array.length locations) r (fun g j ->
         sqrt_lams.(j) *. Linalg.Mat.unsafe_get coeffs triangle_index.(g) j)
   in
-  { model; locations = Array.copy locations; triangle_index; b }
+  { model; triangle_index; b }
 
 let model t = t.model
-
-let locations t = Array.copy t.locations
 
 let dim t = Linalg.Mat.cols t.b
 

@@ -15,11 +15,6 @@ val create : ?diag:Util.Diag.sink -> Model.t -> Geometry.Point.t array -> t
 
 val model : t -> Model.t
 
-val locations : t -> Geometry.Point.t array
-(** The query points given to {!create}, in order (a fresh copy) — lets a
-    prepared sampler be persisted as [(model, locations)] and rebuilt
-    bit-identically ({!Persist.Entity.sampler}). *)
-
 val dim : t -> int
 (** Number of reduced random variables [r]. *)
 

@@ -117,7 +117,8 @@ let top_k ~matvec ~n ~k ?(tol = 1e-9) ?max_dim ?(seed = 7) () =
     in
     let all_ok = ref (kk = k) in
     for i = 0 to kk - 1 do
-      if residual i > tol *. scale_ref then all_ok := false
+      (* written so that a NaN residual counts as not converged *)
+      if not (residual i <= tol *. scale_ref) then all_ok := false
     done;
     if !all_ok || dim >= max_dim then begin
       if not !all_ok then begin
@@ -130,7 +131,7 @@ let top_k ~matvec ~n ~k ?(tol = 1e-9) ?max_dim ?(seed = 7) () =
         (* accept looser convergence at full budget only if reasonably tight *)
         let loose_ok = ref (kk = k) in
         for i = 0 to kk - 1 do
-          if residual i > 1e-5 *. scale_ref then loose_ok := false
+          if not (residual i <= 1e-5 *. scale_ref) then loose_ok := false
         done;
         if not !loose_ok then
           raise (No_convergence { converged = !converged; wanted = k })

@@ -25,20 +25,6 @@ let write_uint b v =
   in
   loop v
 
-(* zigzag maps small-magnitude signed ints to small varints. The zigzagged
-   value of [min_int]/[max_int] has the OCaml sign bit set, so the varint
-   loop below treats it as unsigned ([lsr] keeps the top bit logical)
-   instead of going through {!write_uint}'s negativity check. *)
-let write_int b v =
-  let rec loop v =
-    if v >= 0 && v < 0x80 then Buffer.add_char b (Char.chr v)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
-      loop (v lsr 7)
-    end
-  in
-  loop ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
-
 let write_fixed64 b bits =
   for i = 0 to 7 do
     Buffer.add_char b
@@ -56,7 +42,6 @@ let write_array b f a =
   Array.iter (fun v -> f b v) a
 
 let write_float_array b a = write_array b write_float a
-let write_int_array b a = write_array b write_int a
 
 (* ---------------------------------------------------------------- *)
 (* reading *)
@@ -80,10 +65,6 @@ let read_uint r =
     if byte land 0x80 = 0 then acc else loop (shift + 7) acc
   in
   loop 0 0
-
-let read_int r =
-  let z = read_uint r in
-  (z lsr 1) lxor (-(z land 1))
 
 let read_fixed64 r =
   if remaining r < 8 then corrupt "truncated 64-bit field at byte %d" r.pos;
@@ -114,7 +95,6 @@ let read_array r f =
   Array.init n (fun _ -> f r)
 
 let read_float_array r = read_array r read_float
-let read_int_array r = read_array r read_int
 
 let expect_end r =
   if remaining r > 0 then corrupt "%d trailing bytes after payload" (remaining r)

@@ -4,10 +4,10 @@
     by an explicit rule below, so the on-disk format is stable across
     compiler versions, checkable (a decoder can never segfault on corrupt
     input — it raises {!Error}), and evolvable behind the entity versions
-    of {!Entity}. Integers use LEB128 varints (zigzag for signed values),
-    floats are IEEE-754 bit patterns in little-endian order (exact
-    round-trip of every finite and non-finite value), strings and arrays
-    are length-prefixed. *)
+    of {!Entity}. Integers are unsigned LEB128 varints, floats are
+    IEEE-754 bit patterns in little-endian order (exact round-trip of
+    every finite and non-finite value), strings and arrays are
+    length-prefixed. *)
 
 exception Error of string
 (** Raised by every [read_*] function on truncated or malformed input.
@@ -34,8 +34,6 @@ val write_string : writer -> string -> unit
 
 val write_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
 val write_float_array : writer -> float array -> unit
-val write_int_array : writer -> int array -> unit
-(** Length-prefixed zigzag LEB128 varints (any OCaml int). *)
 
 (** {1 Reading} *)
 
@@ -54,7 +52,6 @@ val read_string : reader -> string
 
 val read_array : reader -> (reader -> 'a) -> 'a array
 val read_float_array : reader -> float array
-val read_int_array : reader -> int array
 
 val expect_end : reader -> unit
 (** Raises {!Error} when bytes remain — trailing garbage is corruption. *)

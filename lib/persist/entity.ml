@@ -216,109 +216,6 @@ let read_model r =
 let model =
   { kind = "kle-model"; version = 1; encode = write_model; decode = read_model }
 
-let write_sampler b s =
-  write_model b (Kle.Sampler.model s);
-  Codec.write_array b write_point (Kle.Sampler.locations s)
-
-let read_sampler r =
-  let m = read_model r in
-  let locations = Codec.read_array r read_point in
-  Kle.Sampler.create m locations
-
-let sampler =
-  { kind = "kle-sampler"; version = 1; encode = write_sampler; decode = read_sampler }
-
-(* ---------------------------------------------------------------- *)
-(* netlists and circuit setups *)
-
-let kind_tag = function
-  | Circuit.Gate.Input -> 0
-  | Circuit.Gate.Inv -> 1
-  | Circuit.Gate.Buf -> 2
-  | Circuit.Gate.Nand2 -> 3
-  | Circuit.Gate.Nor2 -> 4
-  | Circuit.Gate.And2 -> 5
-  | Circuit.Gate.Or2 -> 6
-  | Circuit.Gate.Xor2 -> 7
-  | Circuit.Gate.Xnor2 -> 8
-  | Circuit.Gate.Dff -> 9
-
-let kind_of_tag = function
-  | 0 -> Circuit.Gate.Input
-  | 1 -> Circuit.Gate.Inv
-  | 2 -> Circuit.Gate.Buf
-  | 3 -> Circuit.Gate.Nand2
-  | 4 -> Circuit.Gate.Nor2
-  | 5 -> Circuit.Gate.And2
-  | 6 -> Circuit.Gate.Or2
-  | 7 -> Circuit.Gate.Xor2
-  | 8 -> Circuit.Gate.Xnor2
-  | 9 -> Circuit.Gate.Dff
-  | tag -> corrupt "unknown gate-kind tag %d" tag
-
-let write_netlist b (n : Circuit.Netlist.t) =
-  Codec.write_string b n.Circuit.Netlist.name;
-  Codec.write_array b
-    (fun b (g : Circuit.Netlist.gate) ->
-      (* ids are the array index by construction; only name/kind/fanins
-         carry information *)
-      Codec.write_string b g.Circuit.Netlist.name;
-      Codec.write_u8 b (kind_tag g.Circuit.Netlist.kind);
-      Codec.write_int_array b g.Circuit.Netlist.fanins)
-    n.Circuit.Netlist.gates;
-  Codec.write_int_array b n.Circuit.Netlist.outputs
-
-let read_netlist r =
-  let name = Codec.read_string r in
-  let gate_data =
-    Codec.read_array r (fun r ->
-        let name = Codec.read_string r in
-        let kind = kind_of_tag (Codec.read_u8 r) in
-        let fanins = Codec.read_int_array r in
-        (name, kind, fanins))
-  in
-  let gates =
-    Array.mapi
-      (fun id (name, kind, fanins) -> { Circuit.Netlist.id; name; kind; fanins })
-      gate_data
-  in
-  let outputs = Codec.read_int_array r in
-  try Circuit.Netlist.make ~name ~gates ~outputs
-  with Invalid_argument m -> corrupt "invalid netlist: %s" m
-
-let netlist =
-  { kind = "netlist"; version = 1; encode = write_netlist; decode = read_netlist }
-
-let write_setup b (s : Ssta.Experiment.circuit_setup) =
-  write_netlist b s.Ssta.Experiment.netlist;
-  write_rect b s.Ssta.Experiment.placement.Circuit.Placer.die;
-  Codec.write_array b write_point s.Ssta.Experiment.placement.Circuit.Placer.locations
-
-let read_setup r =
-  let nl = read_netlist r in
-  let die = read_rect r in
-  let locations = Codec.read_array r read_point in
-  if Array.length locations <> Circuit.Netlist.size nl then
-    corrupt "placement has %d locations for %d gates" (Array.length locations)
-      (Circuit.Netlist.size nl);
-  let placement = { Circuit.Placer.netlist = nl; locations; die } in
-  (* derive wire loads, the prepared timer and the logic-gate view exactly
-     as [Experiment.setup_circuit] does from a fresh placement *)
-  let wireload = Circuit.Wireload.build placement in
-  let sta = Sta.Timing.prepare wireload in
-  let logic_ids = Sta.Timing.logic_ids sta in
-  let gate_locations = Array.map (fun i -> locations.(i)) logic_ids in
-  {
-    Ssta.Experiment.netlist = nl;
-    placement;
-    sta;
-    logic_ids;
-    locations = gate_locations;
-  }
-
-let circuit_setup =
-  { kind = "circuit-setup"; version = 1; encode = write_setup; decode = read_setup }
-
 (* ---------------------------------------------------------------- *)
 
 let to_string e v =

@@ -6,12 +6,16 @@
     never a silent misread.
 
     Decoders rebuild {e derived} state through the same constructors the
-    live pipeline uses ([Geometry.Mesh.make], [Kle.Model.create],
-    [Circuit.Netlist.make], [Sta.Timing.prepare]), so a loaded artifact is
-    revalidated and bit-identical to a freshly computed one: the stored
-    floats (eigenvalues, basis coefficients, points) round-trip through
-    IEEE-754 bit patterns exactly, and everything else is a deterministic
-    function of them. *)
+    live pipeline uses ([Geometry.Mesh.make], [Kle.Model.create]), so a
+    loaded artifact is revalidated and bit-identical to a freshly computed
+    one: the stored floats (eigenvalues, basis coefficients, points)
+    round-trip through IEEE-754 bit patterns exactly, and everything else
+    is a deterministic function of them.
+
+    Only circuit-independent artifacts have a codec. A circuit setup (a
+    placement plus the wire loads and timer derived from it) costs
+    milliseconds to rebuild, most of which a decoder would have to redo
+    anyway, so the server keeps setups in memory and never writes them. *)
 
 type 'a t = {
   kind : string;  (** file-kind tag, e.g. ["kle-model"] *)
@@ -42,19 +46,6 @@ val solution : Kle.Galerkin.solution t
 val model : Kle.Model.t t
 (** Truncated model: solution + retained [r]; the locator is rebuilt by
     [Kle.Model.create]. *)
-
-val sampler : Kle.Sampler.t t
-(** Prepared sampler as (model, locations); the triangle resolution and
-    expansion matrix are rebuilt by [Kle.Sampler.create], which is a
-    deterministic function of the two. *)
-
-val netlist : Circuit.Netlist.t t
-(** Gate array + outputs, re-validated by [Circuit.Netlist.make]. *)
-
-val circuit_setup : Ssta.Experiment.circuit_setup t
-(** Netlist + placement (per-gate locations + die); wire loads, the
-    prepared timer and the logic-gate index are re-derived exactly as
-    [Ssta.Experiment.setup_circuit] derives them. *)
 
 val to_string : 'a t -> 'a -> string
 (** Encode to a standalone payload (no store header). *)

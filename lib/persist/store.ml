@@ -286,15 +286,15 @@ let current_versions =
     (Entity.mesh.Entity.kind, Entity.mesh.Entity.version);
     (Entity.solution.Entity.kind, Entity.solution.Entity.version);
     (Entity.model.Entity.kind, Entity.model.Entity.version);
-    (Entity.sampler.Entity.kind, Entity.sampler.Entity.version);
-    (Entity.netlist.Entity.kind, Entity.netlist.Entity.version);
-    (Entity.circuit_setup.Entity.kind, Entity.circuit_setup.Entity.version);
   ]
 
 (* kinds earlier builds wrote and this one never reads again (block macros,
-   stitched results and their dependency edges): nothing will look them up,
-   so unlike a stale entry they cannot self-heal and [~repair] removes them *)
-let retired_kinds = [ "hier-macro"; "hier-stitch"; "dep-edges" ]
+   stitched results and their dependency edges; circuit setups, netlists
+   and prepared samplers, which are cheaper to rebuild than to store):
+   nothing will look them up, so unlike a stale entry they cannot self-heal
+   and [~repair] removes them *)
+let retired_kinds =
+  [ "hier-macro"; "hier-stitch"; "dep-edges"; "circuit-setup"; "netlist"; "kle-sampler" ]
 
 (* Structural verification without an entity decoder: header fields,
    filename consistency (kind prefix and spec hash), payload checksum.

@@ -120,9 +120,9 @@ val fsck :
     first until the survivors fit under the cap. Stale entries are
     reported but not deleted: they self-heal on next access through
     {!find_or_add}. An entry of a retired kind ([hier-macro],
-    [hier-stitch], [dep-edges]: block macros, stitched results and
-    dependency edges that earlier builds wrote and no code reads any more)
-    never self-heals, since no access will ever replace it; it is counted
+    [hier-stitch], [dep-edges], [circuit-setup], [netlist], [kle-sampler]:
+    kinds that earlier builds wrote and no code reads any more) never
+    self-heals, since no access will ever replace it; it is counted
     as [retired] and, with [~repair], deleted. Every action is recorded
     against [diag] ([Warning] for corruption and tmp sweeps, [Info] for
     stale, retired and GC).

@@ -152,8 +152,8 @@ let server_config ?(store_dir = None) cfg =
   {
     Server.default_config with
     Server.store_dir;
-    (* a 1-entry memory LRU forces every artifact back through the disk
-       tier, maximising the I/O fault surface *)
+    (* a 1-entry memory LRU forces every model back through the disk tier
+       (the setup in between evicts it), maximising the I/O fault surface *)
     cache_entries = 1;
     workers = cfg.workers;
     kle =

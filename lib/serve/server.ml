@@ -140,12 +140,13 @@ let cache_clock_reset clk =
 
 let cache_clock_read clk = max 0 (clk.frame_ns - clk.exclude_ns)
 
-(* memory LRU over the optional disk store over [compute], with per-key
-   single-flight: concurrent misses on the same key run [compute] once —
-   the leader computes and fills the caches, followers block on
-   [inflight_done] and pick the result up from the memory tier *)
-let cached t (entity : 'a Persist.Entity.t) ~spec ~(inject : 'a -> artifact)
-    ~(project : artifact -> 'a option) compute =
+(* memory LRU over [compute], with per-key single-flight: concurrent misses
+   on the same key run [compute] once — the leader computes and fills the
+   cache, followers block on [inflight_done] and pick the result up from the
+   memory tier. With [~disk:entity] the leader first asks the optional disk
+   store for [key], which computes and writes on a miss. *)
+let cached t ~key ?disk ~(inject : 'a -> artifact) ~(project : artifact -> 'a option)
+    compute =
   let clk = Domain.DLS.get cache_clock_key in
   let compute () =
     let c0 = Util.Trace.now_ns () in
@@ -156,7 +157,6 @@ let cached t (entity : 'a Persist.Entity.t) ~spec ~(inject : 'a -> artifact)
   let t0 = Util.Trace.now_ns () in
   Fun.protect ~finally:(fun () -> clk.frame_ns <- clk.frame_ns + (Util.Trace.now_ns () - t0))
   @@ fun () ->
-  let key = entity.Persist.Entity.kind ^ ":" ^ spec in
   let from_mem () = Option.bind (Lru.find t.cache key) project in
   match from_mem () with
   | Some v ->
@@ -193,13 +193,13 @@ let cached t (entity : 'a Persist.Entity.t) ~spec ~(inject : 'a -> artifact)
                   Condition.broadcast t.inflight_done))
             (fun () ->
               let v, tier =
-                match t.store with
-                | None -> (compute (), Miss)
-                | Some store -> (
-                    match Persist.Store.find_or_add store entity ~spec compute with
+                match (disk, t.store) with
+                | Some entity, Some store -> (
+                    match Persist.Store.find_or_add store entity ~spec:key compute with
                     | v, `Hit -> (v, Hit_disk)
                     | v, `Miss -> (v, Miss)
                     | v, `Recovered -> (v, Recovered))
+                | _ -> (compute (), Miss)
               in
               Lru.add t.cache key (inject v);
               count_tier t tier;
@@ -218,8 +218,11 @@ let resolve_netlist circuit =
       | Error msg -> Error (Protocol.Netlist_error, msg))
 
 (* [edit] applies a one-gate kind swap before setup; the swap is folded
-   into the cache token so the edited setup is content-addressed alongside
-   (never instead of) the baseline one *)
+   into the cache token so the edited setup is cached alongside (never
+   instead of) the baseline one. Setups live in the memory tier only: a
+   placement takes milliseconds, and a stored one would still have to
+   rebuild its wire loads and timer on load, so a disk entry would save
+   little once per restart while every new edit paid a write. *)
 let get_setup_edited t circuit edit =
   match resolve_netlist circuit with
   | Error _ as e -> e
@@ -242,11 +245,11 @@ let get_setup_edited t circuit edit =
       match edited with
       | Error _ as e -> e
       | Ok (netlist, token) ->
-          let spec =
+          let key =
             Printf.sprintf "circuit(%s,placement_seed=%d)" token t.config.placement_seed
           in
           Ok
-            (cached t Persist.Entity.circuit_setup ~spec
+            (cached t ~key
                ~inject:(fun s -> A_setup s)
                ~project:(function A_setup s -> Some s | _ -> None)
                (fun () ->
@@ -266,8 +269,7 @@ let model_spec t kernel ~r =
     (match r with None -> "auto" | Some r -> string_of_int r)
 
 let get_model t kernel ~r =
-  let spec = model_spec t kernel ~r in
-  cached t Persist.Entity.model ~spec
+  cached t ~key:(model_spec t kernel ~r) ~disk:Persist.Entity.model
     ~inject:(fun m -> A_model m)
     ~project:(function A_model m -> Some m | _ -> None)
     (fun () ->

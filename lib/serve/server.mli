@@ -13,9 +13,11 @@
       it; an expired request is answered [deadline_exceeded] without
       doing the work.
     - {b Caching}: prepared artifacts (circuit setups, KLE models) are
-      served from an in-memory {!Lru} over the optional on-disk
-      {!Persist.Store}; responses report which tier answered
-      ([hit-mem] / [hit-disk] / [miss] / [recovered]).
+      served from an in-memory {!Lru}; KLE models, which cost seconds to
+      solve, also sit in the optional on-disk {!Persist.Store}, while a
+      setup (milliseconds) is rebuilt after a restart. Responses report
+      which tier answered ([hit-mem] / [hit-disk] / [miss] / [recovered];
+      a setup is only ever [hit-mem] or [miss]).
     - {b Draining}: {!begin_drain} stops intake (new submissions are
       answered [shutting_down]) while queued requests still complete;
       {!drain} additionally joins the workers. A [shutdown] request
@@ -44,7 +46,7 @@
     ([srv-<instance>-<seq>], telemetry-only, never echoed). *)
 
 type config = {
-  store_dir : string option;  (** [None] disables the disk tier *)
+  store_dir : string option;  (** [None] disables the KLE-model disk tier *)
   cache_entries : int;  (** in-memory LRU capacity *)
   queue_capacity : int;  (** bounded queue length; beyond it, [overloaded] *)
   workers : int;  (** worker domains executing requests *)

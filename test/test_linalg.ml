@@ -372,6 +372,17 @@ let test_lanczos_deterministic () =
   let v1 = run () and v2 = run () in
   Array.iteri (fun i v -> check_close ~tol:0.0 "deterministic" v2.(i) v) v1
 
+(* an operator that returns NaN has no converged Ritz pairs: a NaN
+   residual must not pass the convergence checks *)
+let test_lanczos_nan_operator () =
+  match Linalg.Lanczos.top_k ~matvec:(fun _ -> [| Float.nan |]) ~n:1 ~k:1 () with
+  | r ->
+      Alcotest.failf "NaN operator accepted as converged (eigenvalue %h)"
+        r.Linalg.Lanczos.eigenvalues.(0)
+  | exception Linalg.Lanczos.No_convergence { converged; wanted } ->
+      Alcotest.(check int) "converged" 0 converged;
+      Alcotest.(check int) "wanted" 1 wanted
+
 (* ---------- Sparse + CG ---------- *)
 
 let laplacian_1d n =
@@ -583,6 +594,7 @@ let () =
           Alcotest.test_case "k = n" `Quick test_lanczos_full_dimension;
           Alcotest.test_case "invalid k raises" `Quick test_lanczos_invalid_k;
           Alcotest.test_case "deterministic" `Quick test_lanczos_deterministic;
+          Alcotest.test_case "NaN operator raises No_convergence" `Quick test_lanczos_nan_operator;
         ] );
       ( "sparse_cg",
         [

@@ -1,7 +1,8 @@
 (* Persistence layer: explicit binary codec, typed entities, and the
    content-addressed store — including the two contract-critical
-   properties: store round-trips are bit-identical under run_mc for every
-   jobs count, and corrupt entries degrade to a recorded recompute. *)
+   properties: a KLE model loaded from the store is bit-identical under
+   run_mc for every jobs count, and corrupt entries degrade to a recorded
+   recompute. *)
 
 module Codec = Persist.Codec
 module Entity = Persist.Entity
@@ -20,18 +21,6 @@ let with_tmp_dir f =
     (fun () -> f dir)
 
 (* ---------- codec primitives ---------- *)
-
-let test_codec_ints () =
-  let values =
-    [ 0; 1; -1; 63; 64; -64; -65; 127; 128; 255; 1_000_000; -1_000_000; max_int; min_int ]
-  in
-  let w = Codec.writer () in
-  Codec.write_int_array w (Array.of_list values);
-  let r = Codec.reader (Codec.contents w) in
-  List.iter2
-    (fun v got -> Alcotest.(check int) (Printf.sprintf "int %d" v) v got)
-    values (Array.to_list (Codec.read_int_array r));
-  Codec.expect_end r
 
 let test_codec_uints () =
   let values = [ 0; 1; 127; 128; 16384; max_int ] in
@@ -65,12 +54,10 @@ let test_codec_strings_arrays_options () =
   Codec.write_string w "";
   Codec.write_string w "hello\x00world\xff";
   Codec.write_float_array w [| 1.5; -2.25 |];
-  Codec.write_int_array w [| 3; -4; 0 |];
   let r = Codec.reader (Codec.contents w) in
   Alcotest.(check string) "empty" "" (Codec.read_string r);
   Alcotest.(check string) "binary" "hello\x00world\xff" (Codec.read_string r);
   Alcotest.(check (array (float 0.0))) "floats" [| 1.5; -2.25 |] (Codec.read_float_array r);
-  Alcotest.(check (array int)) "ints" [| 3; -4; 0 |] (Codec.read_int_array r);
   Codec.expect_end r
 
 let expect_codec_error f =
@@ -167,60 +154,32 @@ let test_entity_mat_dims_overflow () =
   expect_codec_error (fun () ->
       ignore (Entity.of_string Entity.solution (prefix ^ Codec.contents b)))
 
-let test_entity_netlist () =
-  let nl = small_netlist () in
-  let nl' = roundtrip Entity.netlist nl in
-  Alcotest.(check string) "name" nl.Circuit.Netlist.name nl'.Circuit.Netlist.name;
-  Alcotest.(check int) "gates" (Array.length nl.Circuit.Netlist.gates)
-    (Array.length nl'.Circuit.Netlist.gates);
-  Alcotest.(check (array int)) "outputs" nl.Circuit.Netlist.outputs nl'.Circuit.Netlist.outputs;
-  Array.iteri
-    (fun i (g : Circuit.Netlist.gate) ->
-      let g' = nl'.Circuit.Netlist.gates.(i) in
-      Alcotest.(check string) "gate name" g.Circuit.Netlist.name g'.Circuit.Netlist.name;
-      Alcotest.(check (array int)) "fanins" g.Circuit.Netlist.fanins g'.Circuit.Netlist.fanins)
-    nl.Circuit.Netlist.gates
-
-let test_entity_circuit_setup () =
-  let setup = Ssta.Experiment.setup_circuit (small_netlist ()) in
-  let setup' = roundtrip Entity.circuit_setup setup in
-  Alcotest.(check (array int)) "logic ids" setup.Ssta.Experiment.logic_ids
-    setup'.Ssta.Experiment.logic_ids;
-  Array.iteri
-    (fun i (p : Geometry.Point.t) ->
-      let p' = setup'.Ssta.Experiment.locations.(i) in
-      Alcotest.(check (float 0.0)) "x" p.Geometry.Point.x p'.Geometry.Point.x;
-      Alcotest.(check (float 0.0)) "y" p.Geometry.Point.y p'.Geometry.Point.y)
-    setup.Ssta.Experiment.locations
-
-let test_entity_sampler () =
-  let model = Kle.Model.create ~r:5 (small_solution ()) in
-  let setup = Ssta.Experiment.setup_circuit (small_netlist ()) in
-  let sampler = Kle.Sampler.create model setup.Ssta.Experiment.locations in
-  let sampler' = roundtrip Entity.sampler sampler in
-  check_mat "expansion" (Kle.Sampler.expansion sampler) (Kle.Sampler.expansion sampler')
-
 (* ---------- store ---------- *)
 
 let test_store_roundtrip_and_outcomes () =
   with_tmp_dir @@ fun dir ->
   let diag = Util.Diag.create () in
   let store = Store.open_ ~diag ~dir () in
-  let nl = small_netlist () in
-  Alcotest.(check bool) "absent" true (Store.get store Entity.netlist ~spec:"nl" = None);
-  let v, outcome = Store.find_or_add store Entity.netlist ~spec:"nl" (fun () -> nl) in
+  let k = paper_kernel () in
+  Alcotest.(check bool) "absent" true (Store.get store Entity.kernel ~spec:"k" = None);
+  let v, outcome = Store.find_or_add store Entity.kernel ~spec:"k" (fun () -> k) in
   Alcotest.(check bool) "miss outcome" true (outcome = `Miss);
-  Alcotest.(check string) "computed" nl.Circuit.Netlist.name v.Circuit.Netlist.name;
+  Alcotest.(check string) "computed" (Entity.kernel_spec k) (Entity.kernel_spec v);
   let v, outcome =
-    Store.find_or_add store Entity.netlist ~spec:"nl" (fun () ->
+    Store.find_or_add store Entity.kernel ~spec:"k" (fun () ->
         Alcotest.fail "must not recompute on hit")
   in
   Alcotest.(check bool) "hit outcome" true (outcome = `Hit);
-  Alcotest.(check string) "loaded" nl.Circuit.Netlist.name v.Circuit.Netlist.name;
+  Alcotest.(check string) "loaded" (Entity.kernel_spec k) (Entity.kernel_spec v);
   let stats = Store.stats store in
   Alcotest.(check int) "one write" 1 stats.Store.writes;
   Alcotest.(check int) "one entry" 1 stats.Store.entries;
   Alcotest.(check int) "no diagnostics" 0 (Util.Diag.count diag)
+
+(* [offset] counts back from the last byte: an entry ends with its 8-byte
+   checksum, and offsets 8..16 land in the 9-byte payload of a kernel with
+   one parameter, so [payload_byte] corrupts the payload itself *)
+let payload_byte = 10
 
 let flip_byte path offset =
   let ic = open_in_bin path in
@@ -237,25 +196,25 @@ let test_store_corrupt_entry_falls_back () =
   with_tmp_dir @@ fun dir ->
   let diag = Util.Diag.create () in
   let store = Store.open_ ~diag ~dir () in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"nl" nl;
-  let path = Store.path store Entity.netlist ~spec:"nl" in
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"k" k;
+  let path = Store.path store Entity.kernel ~spec:"k" in
   (* flip a payload byte: the checksum must catch it *)
-  flip_byte path 20;
+  flip_byte path payload_byte;
   let recomputed = ref false in
   let v, outcome =
-    Store.find_or_add store Entity.netlist ~spec:"nl" (fun () ->
+    Store.find_or_add store Entity.kernel ~spec:"k" (fun () ->
         recomputed := true;
-        nl)
+        k)
   in
   Alcotest.(check bool) "recovered outcome" true (outcome = `Recovered);
   Alcotest.(check bool) "recomputed" true !recomputed;
-  Alcotest.(check string) "value" nl.Circuit.Netlist.name v.Circuit.Netlist.name;
+  Alcotest.(check string) "value" (Entity.kernel_spec k) (Entity.kernel_spec v);
   Alcotest.(check int) "degraded-fallback warning" 1
     (Util.Diag.count ~min_severity:Util.Diag.Warning ~code:`Degraded_fallback diag);
   (* the recompute path re-wrote the entry, so the next read is a hit *)
   let _, outcome =
-    Store.find_or_add store Entity.netlist ~spec:"nl" (fun () -> Alcotest.fail "hit expected")
+    Store.find_or_add store Entity.kernel ~spec:"k" (fun () -> Alcotest.fail "hit expected")
   in
   Alcotest.(check bool) "hit after repair" true (outcome = `Hit)
 
@@ -263,14 +222,14 @@ let test_store_truncated_entry_falls_back () =
   with_tmp_dir @@ fun dir ->
   let diag = Util.Diag.create () in
   let store = Store.open_ ~diag ~dir () in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"nl" nl;
-  let path = Store.path store Entity.netlist ~spec:"nl" in
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"k" k;
+  let path = Store.path store Entity.kernel ~spec:"k" in
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic / 2) in
   close_in ic;
   Util.Fileio.write_atomic path data;
-  Alcotest.(check bool) "corrupt -> None" true (Store.get store Entity.netlist ~spec:"nl" = None);
+  Alcotest.(check bool) "corrupt -> None" true (Store.get store Entity.kernel ~spec:"k" = None);
   Alcotest.(check bool) "corrupt file removed" false (Sys.file_exists path);
   Alcotest.(check int) "warning recorded" 1
     (Util.Diag.count ~min_severity:Util.Diag.Warning ~code:`Degraded_fallback diag)
@@ -279,15 +238,15 @@ let test_store_stale_version_falls_back () =
   with_tmp_dir @@ fun dir ->
   let diag = Util.Diag.create () in
   let store = Store.open_ ~diag ~dir () in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"nl" nl;
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"k" k;
   (* the same entry read through a bumped codec version is stale, not corrupt *)
-  let bumped = { Entity.netlist with Entity.version = Entity.netlist.Entity.version + 1 } in
+  let bumped = { Entity.kernel with Entity.version = Entity.kernel.Entity.version + 1 } in
   let recomputed = ref false in
   let _, outcome =
-    Store.find_or_add store bumped ~spec:"nl" (fun () ->
+    Store.find_or_add store bumped ~spec:"k" (fun () ->
         recomputed := true;
-        nl)
+        k)
   in
   Alcotest.(check bool) "recovered" true (outcome = `Recovered);
   Alcotest.(check bool) "recomputed" true !recomputed;
@@ -298,19 +257,19 @@ let test_store_stale_version_falls_back () =
 let test_store_spec_collision_is_safe () =
   with_tmp_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"spec-a" nl;
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"spec-a" k;
   (* forge a colliding file: same path as another spec would never happen
      with fnv64, so simulate by copying the entry to spec-b's path *)
-  let a = Store.path store Entity.netlist ~spec:"spec-a" in
-  let b = Store.path store Entity.netlist ~spec:"spec-b" in
+  let a = Store.path store Entity.kernel ~spec:"spec-a" in
+  let b = Store.path store Entity.kernel ~spec:"spec-b" in
   let ic = open_in_bin a in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Util.Fileio.write_atomic b data;
   (* the stored spec string no longer matches: must not be served *)
   Alcotest.(check bool) "collision not served" true
-    (Store.get store Entity.netlist ~spec:"spec-b" = None)
+    (Store.get store Entity.kernel ~spec:"spec-b" = None)
 
 (* ---------- deterministic I/O fault injection ---------- *)
 
@@ -324,18 +283,18 @@ let test_store_injected_read_error () =
       ~io_faults:[ Util.Fault.io_plan ~limit:1 Util.Fault.Read_error ]
       ~dir ()
   in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"nl" nl;
-  let path = Store.path store Entity.netlist ~spec:"nl" in
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"k" k;
+  let path = Store.path store Entity.kernel ~spec:"k" in
   Alcotest.(check bool) "failed read is a miss" true
-    (Store.get store Entity.netlist ~spec:"nl" = None);
+    (Store.get store Entity.kernel ~spec:"k" = None);
   Alcotest.(check bool) "file survives the read failure" true (Sys.file_exists path);
   Alcotest.(check int) "read_failures counted" 1 (Store.stats store).Store.read_failures;
   Alcotest.(check bool) "fault event recorded" true
     (Util.Diag.count ~code:`Fault_injected diag >= 1);
   (* the plan is exhausted: the intact entry is served again *)
   Alcotest.(check bool) "served once the fault clears" true
-    (Store.get store Entity.netlist ~spec:"nl" <> None)
+    (Store.get store Entity.kernel ~spec:"k" <> None)
 
 (* a short read yields a truncated image: detected as corrupt by the
    checksum, deleted, recomputed *)
@@ -347,11 +306,11 @@ let test_store_injected_short_read () =
       ~io_faults:[ Util.Fault.io_plan ~limit:1 Util.Fault.Short_read ]
       ~dir ()
   in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"nl" nl;
-  let path = Store.path store Entity.netlist ~spec:"nl" in
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"k" k;
+  let path = Store.path store Entity.kernel ~spec:"k" in
   Alcotest.(check bool) "short read detected as corrupt" true
-    (Store.get store Entity.netlist ~spec:"nl" = None);
+    (Store.get store Entity.kernel ~spec:"k" = None);
   Alcotest.(check bool) "corrupt image removed" false (Sys.file_exists path)
 
 (* a torn write lands a prefix at the final path (bypassing the atomic
@@ -364,21 +323,21 @@ let test_store_injected_torn_write () =
       ~io_faults:[ Util.Fault.io_plan ~limit:1 Util.Fault.Torn_write ]
       ~dir ()
   in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"nl" nl;
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"k" k;
   Alcotest.(check bool) "torn prefix landed" true
-    (Sys.file_exists (Store.path store Entity.netlist ~spec:"nl"));
+    (Sys.file_exists (Store.path store Entity.kernel ~spec:"k"));
   let recomputed = ref false in
   let _, outcome =
-    Store.find_or_add store Entity.netlist ~spec:"nl" (fun () ->
+    Store.find_or_add store Entity.kernel ~spec:"k" (fun () ->
         recomputed := true;
-        nl)
+        k)
   in
   Alcotest.(check bool) "recovered" true (outcome = `Recovered);
   Alcotest.(check bool) "recomputed" true !recomputed;
   (* the clean re-write (plan exhausted) is a hit afterwards *)
   let _, outcome =
-    Store.find_or_add store Entity.netlist ~spec:"nl" (fun () -> Alcotest.fail "hit expected")
+    Store.find_or_add store Entity.kernel ~spec:"k" (fun () -> Alcotest.fail "hit expected")
   in
   Alcotest.(check bool) "hit after recovery" true (outcome = `Hit)
 
@@ -392,10 +351,10 @@ let test_store_injected_latency () =
       ~io_faults:[ Util.Fault.io_plan ~period:1 ~limit:2 (Util.Fault.Latency 1.0) ]
       ~dir ()
   in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"nl" nl;
-  (match Store.get store Entity.netlist ~spec:"nl" with
-  | Some v -> Alcotest.(check string) "value intact" nl.Circuit.Netlist.name v.Circuit.Netlist.name
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"k" k;
+  (match Store.get store Entity.kernel ~spec:"k" with
+  | Some v -> Alcotest.(check string) "value intact" (Entity.kernel_spec k) (Entity.kernel_spec v)
   | None -> Alcotest.fail "latency must not lose the entry");
   Alcotest.(check int) "both firings recorded" 2 (Util.Diag.count ~code:`Fault_injected diag)
 
@@ -406,15 +365,15 @@ let write_raw path data = Util.Fileio.write_atomic path data
 let test_store_fsck_classification () =
   with_tmp_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"good" nl;
-  Store.put store Entity.netlist ~spec:"bad" nl;
-  flip_byte (Store.path store Entity.netlist ~spec:"bad") 20;
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"good" k;
+  Store.put store Entity.kernel ~spec:"bad" k;
+  flip_byte (Store.path store Entity.kernel ~spec:"bad") payload_byte;
   (* a stale entry: same codec, bumped entity version *)
-  let bumped = { Entity.netlist with Entity.version = Entity.netlist.Entity.version + 1 } in
-  Store.put store bumped ~spec:"old" nl;
+  let bumped = { Entity.kernel with Entity.version = Entity.kernel.Entity.version + 1 } in
+  Store.put store bumped ~spec:"old" k;
   (* an orphaned atomic-write temporary *)
-  write_raw (Filename.concat dir "netlist-deadbeef.bin.tmp.123.4") "partial";
+  write_raw (Filename.concat dir "kernel-deadbeef.bin.tmp.123.4") "partial";
   let diag = Util.Diag.create () in
   let r = Store.fsck ~diag ~dir () in
   Alcotest.(check int) "scanned" 3 r.Store.scanned;
@@ -430,24 +389,24 @@ let test_store_fsck_classification () =
 let test_store_fsck_repair () =
   with_tmp_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"good" nl;
-  Store.put store Entity.netlist ~spec:"bad" nl;
-  flip_byte (Store.path store Entity.netlist ~spec:"bad") 20;
-  let bumped = { Entity.netlist with Entity.version = Entity.netlist.Entity.version + 1 } in
-  Store.put store bumped ~spec:"old" nl;
-  write_raw (Filename.concat dir "netlist-deadbeef.bin.tmp.123.4") "partial";
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"good" k;
+  Store.put store Entity.kernel ~spec:"bad" k;
+  flip_byte (Store.path store Entity.kernel ~spec:"bad") payload_byte;
+  let bumped = { Entity.kernel with Entity.version = Entity.kernel.Entity.version + 1 } in
+  Store.put store bumped ~spec:"old" k;
+  write_raw (Filename.concat dir "kernel-deadbeef.bin.tmp.123.4") "partial";
   let r = Store.fsck ~repair:true ~dir () in
   Alcotest.(check int) "corrupt found" 1 r.Store.corrupt;
   Alcotest.(check int) "tmp swept" 1 r.Store.tmp_files;
   (* repair removes the corrupt entry and the orphan; the good entry stays
      and the stale one is left to self-heal on next access *)
   Alcotest.(check bool) "corrupt gone" false
-    (Sys.file_exists (Store.path store Entity.netlist ~spec:"bad"));
+    (Sys.file_exists (Store.path store Entity.kernel ~spec:"bad"));
   Alcotest.(check bool) "good kept" true
-    (Sys.file_exists (Store.path store Entity.netlist ~spec:"good"));
+    (Sys.file_exists (Store.path store Entity.kernel ~spec:"good"));
   Alcotest.(check bool) "stale kept" true
-    (Sys.file_exists (Store.path store Entity.netlist ~spec:"old"));
+    (Sys.file_exists (Store.path store Entity.kernel ~spec:"old"));
   Alcotest.(check int) "two files remain" 2 (Array.length (Sys.readdir dir));
   (* idempotent: a second repair finds a clean store *)
   let r2 = Store.fsck ~repair:true ~dir () in
@@ -456,9 +415,9 @@ let test_store_fsck_repair () =
 let test_store_fsck_gc_oldest_first () =
   with_tmp_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  let nl = small_netlist () in
-  List.iter (fun spec -> Store.put store Entity.netlist ~spec nl) [ "a"; "b"; "c" ];
-  let path spec = Store.path store Entity.netlist ~spec in
+  let k = paper_kernel () in
+  List.iter (fun spec -> Store.put store Entity.kernel ~spec k) [ "a"; "b"; "c" ];
+  let path spec = Store.path store Entity.kernel ~spec in
   let size = (Unix.stat (path "a")).Unix.st_size in
   (* pin distinct mtimes: a oldest, c newest *)
   List.iteri
@@ -475,44 +434,48 @@ let test_store_fsck_gc_oldest_first () =
   Alcotest.(check bool) "bytes_after under cap" true (r.Store.bytes_after <= 2 * size);
   (* dry run projects the same eviction without deleting *)
   let store2 = Store.open_ ~dir () in
-  Store.put store2 Entity.netlist ~spec:"a" nl;
+  Store.put store2 Entity.kernel ~spec:"a" k;
   Unix.utimes (path "a") 1.0 1.0;
   let dry = Store.fsck ~max_bytes:(2 * size) ~dir () in
   Alcotest.(check int) "dry-run projects eviction" 1 dry.Store.gc_evicted;
   Alcotest.(check bool) "dry run deletes nothing" true (Sys.file_exists (path "a"))
 
 (* entries of kinds no build reads any more (hierarchical block macros,
-   stitched results, dependency edges) never self-heal: fsck counts them as
+   stitched results, dependency edges, circuit setups, netlists, prepared
+   samplers) never self-heal: fsck counts them as
    retired, a dry run reports them as problems (so `ssta_serve --fsck`
    exits 1) and --repair reclaims them *)
 let test_store_fsck_retired_kinds () =
   with_tmp_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  let nl = small_netlist () in
-  Store.put store Entity.netlist ~spec:"good" nl;
+  let k = paper_kernel () in
+  Store.put store Entity.kernel ~spec:"good" k;
   let retired kind : string Entity.t =
     { Entity.kind; version = 1; encode = Codec.write_string; decode = Codec.read_string }
   in
-  let kinds = [ "hier-macro"; "hier-stitch"; "dep-edges" ] in
+  let kinds =
+    [ "hier-macro"; "hier-stitch"; "dep-edges"; "circuit-setup"; "netlist"; "kle-sampler" ]
+  in
+  let n = List.length kinds in
   List.iter (fun kind -> Store.put store (retired kind) ~spec:kind "payload") kinds;
   let exists kind = Sys.file_exists (Store.path store (retired kind) ~spec:kind) in
-  let good_bytes = (Unix.stat (Store.path store Entity.netlist ~spec:"good")).Unix.st_size in
+  let good_bytes = (Unix.stat (Store.path store Entity.kernel ~spec:"good")).Unix.st_size in
   let diag = Util.Diag.create () in
   let dry = Store.fsck ~diag ~dir () in
-  Alcotest.(check int) "scanned" 4 dry.Store.scanned;
+  Alcotest.(check int) "scanned" (n + 1) dry.Store.scanned;
   Alcotest.(check int) "ok" 1 dry.Store.ok;
-  Alcotest.(check int) "retired kinds counted" 3 dry.Store.retired;
+  Alcotest.(check int) "retired kinds counted" n dry.Store.retired;
   Alcotest.(check int) "retired kinds are not stale" 0 dry.Store.stale;
   Alcotest.(check int) "not corrupt" 0 dry.Store.corrupt;
-  Alcotest.(check int) "dry run finds problems" 3 (Store.fsck_problems dry);
-  Alcotest.(check int) "one event per retired entry" 3 (Util.Diag.count diag);
+  Alcotest.(check int) "dry run finds problems" n (Store.fsck_problems dry);
+  Alcotest.(check int) "one event per retired entry" n (Util.Diag.count diag);
   Alcotest.(check bool) "dry run deletes nothing" true (List.for_all exists kinds);
   Alcotest.(check int) "dry run projects the reclaim" good_bytes dry.Store.bytes_after;
   let r = Store.fsck ~repair:true ~dir () in
-  Alcotest.(check int) "repair: retired" 3 r.Store.retired;
+  Alcotest.(check int) "repair: retired" n r.Store.retired;
   Alcotest.(check bool) "retired entries removed" false (List.exists exists kinds);
   Alcotest.(check bool) "good kept" true
-    (Sys.file_exists (Store.path store Entity.netlist ~spec:"good"));
+    (Sys.file_exists (Store.path store Entity.kernel ~spec:"good"));
   let r2 = Store.fsck ~dir () in
   Alcotest.(check int) "second pass clean" 0
     (r2.Store.stale + r2.Store.retired + Store.fsck_problems r2)
@@ -522,22 +485,22 @@ let test_store_fsck_retired_kinds () =
    plain miss (recompute), never an error surfaced to the caller. *)
 let test_store_concurrent_corrupt_delete_race () =
   with_tmp_dir @@ fun dir ->
-  let nl = small_netlist () in
+  let k = paper_kernel () in
   for round = 0 to 9 do
     let store = Store.open_ ~dir () in
     let spec = Printf.sprintf "race-%d" round in
-    Store.put store Entity.netlist ~spec nl;
-    flip_byte (Store.path store Entity.netlist ~spec) 20;
+    Store.put store Entity.kernel ~spec k;
+    flip_byte (Store.path store Entity.kernel ~spec) payload_byte;
     let work () =
-      let v, outcome = Store.find_or_add store Entity.netlist ~spec (fun () -> nl) in
-      (v.Circuit.Netlist.name, outcome)
+      let v, outcome = Store.find_or_add store Entity.kernel ~spec (fun () -> k) in
+      (Entity.kernel_spec v, outcome)
     in
     let d = Domain.spawn work in
     let here = work () in
     let there = Domain.join d in
     List.iter
       (fun (name, outcome) ->
-        Alcotest.(check string) "value correct" nl.Circuit.Netlist.name name;
+        Alcotest.(check string) "value correct" (Entity.kernel_spec k) name;
         Alcotest.(check bool) "typed outcome" true
           (match outcome with `Recovered | `Miss | `Hit -> true))
       [ here; there ]
@@ -548,16 +511,7 @@ let test_store_concurrent_corrupt_delete_race () =
 let test_store_roundtrip_run_mc_bit_identical () =
   with_tmp_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  let setup_fresh = Ssta.Experiment.setup_circuit (small_netlist ()) in
-  let setup_loaded, _ =
-    Store.find_or_add store Entity.circuit_setup ~spec:"setup" (fun () ->
-        Ssta.Experiment.setup_circuit (small_netlist ()))
-  in
-  let setup_loaded, _ =
-    ignore setup_loaded;
-    Store.find_or_add store Entity.circuit_setup ~spec:"setup" (fun () ->
-        Alcotest.fail "setup must load from disk")
-  in
+  let setup = Ssta.Experiment.setup_circuit (small_netlist ()) in
   let model_fresh = Kle.Model.create ~r:8 (small_solution ()) in
   let model_loaded, _ =
     Store.find_or_add store Entity.model ~spec:"model" (fun () -> model_fresh)
@@ -567,7 +521,7 @@ let test_store_roundtrip_run_mc_bit_identical () =
     Store.find_or_add store Entity.model ~spec:"model" (fun () ->
         Alcotest.fail "model must load from disk")
   in
-  let run setup model ~jobs =
+  let run model ~jobs =
     let samplers =
       Array.init 4 (fun _ -> Kle.Sampler.create model setup.Ssta.Experiment.locations)
     in
@@ -576,8 +530,8 @@ let test_store_roundtrip_run_mc_bit_identical () =
   in
   List.iter
     (fun jobs ->
-      let fresh = run setup_fresh model_fresh ~jobs in
-      let loaded = run setup_loaded model_loaded ~jobs in
+      let fresh = run model_fresh ~jobs in
+      let loaded = run model_loaded ~jobs in
       let tag = Printf.sprintf "-j %d" jobs in
       Alcotest.(check int) (tag ^ " bits mean") 0
         (Int64.compare
@@ -608,7 +562,6 @@ let () =
     [
       ( "codec",
         [
-          Alcotest.test_case "signed varints" `Quick test_codec_ints;
           Alcotest.test_case "unsigned varints" `Quick test_codec_uints;
           Alcotest.test_case "floats bit-exact" `Quick test_codec_floats_bit_exact;
           Alcotest.test_case "strings/arrays/options" `Quick test_codec_strings_arrays_options;
@@ -621,9 +574,6 @@ let () =
           Alcotest.test_case "mesh" `Quick test_entity_mesh;
           Alcotest.test_case "solution + model" `Quick test_entity_solution_and_model;
           Alcotest.test_case "matrix dims overflow" `Quick test_entity_mat_dims_overflow;
-          Alcotest.test_case "netlist" `Quick test_entity_netlist;
-          Alcotest.test_case "circuit setup" `Quick test_entity_circuit_setup;
-          Alcotest.test_case "sampler" `Quick test_entity_sampler;
         ] );
       ( "store",
         [

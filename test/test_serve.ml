@@ -757,6 +757,73 @@ let test_server_stats_payload () =
   Alcotest.(check bool) "store absent without dir" true
     (match Jsonx.member "store" stats with Some Jsonx.Null | None -> true | _ -> false)
 
+(* ---------- the disk store holds KLE models only ---------- *)
+
+let with_store_dir f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kle-test-store.%d.%d" (Unix.getpid ()) (Random.int 1_000_000))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      try
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Unix.rmdir dir
+      with Sys_error _ | Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
+let store_config dir = { test_config with Server.store_dir = Some dir }
+
+let store_counter server name =
+  let stats = expect_ok (sync_call server {|{"id":5,"method":"stats"}|}) in
+  match Option.bind (Option.bind (Jsonx.member "store" stats) (Jsonx.member name)) Jsonx.as_int with
+  | Some v -> v
+  | None -> Alcotest.failf "stats carries no store.%s" name
+
+let only_models_on_disk dir =
+  Array.for_all
+    (fun f -> String.starts_with ~prefix:"kle-model-" f && Filename.check_suffix f ".bin")
+    (Sys.readdir dir)
+
+(* retime edits rebuild setups in memory and touch the disk not at all:
+   after the cold prepare's model write, the store neither writes nor grows *)
+let test_server_store_keeps_models_only () =
+  with_store_dir @@ fun dir ->
+  with_server ~config:(store_config dir) @@ fun server ->
+  ignore
+    (expect_ok
+       (sync_call server
+          (Printf.sprintf {|{"id":1,"method":"prepare","params":{"circuit":{"bench":"%s"}}}|}
+             (escape_bench tiny_bench))));
+  let writes = store_counter server "writes" and entries = store_counter server "entries" in
+  Alcotest.(check int) "the cold prepare wrote its model only" 1 writes;
+  List.iteri
+    (fun i edit -> ignore (expect_ok (sync_call server (retime_line ~id:(10 + i) ~edit ()))))
+    [ (2, "nor2"); (2, "and2"); (2, "or2"); (2, "xor2"); (2, "xnor2"); (3, "buf") ];
+  Alcotest.(check int) "no store writes across edits" writes (store_counter server "writes");
+  Alcotest.(check int) "no store growth across edits" entries (store_counter server "entries");
+  Alcotest.(check bool) "every entry is a KLE model" true (only_models_on_disk dir)
+
+(* a restarted server rebuilds the setup and loads the model from disk, and
+   answers with the first server's bits *)
+let test_server_warm_restart () =
+  with_store_dir @@ fun dir ->
+  let line = run_mc_line ~sampler:"kle" () in
+  let run () = with_server ~config:(store_config dir) (fun s -> expect_ok (sync_call s line)) in
+  let first = run () in
+  let second = run () in
+  let str payload k = Option.bind (Jsonx.member k payload) Jsonx.as_str in
+  let num payload k = Option.bind (Jsonx.member k payload) Jsonx.as_num in
+  Alcotest.(check (option string)) "cold models" (Some "miss") (str first "cache_models");
+  Alcotest.(check (option string)) "setup rebuilt" (Some "miss") (str second "cache_setup");
+  Alcotest.(check (option string)) "models from disk" (Some "hit-disk")
+    (str second "cache_models");
+  Alcotest.(check (option float_exact)) "worst_mean bits" (num first "worst_mean")
+    (num second "worst_mean");
+  Alcotest.(check (option float_exact)) "worst_sigma bits" (num first "worst_sigma")
+    (num second "worst_sigma");
+  Alcotest.(check bool) "every entry is a KLE model" true (only_models_on_disk dir)
+
 (* single-flight: workers racing the same cold key must compute it once.
    Four concurrent prepares of one circuit leave exactly two misses in the
    stats (circuit setup + KLE model) — without deduplication each racer
@@ -1340,10 +1407,6 @@ let test_server_concurrent_same_key_identity () =
    writes, latency; >= 50 injected) completes with zero wrong results,
    every failure typed, and the server back to healthy *)
 let test_server_chaos_invariants () =
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kle-test-chaos.%d" (Unix.getpid ()))
-  in
   let cfg =
     {
       Serve.Chaos.default_config with
@@ -1358,17 +1421,7 @@ let test_server_chaos_invariants () =
       latency_ms = 0.05;
     }
   in
-  let report =
-    Fun.protect
-      ~finally:(fun () ->
-        try
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat store_dir f))
-            (Sys.readdir store_dir);
-          Unix.rmdir store_dir
-        with Sys_error _ | Unix.Unix_error _ -> ())
-      (fun () -> Serve.Chaos.run ~store_dir cfg)
-  in
+  let report = with_store_dir (fun store_dir -> Serve.Chaos.run ~store_dir cfg) in
   Alcotest.(check bool)
     (Printf.sprintf "fault floor (got %d)" report.Serve.Chaos.faults_injected)
     true
@@ -1615,6 +1668,8 @@ let () =
           Alcotest.test_case "deadline exceeded" `Quick test_server_deadline_exceeded;
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
           Alcotest.test_case "stats payload" `Quick test_server_stats_payload;
+          Alcotest.test_case "store keeps models only" `Quick test_server_store_keeps_models_only;
+          Alcotest.test_case "warm restart loads models" `Quick test_server_warm_restart;
           Alcotest.test_case "single-flight dedup" `Quick test_server_single_flight;
           Alcotest.test_case "concurrent same-key identity" `Quick
             test_server_concurrent_same_key_identity;
