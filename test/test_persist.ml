@@ -75,6 +75,28 @@ let test_codec_corrupt_input () =
       ignore (Codec.read_u8 r);
       Codec.expect_end r)
 
+let test_codec_fixed64_u8_arrays () =
+  let w = Codec.writer () in
+  Codec.write_u8 w 0;
+  Codec.write_u8 w 255;
+  Codec.write_fixed64 w 0x0102030405060708L;
+  Codec.write_fixed64 w Int64.min_int;
+  Codec.write_array w Codec.write_string [| "a"; ""; "bc" |];
+  let bytes = Codec.contents w in
+  (* fixed64 is little-endian: the low byte comes first *)
+  Alcotest.(check char) "fixed64 low byte first" '\x08' bytes.[2];
+  let r = Codec.reader bytes in
+  Alcotest.(check int) "u8 0" 0 (Codec.read_u8 r);
+  Alcotest.(check int) "u8 255" 255 (Codec.read_u8 r);
+  Alcotest.(check int64) "fixed64" 0x0102030405060708L (Codec.read_fixed64 r);
+  Alcotest.(check int64) "fixed64 min_int" Int64.min_int (Codec.read_fixed64 r);
+  Alcotest.(check (array string)) "string array" [| "a"; ""; "bc" |]
+    (Codec.read_array r Codec.read_string);
+  Alcotest.(check int) "nothing remains" 0 (Codec.remaining r);
+  Codec.expect_end r;
+  Alcotest.check_raises "u8 out of range" (Invalid_argument "Codec.write_u8: out of range")
+    (fun () -> Codec.write_u8 (Codec.writer ()) 256)
+
 let test_fnv64 () =
   (* published FNV-1a 64 test vectors *)
   Alcotest.(check int64) "empty" 0xcbf29ce484222325L (Codec.fnv64 "");
@@ -566,6 +588,7 @@ let () =
           Alcotest.test_case "floats bit-exact" `Quick test_codec_floats_bit_exact;
           Alcotest.test_case "strings/arrays/options" `Quick test_codec_strings_arrays_options;
           Alcotest.test_case "corrupt input raises" `Quick test_codec_corrupt_input;
+          Alcotest.test_case "fixed64/u8/generic arrays" `Quick test_codec_fixed64_u8_arrays;
           Alcotest.test_case "fnv-1a 64 vectors" `Quick test_fnv64;
         ] );
       ( "entity",
