@@ -21,5 +21,13 @@ val build : ?die_size_mm:float -> Placer.placement -> t
 (** [build placement] computes per-net loads ([die_size_mm] defaults to
     1 mm — a small 90 nm test die). *)
 
+val with_netlist : t -> Netlist.t -> t
+(** [with_netlist t netlist] is [build] of [t]'s placement carrying
+    [netlist], a design with [t]'s gates and connectivity whose gate kinds
+    may differ: it recomputes only the pin loads of the nets that drive a
+    changed gate, with the same sums as [build], and keeps every wire.
+    Raises [Invalid_argument] when the gate count or a gate's fanins
+    differ. *)
+
 val c_load : t -> int -> float
 (** Total load on the net driven by gate [i]: wire + sink pins (fF). *)

@@ -56,11 +56,17 @@ type call =
       n_blocks : int option;
       edit : retime_edit option;
     }
-      (** Single-pass block SSTA ({!Ssta.Block_ssta.run}) of the circuit
-          after the optional one-gate [edit], with the cached KLE models.
-          [n_blocks] is validated ([>= 1]) and otherwise ignored: the whole
-          design is analysed flat, so the reply's [n_blocks],
-          [blocks_reused] and [blocks_recomputed] always read 1, 0 and 1. *)
+      (** Single-pass block SSTA of the circuit after the optional
+          one-gate [edit], with the cached KLE models. The unedited
+          design's flat analysis ({!Ssta.Block_ssta.analyse}) is kept in
+          memory as its parent state; an edit re-propagates only its cone
+          from it ({!Ssta.Block_ssta.rerun}), and the reply equals a flat
+          run of the edited design bit for bit. The reply's
+          [gates_recomputed] is the number of gates whose forms the answer
+          computed: every gate without an edit, the cone with one.
+          [n_blocks] is validated ([>= 1]) and otherwise ignored, so the
+          reply's [n_blocks], [blocks_reused] and [blocks_recomputed]
+          always read 1, 0 and 1. *)
   | Stats  (** server counters + cache and store statistics *)
   | Metrics
       (** telemetry snapshot: per-stage latency histograms + unified

@@ -36,6 +36,7 @@ let default_config =
 type artifact =
   | A_setup of Ssta.Experiment.circuit_setup
   | A_model of Kle.Model.t
+  | A_parent of Ssta.Block_ssta.parent
 
 type job = {
   request : Protocol.request;
@@ -103,6 +104,8 @@ let telemetry t = t.telemetry
 (* ---------------------------------------------------------------- *)
 (* cached artifact resolution *)
 
+exception Reject of Protocol.error_code * string
+
 type tier = Hit_mem | Hit_disk | Miss | Recovered
 
 let tier_name = function
@@ -125,11 +128,12 @@ let count_tier t tier =
 
 (* Per-domain cache-stage clock: [cached] accumulates its wall time here so
    the worker can split a request's execution into cache_lookup vs compute.
-   Each [cached] frame adds to [frame_ns] (no artifact's compute resolves
-   another artifact, so frames never nest), and every leader's [compute]
+   Each [cached] frame adds to [frame_ns], and every leader's [compute]
    body adds to [exclude_ns]; the worker reads
    cache_lookup = frame_ns - exclude_ns, so an eigensolve behind a cache
-   miss counts as compute, not as cache time. *)
+   miss counts as compute, not as cache time. A retime parent's compute
+   resolves its setup and models in nested frames, which lie inside the
+   excluded compute, so each lookup still counts its own overhead once. *)
 type cache_clock = { mutable frame_ns : int; mutable exclude_ns : int }
 
 let cache_clock_key = Domain.DLS.new_key (fun () -> { frame_ns = 0; exclude_ns = 0 })
@@ -205,57 +209,40 @@ let cached t ~key ?disk ~(inject : 'a -> artifact) ~(project : artifact -> 'a op
               count_tier t tier;
               (v, tier)))
 
+(* a circuit's cache token, known before its netlist is built *)
+let circuit_token = function
+  | Protocol.Named name -> Printf.sprintf "name=%s" name
+  | Protocol.Bench_text text -> "bench=" ^ Persist.Codec.fnv64_hex text
+
 let resolve_netlist circuit =
   match circuit with
   | Protocol.Named name -> (
       match Circuit.Generator.generate_paper name with
-      | netlist -> Ok (netlist, Printf.sprintf "name=%s" name)
+      | netlist -> Ok netlist
       | exception Not_found ->
           Error (Protocol.Netlist_error, Printf.sprintf "unknown circuit %S" name))
-  | Protocol.Bench_text text -> (
-      match Circuit.Bench_format.parse ~name:"inline" text with
-      | Ok netlist -> Ok (netlist, "bench=" ^ Persist.Codec.fnv64_hex text)
-      | Error msg -> Error (Protocol.Netlist_error, msg))
+  | Protocol.Bench_text text ->
+      Result.map_error
+        (fun msg -> (Protocol.Netlist_error, msg))
+        (Circuit.Bench_format.parse ~name:"inline" text)
 
-(* [edit] applies a one-gate kind swap before setup; the swap is folded
-   into the cache token so the edited setup is cached alongside (never
-   instead of) the baseline one. Setups live in the memory tier only: a
-   placement takes milliseconds, and a stored one would still have to
-   rebuild its wire loads and timer on load, so a disk entry would save
-   little once per restart while every new edit paid a write. *)
-let get_setup_edited t circuit edit =
+let setup_key t circuit =
+  Printf.sprintf "circuit(%s,placement_seed=%d)" (circuit_token circuit)
+    t.config.placement_seed
+
+(* Setups live in the memory tier only: a placement takes milliseconds,
+   and a stored one would still have to rebuild its wire loads and timer
+   on load, so a disk entry would save little once per restart. *)
+let get_setup t circuit =
   match resolve_netlist circuit with
   | Error _ as e -> e
-  | Ok (netlist, token) -> (
-      let edited =
-        match edit with
-        | None -> Ok (netlist, token)
-        | Some { Protocol.gate; kind } -> (
-            match Hier.Edit.kind_of_string kind with
-            | Error msg -> Error (Protocol.Bad_params, msg)
-            | Ok k -> (
-                match Hier.Edit.apply netlist { Hier.Edit.gate; kind = k } with
-                | Error msg -> Error (Protocol.Bad_params, msg)
-                | Ok edited ->
-                    Ok
-                      ( edited,
-                        Printf.sprintf "%s;edit=%d:%s" token gate
-                          (String.lowercase_ascii kind) )))
-      in
-      match edited with
-      | Error _ as e -> e
-      | Ok (netlist, token) ->
-          let key =
-            Printf.sprintf "circuit(%s,placement_seed=%d)" token t.config.placement_seed
-          in
-          Ok
-            (cached t ~key
-               ~inject:(fun s -> A_setup s)
-               ~project:(function A_setup s -> Some s | _ -> None)
-               (fun () ->
-                 Ssta.Experiment.setup_circuit ~placement_seed:t.config.placement_seed netlist)))
-
-let get_setup t circuit = get_setup_edited t circuit None
+  | Ok netlist ->
+      Ok
+        (cached t ~key:(setup_key t circuit)
+           ~inject:(fun s -> A_setup s)
+           ~project:(function A_setup s -> Some s | _ -> None)
+           (fun () ->
+             Ssta.Experiment.setup_circuit ~placement_seed:t.config.placement_seed netlist))
 
 (* the server's KLE config with the request's truncation *)
 let kle_config t ~r = { t.config.kle with Ssta.Algorithm2.r }
@@ -289,12 +276,44 @@ let get_models t process ~r =
   in
   (models, !tier)
 
+let process () = Ssta.Process.paper_default ()
+
+(* The parent state a [retime] edits: the unedited design's setup, its
+   block-SSTA context and every gate's forms, one memory entry per
+   (circuit token, placement seed, model specs). An edit derives its setup
+   and forms from it per request, in less time than a cache entry would
+   save, so edited designs never become entries and a stream of edits
+   leaves the cache as it found it. Also returns the tier of the models
+   when this request built the parent, [Hit_mem] otherwise. *)
+let get_parent t circuit ~r =
+  let process = process () in
+  let key =
+    Printf.sprintf "retime-parent(%s;%s)" (setup_key t circuit)
+      (String.concat ";"
+         (Array.to_list
+            (Array.map
+               (fun (p : Ssta.Process.parameter) -> model_spec t p.Ssta.Process.kernel ~r)
+               process.Ssta.Process.parameters)))
+  in
+  let model_tier = ref Hit_mem in
+  let parent, tier =
+    cached t ~key
+      ~inject:(fun p -> A_parent p)
+      ~project:(function A_parent p -> Some p | _ -> None)
+      (fun () ->
+        let setup =
+          match get_setup t circuit with
+          | Ok (setup, _) -> setup
+          | Error (code, msg) -> raise (Reject (code, msg))
+        in
+        let models, tier = get_models t process ~r in
+        model_tier := tier;
+        Ssta.Block_ssta.analyse setup ~models)
+  in
+  (parent, tier, !model_tier)
+
 (* ---------------------------------------------------------------- *)
 (* request execution *)
-
-exception Reject of Protocol.error_code * string
-
-let process () = Ssta.Process.paper_default ()
 
 (* The sampler a [run_mc] draws from, the seconds spent building its
    shared resources (Cholesky factor / KLE samplers) and the coldest cache
@@ -518,30 +537,50 @@ let execute t (request : Protocol.request) : Jsonx.t =
                 Jsonx.Num (float_of_int cmp.Ssta.Experiment.excluded_endpoints) );
               ("speedup", Jsonx.Num cmp.Ssta.Experiment.speedup);
             ])
-  | Protocol.Retime { circuit; r; n_blocks = _; edit } -> (
-      (* one flat single-pass analysis of the (edited) design. [n_blocks]
-         is ignored; the block keys stay in the reply for clients that read
+  | Protocol.Retime { circuit; r; n_blocks = _; edit } ->
+      (* the parent's own flat analysis, or an edit re-propagated over its
+         cone from the parent's forms; both equal a flat single-pass
+         analysis of the (edited) design bit for bit. [n_blocks] is
+         ignored; the block keys stay in the reply for clients that read
          them, with the whole design as its one, recomputed block *)
-      match get_setup_edited t circuit edit with
-      | Error (code, msg) -> raise (Reject (code, msg))
-      | Ok (setup, setup_tier) ->
-          let models, model_tier = get_models t (process ()) ~r in
-          let result = Ssta.Block_ssta.run setup ~models in
-          Jsonx.Obj
-            [
-              ("circuit", Jsonx.Str setup.Ssta.Experiment.netlist.Circuit.Netlist.name);
-              ("n_blocks", Jsonx.Num 1.0);
-              ("basis_dim", Jsonx.Num (float_of_int result.Ssta.Block_ssta.basis_dim));
-              ("worst_mean", Jsonx.Num (Ssta.Block_ssta.mean result));
-              ("worst_sigma", Jsonx.Num (Ssta.Block_ssta.sigma result));
-              ( "endpoints",
-                Jsonx.Num (float_of_int (Array.length result.Ssta.Block_ssta.endpoint_forms)) );
-              ("blocks_reused", Jsonx.Num 0.0);
-              ("blocks_recomputed", Jsonx.Num 1.0);
-              ("analysis_seconds", Jsonx.Num result.Ssta.Block_ssta.analysis_seconds);
-              ("cache_setup", Jsonx.Str (tier_name setup_tier));
-              ("cache_models", Jsonx.Str (tier_name model_tier));
-            ])
+      let bad_params = function
+        | Ok v -> v
+        | Error msg -> raise (Reject (Protocol.Bad_params, msg))
+      in
+      (* an unknown kind is refused before the parent is built *)
+      let swap =
+        Option.map
+          (fun { Protocol.gate; kind } ->
+            { Hier.Edit.gate; kind = bad_params (Hier.Edit.kind_of_string kind) })
+          edit
+      in
+      let parent, setup_tier, model_tier = get_parent t circuit ~r in
+      let result =
+        match swap with
+        | None -> parent.Ssta.Block_ssta.result
+        | Some swap ->
+            let setup = parent.Ssta.Block_ssta.setup in
+            let netlist = bad_params (Hier.Edit.apply setup.Ssta.Experiment.netlist swap) in
+            Ssta.Block_ssta.rerun parent (Ssta.Experiment.setup_edit setup netlist)
+      in
+      Jsonx.Obj
+        [
+          ( "circuit",
+            Jsonx.Str parent.Ssta.Block_ssta.setup.Ssta.Experiment.netlist.Circuit.Netlist.name );
+          ("n_blocks", Jsonx.Num 1.0);
+          ("basis_dim", Jsonx.Num (float_of_int result.Ssta.Block_ssta.basis_dim));
+          ("worst_mean", Jsonx.Num (Ssta.Block_ssta.mean result));
+          ("worst_sigma", Jsonx.Num (Ssta.Block_ssta.sigma result));
+          ( "endpoints",
+            Jsonx.Num (float_of_int (Array.length result.Ssta.Block_ssta.endpoint_forms)) );
+          ("blocks_reused", Jsonx.Num 0.0);
+          ("blocks_recomputed", Jsonx.Num 1.0);
+          ( "gates_recomputed",
+            Jsonx.Num (float_of_int result.Ssta.Block_ssta.gates_recomputed) );
+          ("analysis_seconds", Jsonx.Num result.Ssta.Block_ssta.analysis_seconds);
+          ("cache_setup", Jsonx.Str (tier_name setup_tier));
+          ("cache_models", Jsonx.Str (tier_name model_tier));
+        ]
   | Protocol.Stats -> stats_payload t
   | Protocol.Health -> health_payload t
   | Protocol.Metrics -> Telemetry.metrics_payload t.telemetry ~counters:(unified_counters t)

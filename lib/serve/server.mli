@@ -12,12 +12,15 @@
       monotonic deadline at submission and checked when a worker dequeues
       it; an expired request is answered [deadline_exceeded] without
       doing the work.
-    - {b Caching}: prepared artifacts (circuit setups, KLE models) are
-      served from an in-memory {!Lru}; KLE models, which cost seconds to
-      solve, also sit in the optional on-disk {!Persist.Store}, while a
-      setup (milliseconds) is rebuilt after a restart. Responses report
+    - {b Caching}: prepared artifacts (circuit setups, KLE models, and
+      each retimed design's parent state: its setup, expansion rows and
+      per-gate forms) are served from an in-memory {!Lru}; KLE models,
+      which cost seconds to solve, also sit in the optional on-disk
+      {!Persist.Store}, while a setup or parent state (milliseconds) is
+      rebuilt after a restart. A [retime] edit re-propagates its cone
+      from the parent state and is never cached itself. Responses report
       which tier answered ([hit-mem] / [hit-disk] / [miss] / [recovered];
-      a setup is only ever [hit-mem] or [miss]).
+      a setup or parent state is only ever [hit-mem] or [miss]).
     - {b Draining}: {!begin_drain} stops intake (new submissions are
       answered [shutting_down]) while queued requests still complete;
       {!drain} additionally joins the workers. A [shutdown] request

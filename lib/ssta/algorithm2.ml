@@ -61,8 +61,20 @@ let model ?(config = paper_config) ?mesh:m ?diag ?jobs kernel =
       in
       climb (min first_rung cap)
 
+(* one sampler per physically distinct model, the model cache's rule in
+   [prepare]: the paper process gives all four parameters one model, and a
+   sampler is immutable, so sharing it changes no result *)
 let samplers_of ?diag models locations =
-  Array.map (fun m -> Kle.Sampler.create ?diag m locations) models
+  let made = ref [] in
+  Array.map
+    (fun m ->
+      match List.assq_opt m !made with
+      | Some s -> s
+      | None ->
+          let s = Kle.Sampler.create ?diag m locations in
+          made := (m, s) :: !made;
+          s)
+    models
 
 let of_models ?diag models locations =
   { samplers = samplers_of ?diag models locations; models; setup_seconds = 0.0 }

@@ -63,6 +63,13 @@ val prepare :
     semantics); results do not depend on it. Solver fallbacks (Lanczos → dense) and boundary
     clamps in the expansion setup are reported into [diag]. *)
 
+val samplers_of :
+  ?diag:Util.Diag.sink -> Kle.Model.t array -> Geometry.Point.t array -> Kle.Sampler.t array
+(** [samplers_of models locations] is one sampler per parameter, built once
+    per physically distinct model ([==]) and shared by the parameters that
+    use it: samplers are immutable, so the sharing changes no result.
+    Boundary clamps go to [diag], once per distinct model. *)
+
 val of_models : ?diag:Util.Diag.sink -> Kle.Model.t array -> Geometry.Point.t array -> t
 (** [of_models models locations] builds the per-location expansion
     matrices of models already built (one per parameter, as {!models}

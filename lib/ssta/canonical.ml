@@ -15,26 +15,36 @@ let make ~mean ~sens ~indep =
 let check_dims a b =
   if dim a <> dim b then invalid_arg "Canonical: basis dimension mismatch"
 
+(* The loops below write fresh output arrays and never update an input:
+   block SSTA shares one form's [sens] among several forms, and an edit's
+   re-analysis shares its parent's forms across requests and domains. *)
 let add a b =
   check_dims a b;
+  let sens = Array.create_float (dim a) in
+  for i = 0 to dim a - 1 do
+    Array.unsafe_set sens i (Array.unsafe_get a.sens i +. Array.unsafe_get b.sens i)
+  done;
   {
     mean = a.mean +. b.mean;
-    sens = Array.init (dim a) (fun i -> a.sens.(i) +. b.sens.(i));
+    sens;
     indep = sqrt ((a.indep *. a.indep) +. (b.indep *. b.indep));
   }
 
 let add_constant a c = { a with mean = a.mean +. c }
 
 let scale s a =
-  {
-    mean = s *. a.mean;
-    sens = Array.map (fun v -> s *. v) a.sens;
-    indep = Float.abs s *. a.indep;
-  }
+  let sens = Array.create_float (dim a) in
+  for i = 0 to dim a - 1 do
+    Array.unsafe_set sens i (s *. Array.unsafe_get a.sens i)
+  done;
+  { mean = s *. a.mean; sens; indep = Float.abs s *. a.indep }
 
 let variance t =
   let acc = ref (t.indep *. t.indep) in
-  Array.iter (fun s -> acc := !acc +. (s *. s)) t.sens;
+  for i = 0 to dim t - 1 do
+    let s = Array.unsafe_get t.sens i in
+    acc := !acc +. (s *. s)
+  done;
   !acc
 
 let sigma t = sqrt (variance t)
@@ -79,11 +89,14 @@ let max_clark a b =
     let var_max = Float.max 0.0 (second_moment -. (mean *. mean)) in
     (* tightness-weighted sensitivities preserve covariances with the basis:
        Cov(max, xi_i) = phi_a Cov(a, xi_i) + phi_b Cov(b, xi_i) *)
-    let sens =
-      Array.init (dim a) (fun i -> (phi_a *. a.sens.(i)) +. (phi_b *. b.sens.(i)))
-    in
-    let shared = Array.fold_left (fun acc s -> acc +. (s *. s)) 0.0 sens in
-    let indep = sqrt (Float.max 0.0 (var_max -. shared)) in
+    let sens = Array.create_float (dim a) in
+    let shared = ref 0.0 in
+    for i = 0 to dim a - 1 do
+      let s = (phi_a *. Array.unsafe_get a.sens i) +. (phi_b *. Array.unsafe_get b.sens i) in
+      Array.unsafe_set sens i s;
+      shared := !shared +. (s *. s)
+    done;
+    let indep = sqrt (Float.max 0.0 (var_max -. !shared)) in
     { mean; sens; indep }
   end
 

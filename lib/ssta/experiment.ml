@@ -17,6 +17,15 @@ let setup_circuit ?(placement_seed = 1) netlist =
   let locations = Array.map (fun i -> placement.Circuit.Placer.locations.(i)) logic_ids in
   { netlist; placement; sta; logic_ids; locations }
 
+let setup_edit setup netlist =
+  Util.Trace.with_span "experiment.setup_edit" @@ fun () ->
+  let sta =
+    Sta.Timing.with_wireload setup.sta
+      (Circuit.Wireload.with_netlist setup.sta.Sta.Timing.wireload netlist)
+  in
+  let placement = sta.Sta.Timing.wireload.Circuit.Wireload.placement in
+  { setup with netlist; placement; sta }
+
 type sampler = Prng.Rng.t -> n:int -> Linalg.Mat.t array
 
 type nonfinite_policy = Fail | Skip

@@ -16,6 +16,17 @@ val setup_circuit : ?placement_seed:int -> Circuit.Netlist.t -> circuit_setup
     logic-gate locations that the spatial samplers operate on, under the
     span [experiment.setup_circuit]. *)
 
+val setup_edit : circuit_setup -> Circuit.Netlist.t -> circuit_setup
+(** [setup_edit setup netlist] is the setup of [netlist], a logic kind
+    swap of [setup]'s design with the same gates and connectivity, on
+    [setup]'s placement: it recomputes only the pin loads of the nets that
+    drive a swapped gate ({!Circuit.Wireload.with_netlist},
+    {!Sta.Timing.with_wireload}) and keeps everything else.
+    {!Circuit.Placer.place} reads no gate kind, so the result equals
+    [setup_circuit netlist] at [setup]'s placement seed. Runs under the
+    span [experiment.setup_edit]; raises [Invalid_argument] when
+    [netlist] is no such swap. *)
+
 type sampler = Prng.Rng.t -> n:int -> Linalg.Mat.t array
 (** Produces, for a batch of [n] Monte Carlo samples, one [n x N_g] matrix
     per statistical parameter (values for the [logic_ids] gates, in order). *)

@@ -58,6 +58,20 @@ let prepare (wireload : Wireload.t) =
     c_loads = Array.init n (Wireload.c_load wireload);
   }
 
+(* Order and endpoints follow the connectivity and which gates are
+   sources (inputs and DFFs), so a logic kind swap keeps both. *)
+let with_wireload p (wireload : Wireload.t) =
+  let role (g : Netlist.gate) =
+    match g.Netlist.kind with Gate.Input -> Primary | Gate.Dff -> Launch | _ -> Logic
+  in
+  let gates = wireload.Wireload.placement.Circuit.Placer.netlist.Netlist.gates in
+  let old = p.wireload.Wireload.placement.Circuit.Placer.netlist.Netlist.gates in
+  if
+    Array.length gates <> Array.length old
+    || not (Array.for_all2 (fun g o -> role g = role o) gates old)
+  then invalid_arg "Timing.with_wireload: the source gates differ";
+  { p with wireload; c_loads = Array.init (Array.length gates) (Wireload.c_load wireload) }
+
 let logic_ids p =
   p.wireload.Wireload.placement.Circuit.Placer.netlist.Netlist.gates |> Array.to_seq
   |> Seq.filter_map (fun (g : Netlist.gate) ->

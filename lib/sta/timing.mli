@@ -17,6 +17,14 @@ type prepared = {
 val prepare : Circuit.Wireload.t -> prepared
 (** Precompute everything that does not depend on parameter values. *)
 
+val with_wireload : prepared -> Circuit.Wireload.t -> prepared
+(** [with_wireload p wireload] is [prepare wireload] for a wire-load model
+    of [p]'s design after a logic kind swap (as
+    {!Circuit.Wireload.with_netlist} builds it): the same connectivity and
+    source gates keep the order and endpoints, and only the loads are
+    recomputed. Raises [Invalid_argument] when the gate count differs or
+    a gate changed between input, DFF and logic. *)
+
 val logic_ids : prepared -> int array
 (** Ids of the non-[Input] gates, ascending: entry [c] is the gate whose
     parameters sit in column [c] of the rows {!eval} reads. *)

@@ -66,6 +66,7 @@ let aca_rank_sum = counter "aca_rank_sum"
 let htree_nodes = counter "htree_nodes"
 let hmatrix_near_blocks = counter "hmatrix_near_blocks"
 let hmatrix_far_blocks = counter "hmatrix_far_blocks"
+let gates_recomputed = counter "gates_recomputed"
 
 (* GC gauge baseline: words at the last enable/reset. *)
 let gc_base = Atomic.make (0.0, 0.0, 0.0)

@@ -126,6 +126,10 @@ val hmatrix_near_blocks : counter
 val hmatrix_far_blocks : counter
 (** Low-rank far-field blocks in built hierarchical operators. *)
 
+val gates_recomputed : counter
+(** Gates whose arrival and slew forms block SSTA computed: every gate of a
+    flat pass, the edit's cone in a re-analysis. *)
+
 (** {1 Aggregation and export} *)
 
 type node = {

@@ -652,6 +652,80 @@ let test_server_retime_equals_flat () =
   with_server @@ fun server ->
   QCheck.Test.check_exn ~rand:(Random.State.make [| 24 |]) (prop_retime_equals_flat server)
 
+(* one design retimed 24 times with its parent state warm: twenty distinct
+   edits, one of them repeated, and the unedited design in between. Every
+   reply equals the flat run of its design bit for bit, the parent answers
+   from memory, and the edits add no cache entry. *)
+let test_server_retime_warm_stream () =
+  with_server @@ fun server ->
+  let netlist =
+    Circuit.Generator.generate
+      { Circuit.Generator.name = "stream"; n_gates = 60; n_inputs = 6; n_outputs = 4;
+        dff_fraction = 0.15; seed = 5 }
+  in
+  let text = Circuit.Bench_format.print netlist in
+  let parsed = Result.get_ok (Circuit.Bench_format.parse ~name:"inline" text) in
+  let n_gates = Circuit.Netlist.size parsed in
+  let swaps =
+    List.filter_map
+      (fun (g : Circuit.Netlist.gate) ->
+        let swap kind = Some { Hier.Edit.gate = g.Circuit.Netlist.id; kind } in
+        match g.Circuit.Netlist.kind with
+        | Circuit.Gate.Inv -> swap Circuit.Gate.Buf
+        | Circuit.Gate.Buf -> swap Circuit.Gate.Inv
+        | Circuit.Gate.Input | Circuit.Gate.Dff -> None
+        | Circuit.Gate.Xor2 -> swap Circuit.Gate.Nand2
+        | _ -> swap Circuit.Gate.Xor2)
+      (Array.to_list parsed.Circuit.Netlist.gates)
+  in
+  Alcotest.(check bool) "twenty distinct edits" true (List.length swaps >= 20);
+  let distinct = List.filteri (fun i _ -> i < 20) swaps in
+  let first = List.hd distinct in
+  let stream =
+    [ None ]
+    @ List.map Option.some (List.filteri (fun i _ -> i < 10) distinct)
+    @ [ None; Some first ]
+    @ List.map Option.some (List.filteri (fun i _ -> i >= 10) distinct)
+    @ [ None ]
+  in
+  let lru_entries () =
+    let stats = expect_ok (sync_call server {|{"id":9,"method":"stats"}|}) in
+    Option.bind (Option.bind (Jsonx.member "lru" stats) (Jsonx.member "entries")) Jsonx.as_int
+  in
+  let str payload k = Option.bind (Jsonx.member k payload) Jsonx.as_str in
+  let int payload k = Option.bind (Jsonx.member k payload) Jsonx.as_int in
+  let entries = ref None in
+  List.iteri
+    (fun i edit ->
+      let edit_field =
+        match edit with
+        | None -> ""
+        | Some e ->
+            Printf.sprintf {|,"edit":{"gate":%d,"kind":"%s"}|} e.Hier.Edit.gate
+              (Hier.Edit.kind_to_string e.Hier.Edit.kind)
+      in
+      let payload =
+        expect_ok
+          (sync_call server
+             (Printf.sprintf {|{"id":%d,"method":"retime","params":{"circuit":{"bench":"%s"}%s}}|}
+                (i + 1) (escape_bench text) edit_field))
+      in
+      let label = Printf.sprintf "request %d" i in
+      Alcotest.(check bool) (label ^ " = flat run") true
+        (retime_matches_flat payload (flat_retime ?edit text));
+      (match (edit, int payload "gates_recomputed") with
+      | None, Some n -> Alcotest.(check int) (label ^ " recomputes every gate") n_gates n
+      | Some _, Some n ->
+          Alcotest.(check bool) (label ^ " recomputes a cone") true (n > 0 && n <= n_gates)
+      | _, None -> Alcotest.fail (label ^ " has no gates_recomputed"));
+      if i = 0 then entries := lru_entries ()
+      else begin
+        Alcotest.(check (option string)) (label ^ " parent from memory") (Some "hit-mem")
+          (str payload "cache_setup");
+        Alcotest.(check (option int)) (label ^ " adds no cache entry") !entries (lru_entries ())
+      end)
+    stream
+
 let test_server_overload_backpressure () =
   let config = { test_config with Server.workers = 1; Server.queue_capacity = 1 } in
   let server = Server.create config in
@@ -1678,6 +1752,7 @@ let () =
             test_server_model_matches_prepare;
           Alcotest.test_case "reply failure survives" `Quick
             test_server_reply_failure_survives;
+          Alcotest.test_case "retime warm stream" `Quick test_server_retime_warm_stream;
         ] );
       ( "telemetry",
         [

@@ -928,6 +928,192 @@ let test_clark_max_many_permutation_stable () =
     (Float.abs (Ssta.Canonical.sigma tree -. Ssta.Canonical.sigma base)
     < 0.05 *. Ssta.Canonical.sigma base)
 
+(* A digest of every endpoint form's mean, indep and sens bits. *)
+let forms_digest (forms : Ssta.Canonical.t array) =
+  let b = Buffer.create 4096 in
+  let add v = Buffer.add_int64_le b (Int64.bits_of_float v) in
+  Array.iter
+    (fun (f : Ssta.Canonical.t) ->
+      add f.Ssta.Canonical.mean;
+      add f.Ssta.Canonical.indep;
+      Array.iter add f.Ssta.Canonical.sens)
+    forms;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* [Block_ssta.run] pinned to its bits: worst mean and sigma as %h and a
+   digest of every endpoint form, on c880 and on a generated netlist with
+   DFFs, both under [fast_config]'s models *)
+let test_block_ssta_golden () =
+  let models = Ssta.Algorithm2.models (Lazy.force a2_fixture) in
+  let pin label netlist ~mean ~sigma ~digest =
+    let blk = Ssta.Block_ssta.run (Ssta.Experiment.setup_circuit netlist) ~models in
+    Alcotest.(check string) (label ^ " worst mean") mean
+      (Printf.sprintf "%h" (Ssta.Block_ssta.mean blk));
+    Alcotest.(check string) (label ^ " worst sigma") sigma
+      (Printf.sprintf "%h" (Ssta.Block_ssta.sigma blk));
+    Alcotest.(check string) (label ^ " endpoint forms") digest
+      (forms_digest blk.Ssta.Block_ssta.endpoint_forms)
+  in
+  pin "c880" (Circuit.Generator.generate_paper "c880") ~mean:"0x1.36bb7ca887f8bp+12"
+    ~sigma:"0x1.e12773cf3eed2p+5" ~digest:"5442161782fa2464552aee3c4318447b";
+  pin "generated with DFFs"
+    (Circuit.Generator.generate
+       { Circuit.Generator.name = "golden"; n_gates = 150; n_inputs = 8; n_outputs = 5;
+         dff_fraction = 0.2; seed = 11 })
+    ~mean:"0x1.a0cfc3304db81p+11" ~sigma:"0x1.72a9fd968dd88p+5"
+    ~digest:"d77914a5c583f2cd9b0aba5bcf26aa50"
+
+let same_form (a : Ssta.Canonical.t) (b : Ssta.Canonical.t) =
+  same_bits a.Ssta.Canonical.mean b.Ssta.Canonical.mean
+  && same_bits a.Ssta.Canonical.indep b.Ssta.Canonical.indep
+  && Array.length a.Ssta.Canonical.sens = Array.length b.Ssta.Canonical.sens
+  && Array.for_all2 same_bits a.Ssta.Canonical.sens b.Ssta.Canonical.sens
+
+(* the size of an edit's cone by breadth-first search over fanouts: the
+   [seeds] and everything downstream of them short of a DFF *)
+let cone_oracle (netlist : Circuit.Netlist.t) seeds =
+  let gates = netlist.Circuit.Netlist.gates in
+  let fanouts = Circuit.Netlist.fanouts netlist in
+  let seen = Array.make (Array.length gates) false in
+  let queue = Queue.create () in
+  let visit g =
+    if not seen.(g) then begin
+      seen.(g) <- true;
+      Queue.add g queue
+    end
+  in
+  List.iter visit seeds;
+  while not (Queue.is_empty queue) do
+    Array.iter
+      (fun h -> if gates.(h).Circuit.Netlist.kind <> Circuit.Gate.Dff then visit h)
+      fanouts.(Queue.pop queue)
+  done;
+  Array.fold_left (fun n s -> if s then n + 1 else n) 0 seen
+
+(* [Block_ssta.rerun] of one to three same-arity swaps on a generated
+   netlist (up to 30 % DFFs) equals a flat [run] of the edited design on
+   its own fresh placement, every gate's arrival and slew form bit for
+   bit. Each swap picks a gate that drives a DFF, one driven by a primary
+   input, or any logic gate. *)
+let prop_rerun_equals_flat =
+  let gen =
+    QCheck.Gen.(
+      let* n_gates = int_range 12 90 in
+      let* dff_pct = int_bound 30 in
+      let* gen_seed = int_bound 100_000 in
+      let* n_swaps = int_range 1 3 in
+      let* picks = list_repeat n_swaps (pair (int_bound 2) (int_bound 1_000_000)) in
+      return (n_gates, dff_pct, gen_seed, picks))
+  in
+  let print (n, d, s, picks) =
+    Printf.sprintf "(gates=%d dff=%d%% seed=%d picks=[%s])" n d s
+      (String.concat "; " (List.map (fun (c, p) -> Printf.sprintf "%d,%d" c p) picks))
+  in
+  QCheck.Test.make ~name:"Block_ssta.rerun = flat run of the edited design, bit for bit"
+    ~count:200 (QCheck.make gen ~print)
+    (fun (n_gates, dff_pct, gen_seed, picks) ->
+      let module G = Circuit.Gate in
+      let module N = Circuit.Netlist in
+      let netlist =
+        Circuit.Generator.generate
+          { Circuit.Generator.name = "q"; n_gates; n_inputs = 6; n_outputs = 4;
+            dff_fraction = float_of_int dff_pct /. 100.0; seed = gen_seed }
+      in
+      let gates = Array.to_list netlist.N.gates in
+      let fanouts = Circuit.Netlist.fanouts netlist in
+      let kind g = netlist.N.gates.(g).N.kind in
+      let logic =
+        List.filter (fun (g : N.gate) -> kind g.N.id <> G.Input && kind g.N.id <> G.Dff) gates
+      in
+      let drives_dff =
+        List.filter (fun (g : N.gate) -> Array.exists (fun h -> kind h = G.Dff) fanouts.(g.N.id)) logic
+      in
+      let from_input =
+        List.filter (fun (g : N.gate) -> Array.exists (fun f -> kind f = G.Input) g.N.fanins) logic
+      in
+      let swap edited (cls, p) =
+        let pool =
+          match ((match cls with 0 -> drives_dff | 1 -> from_input | _ -> logic), logic) with
+          | [], pool | pool, _ -> pool
+        in
+        let g = List.nth pool (p mod List.length pool) in
+        let current = edited.N.gates.(g.N.id).N.kind in
+        let kinds =
+          List.filter (fun k -> k <> current)
+            (if G.arity current = 1 then [ G.Inv; G.Buf ]
+             else [ G.Nand2; G.Nor2; G.And2; G.Or2; G.Xor2; G.Xnor2 ])
+        in
+        let kind = List.nth kinds (p / 7 mod List.length kinds) in
+        match Hier.Edit.apply edited { Hier.Edit.gate = g.N.id; kind } with
+        | Ok nl -> nl
+        | Error m -> failwith m
+      in
+      let edited = List.fold_left swap netlist picks in
+      let models = Ssta.Algorithm2.models (Lazy.force a2_fixture) in
+      let parent = Ssta.Block_ssta.analyse (Ssta.Experiment.setup_circuit netlist) ~models in
+      let derived = Ssta.Experiment.setup_edit parent.Ssta.Block_ssta.setup edited in
+      let inc = Ssta.Block_ssta.rerun parent derived in
+      let fresh = Ssta.Experiment.setup_circuit edited in
+      (* the derived setup is the fresh one: loads, order, endpoints *)
+      let sta (s : Ssta.Experiment.circuit_setup) = s.Ssta.Experiment.sta in
+      let same_setup =
+        Array.for_all2 same_bits (sta derived).Sta.Timing.c_loads (sta fresh).Sta.Timing.c_loads
+        && (sta derived).Sta.Timing.order = (sta fresh).Sta.Timing.order
+        && (sta derived).Sta.Timing.endpoints = (sta fresh).Sta.Timing.endpoints
+        && derived.Ssta.Experiment.locations = fresh.Ssta.Experiment.locations
+      in
+      let flat = Ssta.Block_ssta.run fresh ~models in
+      (* the cone's seeds: the swapped gates and, from the two designs' own
+         setups, the gates whose load changed *)
+      let old_loads = parent.Ssta.Block_ssta.setup.Ssta.Experiment.sta.Sta.Timing.c_loads in
+      let seeds =
+        List.filter_map
+          (fun (g : N.gate) ->
+            let id = g.N.id in
+            if
+              edited.N.gates.(id).N.kind <> g.N.kind
+              || not (same_bits old_loads.(id) fresh.Ssta.Experiment.sta.Sta.Timing.c_loads.(id))
+            then Some id
+            else None)
+          gates
+      in
+      let same_forms a b = Array.length a = Array.length b && Array.for_all2 same_form a b in
+      same_setup
+      && same_forms inc.Ssta.Block_ssta.arrival_forms flat.Ssta.Block_ssta.arrival_forms
+      && same_forms inc.Ssta.Block_ssta.slew_forms flat.Ssta.Block_ssta.slew_forms
+      && same_forms inc.Ssta.Block_ssta.endpoint_forms flat.Ssta.Block_ssta.endpoint_forms
+      && same_form inc.Ssta.Block_ssta.worst flat.Ssta.Block_ssta.worst
+      && inc.Ssta.Block_ssta.gates_recomputed = cone_oracle edited seeds
+      && flat.Ssta.Block_ssta.gates_recomputed = N.size edited)
+
+(* a design with other connectivity or another placement is no edit *)
+let test_block_ssta_rerun_rejects_other_designs () =
+  let s = Lazy.force setup in
+  let models = Ssta.Algorithm2.models (Lazy.force a2_fixture) in
+  let parent = Ssta.Block_ssta.analyse s ~models in
+  let rejects what other =
+    Alcotest.(check bool) what true
+      (match Ssta.Block_ssta.rerun parent other with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "another placement"
+    (Ssta.Experiment.setup_circuit ~placement_seed:2 (Lazy.force small_netlist));
+  let other =
+    Circuit.Generator.generate
+      { Circuit.Generator.name = "small"; n_gates = 120; n_inputs = 10;
+        n_outputs = 6; dff_fraction = 0.0; seed = 8 }
+  in
+  rejects "another netlist" (Ssta.Experiment.setup_circuit other);
+  Alcotest.(check bool) "setup_edit refuses another netlist" true
+    (match Ssta.Experiment.setup_edit s other with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let unedited = Ssta.Block_ssta.rerun parent (Ssta.Experiment.setup_edit s s.Ssta.Experiment.netlist) in
+  Alcotest.(check int) "no swap, empty cone" 0 unedited.Ssta.Block_ssta.gates_recomputed;
+  Alcotest.(check bool) "no swap, the parent's worst form" true
+    (same_form unedited.Ssta.Block_ssta.worst parent.Ssta.Block_ssta.result.Ssta.Block_ssta.worst)
+
 let test_block_ssta_bad_models () =
   let s = Lazy.force setup in
   let a2 = Lazy.force a2_fixture in
@@ -998,6 +1184,10 @@ let () =
           Alcotest.test_case "criticalities traced" `Quick
             test_block_ssta_criticalities_traced;
           Alcotest.test_case "bad model count" `Quick test_block_ssta_bad_models;
+          Alcotest.test_case "golden bits" `Quick test_block_ssta_golden;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |]) prop_rerun_equals_flat;
+          Alcotest.test_case "rerun rejects other designs" `Quick
+            test_block_ssta_rerun_rejects_other_designs;
         ] );
       ( "experiment",
         [
